@@ -269,6 +269,114 @@ def pearson_matrix(data) -> AssociationMatrix:
     return AssociationMatrix(matrix, tuple(v.name for v in variables), "pearson")
 
 
+# Bytes of the float64 indicator block that ``_pair_tables`` reuses.
+_BLOCK_BYTES = 1 << 18
+
+
+def _level_columns(values: np.ndarray, columns: list[int], variables) -> np.ndarray:
+    """Each value's column in the one-hot indicator: level index plus offset.
+
+    ``columns`` picks the data columns and ``variables`` their domains;
+    column p's levels occupy indicator columns offset_p .. offset_p + M_p - 1.
+    Raises like ``crosstab`` on a value outside the declared levels.
+    """
+    width = sum(v.size for v in variables)
+    out = np.empty((len(values), len(columns)), dtype=np.min_scalar_type(width))
+    offset = 0
+    for k, (p, variable) in enumerate(zip(columns, variables)):
+        levels = np.asarray(variable.levels)
+        x = values[:, p]
+        index = np.searchsorted(levels, x)
+        bad = (index >= len(levels)) | (levels[np.minimum(index, len(levels) - 1)] != x)
+        if bad.any():
+            raise SpecError(
+                f"association: column {variable.name!r} has values outside its declared levels"
+            )
+        out[:, k] = index + offset
+        offset += variable.size
+    return out
+
+
+def _pair_tables(columns: np.ndarray, sizes: list[int]) -> np.ndarray:
+    """Contingency tables of every column pair p < q, zero-padded to M x M.
+
+    One indicator matrix Z (a row per subject, a column per declared level
+    of every variable) holds all tables at once: block (p, q) of Z^T Z is
+    the p-by-q crosstab.  Z^T Z is accumulated over row blocks of one
+    reused buffer; float64 sums of 0/1 products are exact below 2**53.
+    Returns an int64 array of shape (pairs, M, M), pairs in ``np.triu_indices``
+    order, with M the largest level count.
+    """
+    n, count = columns.shape
+    width = sum(sizes)
+    # The extra last column of Z stays zero; padding cells index it.
+    rows = max(1, _BLOCK_BYTES // (8 * (width + 1)))
+    block = np.empty((min(rows, n), width + 1))
+    gram = np.zeros((width + 1, width + 1))
+    for start in range(0, n, rows):
+        part = columns[start : start + rows]
+        z = block[: len(part)]
+        z.fill(0.0)
+        z[np.arange(len(part))[:, None], part] = 1.0
+        gram += z.T @ z
+    m = max(sizes)
+    offsets = np.cumsum([0] + sizes[:-1])
+    index = np.full((count, m), width)
+    for p, (offset, size) in enumerate(zip(offsets, sizes)):
+        index[p, :size] = np.arange(offset, offset + size)
+    first, second = np.triu_indices(count, 1)
+    return gram[index[first][:, :, None], index[second][:, None, :]].astype(np.int64)
+
+
+def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """``cramers_v`` of each table; zero-margin rows and columns drop out."""
+    rows = tables.sum(axis=2)
+    cols = tables.sum(axis=1)
+    live = (rows > 0)[:, :, None] & (cols > 0)[:, None, :]
+    expected = rows[:, :, None] * cols[:, None, :] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cells = (tables - expected) ** 2 / expected
+    chi2 = np.where(live, cells, 0.0).sum(axis=(1, 2))
+    smaller = np.minimum((rows > 0).sum(axis=1), (cols > 0).sum(axis=1))
+    if variant == "paper":
+        return chi2 / (n * smaller)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(smaller == 1, np.nan, np.sqrt(chi2 / (n * (smaller - 1))))
+
+
+def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
+    """``concentration_coefficient`` of each table, with the same arithmetic.
+
+    Integer sums, one rounded division per row, and the row terms added in
+    row order, so every value equals the per-table function bit for bit
+    while n * sum_j c_ij^2 stays below 2**53.
+    """
+    rows = tables.sum(axis=2)
+    baseline = (tables.sum(axis=1) ** 2).sum(axis=1)
+    denominator = n * n - baseline
+    squares = (tables**2).sum(axis=2) * float(n)
+    conditional = np.zeros(len(tables))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(tables.shape[1]):
+            conditional += np.where(rows[:, i] > 0, squares[:, i] / rows[:, i], 0.0)
+        values = (conditional - baseline) / denominator
+    return np.where(denominator > 0, values, np.nan)
+
+
+def _tau_c_tables(tables: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
+    """``stuart_kendall_tau_c`` of each table, n_c - n_d from 2-D suffix sums."""
+    # below_right[i, j] = counts in rows > i and columns > j.
+    tail = np.cumsum(np.cumsum(tables[:, ::-1, ::-1], axis=1), axis=2)[:, ::-1, ::-1]
+    below_right = np.zeros_like(tables)
+    below_right[:, :-1, :-1] = tail[:, 1:, 1:]
+    # below_left[i, j] = counts in rows > i and columns < j.
+    left = np.cumsum(np.cumsum(tables[:, ::-1], axis=1)[:, ::-1], axis=2)
+    below_left = np.zeros_like(tables)
+    below_left[:, :-1, 1:] = left[:, 1:, :-1]
+    difference = (tables * (below_right - below_left)).sum(axis=(1, 2))
+    return 2.0 * difference / (n * n * (m - 1) / m)
+
+
 def association_matrix(
     data,
     measure: str,
@@ -280,6 +388,10 @@ def association_matrix(
     The concentration coefficient is directed, so cell (p, q) holds the
     p-predicts-q value and (q, p) its reverse unless ``symmetrize`` averages
     the two.  The other measures are symmetric as defined.
+
+    Every pairwise table comes from one batched build (``_pair_tables``);
+    each cell equals the per-pair functions ``cramers_v``,
+    ``concentration_coefficient`` and ``stuart_kendall_tau_c``.
     """
     if measure not in MEASURES:
         raise KindError(f"unknown measure {measure!r}")
@@ -289,29 +401,35 @@ def association_matrix(
     p_count = len(variables)
     out = np.full((p_count, p_count), np.nan)
     np.fill_diagonal(out, 1.0)
-    allowed = _COMPATIBLE[measure]
-    for p in range(p_count):
-        for q in range(p + 1, p_count):
-            if variables[p].kind not in allowed or variables[q].kind not in allowed:
-                continue
-            if measure == "tauc":
-                value = stuart_kendall_tau_c(
-                    values[:, p], values[:, q], variables[p].size, variables[q].size
-                )
-                out[p, q] = out[q, p] = value
-            elif measure == "v":
-                table = crosstab(
-                    values[:, p], values[:, q], variables[p].levels, variables[q].levels
-                )
-                out[p, q] = out[q, p] = cramers_v(table, variant)
-            else:
-                table = crosstab(
-                    values[:, p], values[:, q], variables[p].levels, variables[q].levels
-                )
-                forward = concentration_coefficient(table)
-                backward = concentration_coefficient(ContingencyTable(table.counts.T))
-                if symmetrize:
-                    forward = backward = 0.5 * (forward + backward)
-                out[p, q] = forward
-                out[q, p] = backward
-    return AssociationMatrix(out, tuple(v.name for v in variables), measure)
+    names = tuple(v.name for v in variables)
+    keep = [p for p, v in enumerate(variables) if v.kind in _COMPATIBLE[measure]]
+    if len(keep) < 2:
+        return AssociationMatrix(out, names, measure)
+    kept = tuple(variables[p] for p in keep)
+    sizes = [v.size for v in kept]
+    n = len(values)
+    if measure == "tauc":
+        if n < 2:
+            raise SpecError("tau_c: need at least two subjects")
+        if min(sizes) < 2:
+            raise SpecError("tau_c: need at least two levels per variable")
+    elif measure == "v" and variant not in ("paper", "standard"):
+        raise SpecError(f"cramers_v: unknown variant {variant!r}")
+    if n == 0:
+        raise SpecError("association: all-zero contingency table")
+    tables = _pair_tables(_level_columns(values, keep, kept), sizes)
+    first, second = np.triu_indices(len(keep), 1)
+    p, q = np.asarray(keep)[first], np.asarray(keep)[second]
+    if measure == "v":
+        out[p, q] = out[q, p] = _cramers_v_tables(tables, n, variant)
+    elif measure == "tauc":
+        size = np.asarray(sizes)
+        out[p, q] = out[q, p] = _tau_c_tables(tables, n, np.minimum(size[first], size[second]))
+    else:
+        forward = _concentration_tables(tables, n)
+        backward = _concentration_tables(tables.transpose(0, 2, 1), n)
+        if symmetrize:
+            forward = backward = 0.5 * (forward + backward)
+        out[p, q] = forward
+        out[q, p] = backward
+    return AssociationMatrix(out, names, measure)

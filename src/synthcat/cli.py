@@ -10,8 +10,10 @@ spec or config, 3 infeasible calibration target.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,14 +46,7 @@ from .report import (
 def _load(args) -> RunConfig:
     config = load_config(args.config)
     if args.seed is not None:
-        config = RunConfig(
-            seed=args.seed,
-            clusters=config.clusters,
-            variables=config.variables,
-            profile=config.profile,
-            groups=config.groups,
-            noise=config.noise,
-        )
+        config = dataclasses.replace(config, seed=args.seed)
     return config
 
 
@@ -106,15 +101,30 @@ def _cmd_calibrate(args) -> int:
 
 def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     """Headered integer CSV to values + interval domains over observed levels."""
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines:
+    with open(path) as f:
+        header = f.readline().strip()
+        # Counting the lines first lets loadtxt allocate the result once
+        # instead of growing it, which would copy it at its full size.
+        lines, last = 0, "\n"
+        for chunk in iter(lambda: f.read(1 << 16), ""):
+            lines += chunk.count("\n")
+            last = chunk[-1]
+    if not header:
         raise SpecError(f"associate: {path} is empty")
-    names = lines[0].split(",")
+    names = header.split(",")
     try:
-        values = np.array([[int(x) for x in line.split(",")] for line in lines[1:]], dtype=np.int64)
+        with warnings.catch_warnings():
+            # A header-only file is reported below, not as a numpy warning.
+            warnings.simplefilter("ignore", UserWarning)
+            values = np.loadtxt(
+                path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None,
+                max_rows=lines + (last != "\n"),
+            )
     except ValueError as err:
         raise SpecError(f"associate: {path} is not an integer CSV ({err})")
-    if values.ndim != 2 or values.shape[1] != len(names):
+    if len(values) == 0:
+        raise SpecError(f"associate: {path} has no data rows")
+    if values.shape[1] != len(names):
         raise SpecError(f"associate: {path} rows do not match the header")
     variables = tuple(
         VariableDomain(name, tuple(int(x) for x in np.unique(values[:, p])), "interval")

@@ -134,14 +134,12 @@ def pad_groups(
     pairs: tuple[tuple[int, float], ...],
     pad_size: int = 2,
     pad_correlation: float = 0.01,
-    noise_count: int = 0,
 ) -> tuple[tuple[int, float], ...]:
     """Pad (size, correlation) groups up to the next power-of-2 count.
 
     Pads are small essentially-uncorrelated groups appended after the real
     ones; the correlation is kept barely positive so the calibration stays
-    well posed.  ``noise_count`` passes through untouched and is accepted
-    here only so callers can carry one tuple around.
+    well posed.
     """
     k = len(pairs)
     if k == 0:

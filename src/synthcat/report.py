@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -261,14 +261,7 @@ def run_pipeline(
     """
     config = load_config(config_source)
     if seed is not None:
-        config = RunConfig(
-            seed=seed,
-            clusters=config.clusters,
-            variables=config.variables,
-            profile=config.profile,
-            groups=config.groups,
-            noise=config.noise,
-        )
+        config = replace(config, seed=seed)
     result = build_run(config, threads=threads, shuffle=shuffle)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

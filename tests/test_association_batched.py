@@ -1,0 +1,151 @@
+"""The batched association_matrix against the per-pair oracles.
+
+Random small datasets mix nominal, ordinal and interval columns, leave some
+declared levels unobserved and make some columns constant.  Every cell must
+equal what crosstab + cramers_v, concentration_coefficient,
+stuart_kendall_tau_c and tau_c_pair_scan give for that pair.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from synthcat.association import (
+    ContingencyTable,
+    association_matrix,
+    concentration_coefficient,
+    cramers_v,
+    crosstab,
+    stuart_kendall_tau_c,
+    tau_c_pair_scan,
+)
+from synthcat.model import SpecError, VariableDomain
+
+KINDS = ("nominal", "ordinal", "interval")
+ORDERED = ("ordinal", "interval")
+
+
+@st.composite
+def datasets(draw):
+    """(values, variables): n 2-40 rows, P 2-6 columns, 2-4 declared levels each."""
+    n = draw(st.integers(2, 40))
+    p_count = draw(st.integers(2, 6))
+    variables, columns = [], []
+    for p in range(p_count):
+        size = draw(st.integers(2, 4))
+        first = draw(st.integers(-2, 3))
+        steps = draw(st.lists(st.integers(1, 3), min_size=size - 1, max_size=size - 1))
+        levels = tuple(int(x) for x in np.cumsum([first, *steps]))
+        kind = draw(st.sampled_from(KINDS))
+        # A proper subset of the levels leaves some unobserved; one level
+        # makes the column constant.
+        observed = draw(
+            st.lists(st.sampled_from(levels), min_size=1, max_size=size, unique=True)
+        )
+        columns.append(draw(st.lists(st.sampled_from(observed), min_size=n, max_size=n)))
+        variables.append(VariableDomain(f"x{p}", levels, kind))
+    return np.array(columns, dtype=np.int64).T, tuple(variables)
+
+
+def pairs(variables, kinds=KINDS):
+    """Pairs p < q whose kinds a measure accepts."""
+    return [
+        (p, q)
+        for p in range(len(variables))
+        for q in range(p + 1, len(variables))
+        if variables[p].kind in kinds and variables[q].kind in kinds
+    ]
+
+
+def same(actual: float, expected: float) -> bool:
+    """Bit-equal, or both NaN."""
+    return actual == expected or (math.isnan(actual) and math.isnan(expected))
+
+
+def assert_only_cells(matrix, cells):
+    """Off-diagonal cells outside ``cells`` are NaN; the diagonal is 1."""
+    expected_nan = ~np.eye(len(matrix), dtype=bool)
+    for p, q in cells:
+        expected_nan[p, q] = expected_nan[q, p] = False
+    assert np.isnan(matrix[expected_nan]).all()
+    assert (np.diag(matrix) == 1.0).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.sampled_from(("paper", "standard")))
+def test_v_matches_crosstab_and_cramers_v(data, variant):
+    values, variables = data
+    out = association_matrix((values, variables), "v", variant=variant).values
+    cells = pairs(variables)
+    assert_only_cells(out, cells)
+    for p, q in cells:
+        table = crosstab(values[:, p], values[:, q], variables[p].levels, variables[q].levels)
+        expected = cramers_v(table, variant)
+        assert np.isnan(out[p, q]) == math.isnan(expected)
+        if not math.isnan(expected):
+            assert abs(out[p, q] - expected) <= 1e-12
+        assert same(out[q, p], out[p, q])
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets(), st.booleans())
+def test_vcc_matches_concentration_coefficient(data, symmetrize):
+    values, variables = data
+    out = association_matrix((values, variables), "vcc", symmetrize=symmetrize).values
+    cells = pairs(variables)
+    assert_only_cells(out, cells)
+    for p, q in cells:
+        table = crosstab(values[:, p], values[:, q], variables[p].levels, variables[q].levels)
+        forward = concentration_coefficient(table)
+        backward = concentration_coefficient(ContingencyTable(table.counts.T))
+        if symmetrize:
+            forward = backward = 0.5 * (forward + backward)
+        assert same(out[p, q], forward)
+        assert same(out[q, p], backward)
+
+
+@settings(max_examples=100, deadline=None)
+@given(datasets())
+def test_tauc_matches_table_and_pair_scan(data):
+    values, variables = data
+    out = association_matrix((values, variables), "tauc").values
+    cells = pairs(variables, ORDERED)
+    assert_only_cells(out, cells)
+    for p, q in cells:
+        args = (values[:, p], values[:, q], variables[p].size, variables[q].size)
+        expected = stuart_kendall_tau_c(*args)
+        assert expected == tau_c_pair_scan(*args)
+        assert out[p, q] == expected
+        assert out[q, p] == expected
+
+
+@pytest.mark.parametrize("measure", ["v", "vcc"])
+def test_value_outside_declared_levels(measure):
+    values = np.array([[0, 1], [1, 0], [5, 1]])
+    variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
+    with pytest.raises(SpecError, match="declared"):
+        crosstab(values[:, 0], values[:, 1], variables[0].levels, variables[1].levels)
+    with pytest.raises(SpecError, match="declared"):
+        association_matrix((values, variables), measure)
+
+
+def test_tauc_rejects_one_level_column():
+    values = np.array([[0, 1], [0, 0], [0, 1]])
+    variables = (VariableDomain("a", (0,), "ordinal"), VariableDomain("b", (0, 1), "ordinal"))
+    with pytest.raises(SpecError, match="two levels"):
+        stuart_kendall_tau_c(values[:, 0], values[:, 1], 1, 2)
+    with pytest.raises(SpecError, match="two levels"):
+        association_matrix((values, variables), "tauc")
+    # A one-level nominal column is not a tau_c pair, so nothing is raised.
+    nominal = (VariableDomain("a", (0,), "nominal"), variables[1])
+    assert np.isnan(association_matrix((values, nominal), "tauc").values[0, 1])
+
+
+def test_tauc_rejects_single_subject():
+    values = np.array([[0, 1]])
+    variables = (VariableDomain("a", (0, 1), "ordinal"), VariableDomain("b", (0, 1), "ordinal"))
+    with pytest.raises(SpecError, match="two subjects"):
+        association_matrix((values, variables), "tauc")

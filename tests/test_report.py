@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from synthcat.association import AssociationMatrix
+from synthcat.association import AssociationMatrix, association_matrix
 from synthcat.cli import main
-from synthcat.model import GroupStructure, SpecError, load_config
+from synthcat.model import GroupStructure, SpecError, VariableDomain, load_config
 from synthcat.moments import moment_matrices
-from synthcat.generator import build_spec
+from synthcat.generator import build_spec, generate
 from synthcat.report import (
     build_run,
     compare_matrices,
@@ -18,6 +18,7 @@ from synthcat.report import (
     run_pipeline,
     summarize_groups,
     within_group_averages,
+    write_dataset_csv,
     write_matrix_csv,
 )
 
@@ -340,6 +341,34 @@ class TestCli:
         data.write_text("a,b\n0,x\n")
         assert main(["associate", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
         assert "integer CSV" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text", ["", "a,b\n", "a,b\n0,1\n1,0,1\n", "a,b\n0,1,1\n1,0,1\n"],
+        ids=["empty", "header-only", "ragged-row", "rows-wider-than-header"],
+    )
+    def test_associate_rejects_malformed_csv(self, tmp_path, capsys, text):
+        data = tmp_path / "data.csv"
+        data.write_text(text)
+        assert main(["associate", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_associate_csv_matches_in_memory_dataset(self, tmp_path, capsys):
+        dataset = generate(build_spec(load_config(explicit_config())).spec)
+        data = tmp_path / "dataset.csv"
+        write_dataset_csv(data, dataset)
+        observed = tuple(
+            VariableDomain(v.name, tuple(int(x) for x in np.unique(dataset.values[:, p])))
+            for p, v in enumerate(dataset.profile.variables)
+        )
+        out = tmp_path / "o"
+        for measure in ("v", "vcc", "tauc"):
+            assert main(["associate", "--data", str(data), "--measure", measure,
+                         "--out", str(out)]) == 0
+            rows = (out / f"{measure}_matrix.csv").read_text().splitlines()[1:]
+            written = np.array([[float(x) for x in row.split(",")[1:]] for row in rows])
+            expected = association_matrix((dataset.values, observed), measure).values
+            assert np.array_equal(written, expected, equal_nan=True)
+        capsys.readouterr()
 
     def test_report(self, tmp_path):
         config = write_config(tmp_path, snp_config())
