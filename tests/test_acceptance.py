@@ -82,6 +82,26 @@ GROUP_SAMPLE = (
     0.96, 0.60, 0.43, 0.90, 0.41, 0.55, 0.74,
 )
 
+# The 27 groups padded to 32 with near-zero dummy pairs, plus 101 noise
+# columns: the 6000 x 200 workflow of criterion 5.
+LINKAGE_PADDED = pad_groups(tuple(zip(GROUP_SIZES, GROUP_TARGETS)))
+
+LINKAGE_CONFIG = {
+    "seed": 58,
+    "clusters": {"n": 6000},
+    "groups": {
+        "k": 32,
+        "sizes": [size for size, _ in LINKAGE_PADDED],
+        "family": "snp",
+        "pH": 0.99,
+        "targets": [{"correlation": value} for _, value in LINKAGE_PADDED],
+    },
+    "noise": [
+        {"name": f"noise{q}", "levels": [0, 1, 2], "probs": [0.25, 0.5, 0.25]}
+        for q in range(1, 102)
+    ],
+}
+
 BALANCED_8X16 = (
     "LLLLLLLLLLLLLLLL",
     "HHHHHHHHHHHHHHHH",
@@ -257,24 +277,8 @@ def test_criterion_4_sample_reproduction():
 
 def test_criterion_5_linkage_group_workflow():
     start = time.perf_counter()
-    padded = pad_groups(tuple(zip(GROUP_SIZES, GROUP_TARGETS)))
-    assert len(padded) == 32
-    config = {
-        "seed": 58,
-        "clusters": {"n": 6000},
-        "groups": {
-            "k": 32,
-            "sizes": [size for size, _ in padded],
-            "family": "snp",
-            "pH": 0.99,
-            "targets": [{"correlation": value} for _, value in padded],
-        },
-        "noise": [
-            {"name": f"noise{q}", "levels": [0, 1, 2], "probs": [0.25, 0.5, 0.25]}
-            for q in range(1, 102)
-        ],
-    }
-    result = build_run(load_config(config))
+    assert len(LINKAGE_PADDED) == 32
+    result = build_run(load_config(LINKAGE_CONFIG))
     assert result.dataset.values.shape == (6000, 200)
     assert np.bincount(result.dataset.assignments)[1:].tolist() == [500] * 12
     averages = within_group_averages(result.sample_pearson, result.built.groups)
