@@ -76,7 +76,6 @@ from .report import (
     summarize_groups,
     within_group_averages,
 )
-from .sampling import inverse_normal_cdf, normal_cdf
 
 __all__ = [
     "__version__",
@@ -126,10 +125,8 @@ __all__ = [
     "grouped_pattern",
     "hardy_weinberg_moments",
     "hardy_weinberg_probs",
-    "inverse_normal_cdf",
     "load_config",
     "moment_matrices",
-    "normal_cdf",
     "pad_groups",
     "pearson_matrix",
     "run_from_manifest",

@@ -3,9 +3,10 @@
 The generative procedure is: fix the number of clusters C and per-cluster
 subject counts, allocate subjects to clusters in contiguous blocks, then
 draw every (subject, variable) cell independently from the cluster's
-categorical profile through the normal-threshold transform in
-``sampling``.  Profiles come either from an explicit ProfileMatrix or from
-a PatternMatrix whose H/L/A labels are bound to concrete probability
+categorical profile by direct inverse-CDF lookup in ``sampling``: a cell
+takes the first level whose cumulative probability exceeds its uniform.
+Profiles come either from an explicit ProfileMatrix or from a
+PatternMatrix whose H/L/A labels are bound to concrete probability
 vectors.
 
 Columns are independent streams, so generation can fan out across threads
@@ -123,21 +124,16 @@ def bind_pattern(
     return ProfileMatrix(variables, tuple(rows))
 
 
-def _generate_column(
-    spec: GeneratorSpec, assignments: np.ndarray, p: int
-) -> np.ndarray:
-    domain = spec.profile.variables[p]
-    levels = np.asarray(domain.levels)
-    uniforms = sampling.column_uniforms(spec.seed, p, len(assignments))
-    scores = sampling.inverse_normal_cdf_array(uniforms)
-    out = np.empty(len(assignments), dtype=np.int64)
-    for c in range(spec.profile.cluster_count):
-        mask = assignments == c + 1
-        if not mask.any():
-            continue
+def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
+    """Fill ``out`` with column p in allocation order, one cluster block at a time."""
+    levels = np.asarray(spec.profile.variables[p].levels)
+    uniforms = sampling.column_uniforms(spec.seed, p, len(out))
+    start = 0
+    for c, count in enumerate(spec.clusters.counts):
         edges = sampling.band_edges(spec.profile.cell(c, p).as_array())
-        out[mask] = levels[sampling.band_indices(edges, scores[mask])]
-    return out
+        block = slice(start, start + count)
+        out[block] = levels[sampling.band_indices(edges, uniforms[block])]
+        start += count
 
 
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
@@ -159,14 +155,18 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     n = len(assignments)
     p_count = spec.profile.variable_count
     values = np.empty((n, p_count), dtype=np.int64)
+
+    # Workers write straight into the result: returned columns would queue
+    # up in the pool faster than the caller copies them out.
+    def fill(p: int) -> None:
+        _generate_column(spec, p, values[:, p])
+
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            columns = pool.map(lambda p: _generate_column(spec, assignments, p), range(p_count))
-            for p, column in enumerate(columns):
-                values[:, p] = column
+            list(pool.map(fill, range(p_count)))
     else:
         for p in range(p_count):
-            values[:, p] = _generate_column(spec, assignments, p)
+            fill(p)
 
     if shuffle:
         order = sampling.shuffle_order(spec.seed, n)

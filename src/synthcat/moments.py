@@ -125,14 +125,14 @@ def moment_matrices(profile: ProfileMatrix, clusters: ClusterSpec) -> MomentMatr
     p_count = profile.variable_count
     means = weights @ f
     variances = np.array([marginal_variance(weights, v[:, p], f[:, p]) for p in range(p_count)])
-    cov = np.empty((p_count, p_count))
     dev = f - means
-    for p in range(p_count):
-        for q in range(p_count):
-            if p == q:
-                cov[p, q] = variances[p]
-            else:
-                cov[p, q] = weights @ (dev[:, p] * dev[:, q])
+    # Weighting each rounded product dev_p * dev_q keeps the matrix exactly
+    # symmetric and lets equal and opposite cluster terms cancel to an exact
+    # zero; a weighted matrix product does neither.
+    cov = np.zeros((p_count, p_count))
+    for w, d in zip(weights, dev):
+        cov += w * np.outer(d, d)
+    np.fill_diagonal(cov, variances)
     sd = np.sqrt(variances)
     with np.errstate(divide="ignore", invalid="ignore"):
         cor = cov / np.outer(sd, sd)

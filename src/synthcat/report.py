@@ -182,14 +182,18 @@ def write_matrix_csv(path: Path, values: np.ndarray, names: tuple[str, ...]) -> 
 
 
 def write_dataset_csv(path: Path, dataset: Dataset) -> None:
-    lines = [",".join(dataset.variable_names)]
-    for row in dataset.values:
-        lines.append(",".join(str(int(x)) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    np.savetxt(
+        path,
+        dataset.values,
+        fmt="%d",
+        delimiter=",",
+        header=",".join(dataset.variable_names),
+        comments="",
+    )
 
 
 def write_allocation(path: Path, dataset: Dataset) -> None:
-    path.write_text("\n".join(str(int(z)) for z in dataset.assignments) + "\n")
+    np.savetxt(path, dataset.assignments, fmt="%d")
 
 
 def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:

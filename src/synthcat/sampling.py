@@ -1,11 +1,9 @@
-"""Uniform-to-categorical sampling through the normal quantile transform.
+"""Uniform-to-categorical sampling by direct inverse-CDF lookup.
 
-A categorical draw with probabilities (pi_1, ..., pi_M) is realised by
-mapping a uniform u to t = Phi^{-1}(u) and reading off which band of the
-real line t fell into, where the band edges are normal quantiles of the
-cumulative probabilities.  This is distribution-equivalent to inverting the
-categorical CDF directly, but it exposes the latent normal score t, which
-downstream code can reuse.
+A categorical draw with probabilities (pi_1, ..., pi_M) is realised from a
+uniform u by taking the first level whose cumulative probability exceeds u:
+the band edges are the interior cumulative sums, and u falls in exactly one
+band.
 
 Randomness is counter-based: every (variable, subject) cell has a fixed
 address in a Philox-4x64 stream keyed by (seed, variable index).  Column
@@ -16,134 +14,29 @@ sequential generation and any single cell can be re-derived in isolation.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.special import erfc
-
-# Philox-4x64 emits 4 doubles per 128-bit counter block; Generator.advance
-# counts blocks, so cell i sits at block i // 4, draw i % 4 within it.
-_DRAWS_PER_BLOCK = 4
 
 # Key component for the subject shuffle stream.  Anything >= 2**48 keeps it
 # clear of plausible column indices under the (seed, column) keying.
 SHUFFLE_STREAM = 2**60
 
 
-def normal_cdf(x):
-    """Phi(x) via the complementary error function."""
-    return 0.5 * erfc(-np.asarray(x, dtype=float) / math.sqrt(2.0))
-
-
-# Rational approximations for the normal quantile (relative error < 1.15e-9
-# before refinement).  One Newton step against an erfc-based residual takes
-# the absolute error to the 1e-16 range.
-_A = (
-    -3.969683028665376e+01,
-    2.209460984245205e+02,
-    -2.759285104469687e+02,
-    1.383577518672690e+02,
-    -3.066479806614716e+01,
-    2.506628277459239e+00,
-)
-_B = (
-    -5.447609879822406e+01,
-    1.615858368580409e+02,
-    -1.556989798598866e+02,
-    6.680131188771972e+01,
-    -1.328068155288572e+01,
-    1.0,
-)
-_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e+00,
-    -2.549732539343734e+00,
-    4.374664141464968e+00,
-    2.938163982698783e+00,
-)
-_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e+00,
-    3.754408661907416e+00,
-    1.0,
-)
-_PLOW = 0.02425
-
-
-def _estimate(u: np.ndarray) -> np.ndarray:
-    """Raw rational-approximation quantile for u strictly inside (0, 1)."""
-    x = np.empty_like(u)
-    low = u < _PLOW
-    high = u > 1.0 - _PLOW
-    mid = ~(low | high)
-    if low.any():
-        q = np.sqrt(-2.0 * np.log(u[low]))
-        x[low] = np.polyval(_C, q) / np.polyval(_D, q)
-    if high.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - u[high]))
-        x[high] = -np.polyval(_C, q) / np.polyval(_D, q)
-    if mid.any():
-        q = u[mid] - 0.5
-        r = q * q
-        x[mid] = np.polyval(_A, r) * q / np.polyval(_B, r)
-    return x
-
-
-def inverse_normal_cdf_array(u) -> np.ndarray:
-    """Phi^{-1} applied elementwise; 0 and 1 map to -inf and +inf.
-
-    The Newton residual is evaluated on whichever tail of Phi is computed
-    without cancellation: Phi(x) - u for u <= 1/2 via erfc(-x/sqrt 2), and
-    (1 - u) - (1 - Phi(x)) via erfc(x/sqrt 2) otherwise.
-    """
-    u = np.asarray(u, dtype=float)
-    if np.isnan(u).any() or (u < 0.0).any() or (u > 1.0).any():
-        raise ValueError("quantile arguments must lie in [0, 1]")
-    out = np.full(u.shape, np.nan)
-    out[u == 0.0] = -np.inf
-    out[u == 1.0] = np.inf
-    interior = (u > 0.0) & (u < 1.0)
-    v = u[interior]
-    x = _estimate(v)
-    residual = np.where(
-        v <= 0.5,
-        0.5 * erfc(-x / math.sqrt(2.0)) - v,
-        (1.0 - v) - 0.5 * erfc(x / math.sqrt(2.0)),
-    )
-    density = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    # In the far tails (|x| > 38 or so) the density underflows; the estimate
-    # is already the best available there, so skip the correction.
-    step = np.divide(residual, density, out=np.zeros_like(x), where=density > 0.0)
-    out[interior] = x - step
-    return out
-
-
-def inverse_normal_cdf(u: float) -> float:
-    """Scalar Phi^{-1}(u), raising ValueError outside [0, 1]."""
-    if math.isnan(u) or u < 0.0 or u > 1.0:
-        raise ValueError(f"quantile argument must lie in [0, 1], got {u!r}")
-    return float(inverse_normal_cdf_array(np.asarray(u, dtype=float)))
-
-
 def band_edges(probs) -> np.ndarray:
-    """Interior band edges Phi^{-1}(cumsum) for a categorical distribution.
+    """Interior band edges, the cumulative sums, for a categorical distribution.
 
     For M levels there are M - 1 interior edges; a zero-probability level
     yields a zero-width band that searchsorted's right-side convention can
     never select.
     """
     cum = np.cumsum(np.asarray(probs, dtype=float))[:-1]
-    # cumsum can drift a hair above 1; the quantile domain is exact.
-    cum = np.clip(cum, 0.0, 1.0)
-    return inverse_normal_cdf_array(cum)
+    # cumsum can drift a hair above 1; clipping keeps every edge a probability.
+    return np.clip(cum, 0.0, 1.0)
 
 
-def band_indices(edges: np.ndarray, scores) -> np.ndarray:
-    """Map latent normal scores to 0-based level indices."""
-    return np.searchsorted(edges, scores, side="right")
+def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
+    """Map uniforms to 0-based level indices: the first band above each."""
+    return np.searchsorted(edges, uniforms, side="right")
 
 
 def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
@@ -152,26 +45,7 @@ def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
     return gen.random(subjects)
 
 
-def cell_uniform(seed: int, variable: int, subject: int) -> float:
-    """The single uniform for one (subject, variable) cell.
-
-    Addresses the same value column_uniforms yields at position ``subject``,
-    without generating the prefix.
-    """
-    bit_gen = Philox(key=[seed, variable])
-    bit_gen.advance(subject // _DRAWS_PER_BLOCK)
-    draws = Generator(bit_gen).random(subject % _DRAWS_PER_BLOCK + 1)
-    return float(draws[-1])
-
-
 def shuffle_order(seed: int, subjects: int) -> np.ndarray:
     """Permutation of 0..n-1 from the dedicated shuffle stream."""
     gen = Generator(Philox(key=[seed, SHUFFLE_STREAM]))
     return gen.permutation(subjects)
-
-
-def draw_categorical(probs, uniforms) -> np.ndarray:
-    """Vectorised categorical draws (0-based level indices) from uniforms."""
-    edges = band_edges(probs)
-    scores = inverse_normal_cdf_array(np.atleast_1d(uniforms))
-    return band_indices(edges, scores)

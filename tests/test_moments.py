@@ -180,6 +180,15 @@ class TestMomentMatrices:
         assert math.isnan(matrices.correlation[0, 0])
         assert matrices.covariance[0, 1] == 0.0
 
+    def test_covariance_is_exactly_symmetric(self):
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            weights = rng.random(5)
+            weights /= weights.sum()
+            clusters = ClusterSpec.from_weights(tuple(weights), 50)
+            cov = moment_matrices(random_profile(rng, 5, 12), clusters).covariance
+            assert np.array_equal(cov, cov.T)
+
     def test_oracle_agreement_on_random_specs(self):
         rng = np.random.default_rng(11)
         for trial in range(200):

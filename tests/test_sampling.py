@@ -1,80 +1,31 @@
-"""Sampling layer: quantile accuracy, stream addressing, draw distribution."""
+"""Sampling layer: stream addressing, band edges, draw distribution."""
 
-import math
-
-import mpmath
 import numpy as np
-import pytest
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from synthcat.sampling import (
-    band_edges,
-    band_indices,
-    cell_uniform,
-    column_uniforms,
-    draw_categorical,
-    inverse_normal_cdf,
-    inverse_normal_cdf_array,
-    normal_cdf,
-    shuffle_order,
-)
+from synthcat.sampling import band_edges, band_indices, column_uniforms, shuffle_order
 
-mpmath.mp.dps = 50
+# Philox-4x64 emits 4 doubles per 128-bit counter block; Generator.advance
+# counts blocks, so cell i sits at block i // 4, draw i % 4 within it.
+_DRAWS_PER_BLOCK = 4
 
 
-def oracle_quantile(u: float) -> float:
-    """Reference Phi^{-1} at 50 decimal digits via the mpmath erfinv."""
-    return float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(u) - 1))
+def cell_uniform(seed: int, variable: int, subject: int) -> float:
+    """The single uniform for one (subject, variable) cell.
+
+    Addresses the same value column_uniforms yields at position ``subject``,
+    without generating the prefix.
+    """
+    bit_gen = Philox(key=[seed, variable])
+    bit_gen.advance(subject // _DRAWS_PER_BLOCK)
+    draws = Generator(bit_gen).random(subject % _DRAWS_PER_BLOCK + 1)
+    return float(draws[-1])
 
 
-class TestInverseNormalCdf:
-    def test_known_values(self):
-        assert inverse_normal_cdf(0.5) == 0.0
-        assert inverse_normal_cdf(0.975) == pytest.approx(1.959963984540054, abs=1e-15)
-        assert inverse_normal_cdf(0.0625) == pytest.approx(-1.5341205443525465, abs=1e-15)
-
-    def test_oracle_agreement_across_the_domain(self):
-        # Dense central grid plus log-spaced tail points on both sides.
-        grid = list(np.linspace(1e-4, 1 - 1e-4, 2001))
-        grid += [10.0**-k for k in range(5, 15)]
-        grid += [1 - 10.0**-k for k in range(5, 15)]
-        worst = 0.0
-        for u in grid:
-            worst = max(worst, abs(inverse_normal_cdf(u) - oracle_quantile(u)))
-        assert worst < 1e-12
-
-    def test_extreme_tails_stay_finite_and_monotone(self):
-        # The oracle itself needs ~320 digits before 2u - 1 stops rounding
-        # to -1 at u = 1e-300.
-        tail = [1e-300, 1e-100, 1e-50, 1e-20]
-        values = [inverse_normal_cdf(u) for u in tail]
-        assert all(math.isfinite(v) for v in values)
-        assert values == sorted(values)
-        with mpmath.workdps(400):
-            for u, v in zip(tail, values):
-                assert v == pytest.approx(oracle_quantile(u), rel=1e-12)
-
-    def test_endpoints_map_to_infinities(self):
-        assert inverse_normal_cdf(0.0) == -math.inf
-        assert inverse_normal_cdf(1.0) == math.inf
-
-    def test_rejects_arguments_outside_the_unit_interval(self):
-        for bad in (-0.1, 1.1, math.nan):
-            with pytest.raises(ValueError):
-                inverse_normal_cdf(bad)
-        with pytest.raises(ValueError):
-            inverse_normal_cdf_array(np.array([0.2, -0.3]))
-
-    def test_array_path_matches_scalar_path(self):
-        u = np.linspace(0.001, 0.999, 997)
-        batch = inverse_normal_cdf_array(u)
-        singles = np.array([inverse_normal_cdf(x) for x in u])
-        assert np.array_equal(batch, singles)
-
-    def test_round_trip_through_the_cdf(self):
-        u = np.linspace(0.01, 0.99, 99)
-        assert np.allclose(normal_cdf(inverse_normal_cdf_array(u)), u, atol=1e-15)
+def draw_categorical(probs, uniforms) -> np.ndarray:
+    """Vectorised categorical draws (0-based level indices) from uniforms."""
+    return band_indices(band_edges(probs), np.atleast_1d(uniforms))
 
 
 class TestStreams:
@@ -113,9 +64,10 @@ class TestStreams:
 
 class TestBands:
     def test_edges_are_quantiles_of_the_cumulative_sums(self):
+        # The uniform quantile function is the identity, so the edges are
+        # the cumulative sums themselves.
         probs = (0.2, 0.5, 0.3)
-        edges = band_edges(probs)
-        assert edges == pytest.approx([inverse_normal_cdf(0.2), inverse_normal_cdf(0.7)])
+        assert np.array_equal(band_edges(probs), np.cumsum(probs)[:-1])
 
     def test_zero_probability_levels_are_never_drawn(self):
         uniforms = np.linspace(0.0, 1.0 - 1e-12, 1001)
@@ -142,5 +94,5 @@ class TestBands:
         assert p_value > 0.001
 
     def test_indices_respect_right_closed_bands(self):
-        edges = np.array([-1.0, 1.0])
-        assert list(band_indices(edges, np.array([-2.0, -1.0, 0.0, 1.0, 2.0]))) == [0, 1, 1, 2, 2]
+        edges = np.array([0.25, 0.75])
+        assert list(band_indices(edges, np.array([0.0, 0.25, 0.5, 0.75, 0.9]))) == [0, 1, 1, 2, 2]
