@@ -25,13 +25,9 @@ from .association import (
 from .calibration import (
     CalibrationResult,
     GroupCalibration,
-    calibrate_binary_correlation,
-    calibrate_binary_covariance,
     calibrate_group,
-    calibrate_snp_correlation,
-    calibrate_snp_covariance,
-    hardy_weinberg_moments,
     hardy_weinberg_probs,
+    pair_dependence,
 )
 from .generator import (
     BuiltSpec,
@@ -109,11 +105,7 @@ __all__ = [
     "brute_force_moments",
     "build_run",
     "build_spec",
-    "calibrate_binary_correlation",
-    "calibrate_binary_covariance",
     "calibrate_group",
-    "calibrate_snp_correlation",
-    "calibrate_snp_covariance",
     "chi_square",
     "cluster_means",
     "compare_matrices",
@@ -123,11 +115,11 @@ __all__ = [
     "dump_config",
     "generate",
     "grouped_pattern",
-    "hardy_weinberg_moments",
     "hardy_weinberg_probs",
     "load_config",
     "moment_matrices",
     "pad_groups",
+    "pair_dependence",
     "pearson_matrix",
     "run_from_manifest",
     "run_pipeline",

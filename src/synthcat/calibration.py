@@ -1,20 +1,26 @@
 """Solving for the low profile that meets a dependence target.
 
-Pattern-identical columns in the balanced design share the covariance
+Pattern-identical columns take a high profile on the clusters of total
+weight w_H and a low profile on the rest, of weight w_L = 1 - w_H.  With
+f_H, f_L the two profile means and v_H, v_L their variances, any two such
+columns share
 
-    Cov = (f_H - f_L)^2 / 4
+    Cov = w_H w_L (f_H - f_L)^2
+    Var = w_H v_H + w_L v_L + Cov
 
-where f_H and f_L are the two cluster means a column alternates between.
-Calibration fixes the high profile and solves for the low one so that Cov,
-or the corresponding correlation Cov / Var, hits a requested target.
+and the correlation Cov / Var.  Calibration fixes the high profile and
+solves for the low one so that the covariance, or the correlation, hits a
+requested target.
 
-Two one-parameter families are supported.  A binary column on levels
-(0, 1) is parameterised by its mean f, vector (1 - f, f); covariance
-targets invert in closed form and correlation targets bisect on f_L.  A
-three-level column on (0, 1, 2) holds a Hardy-Weinberg genotype count with
-reference-allele probability p, vector (p^2, 2p(1-p), (1-p)^2), mean
-2 - 2p; again the covariance inverts in closed form and the correlation is
-bisected on p_L.
+A family is its levels plus a map from one parameter t to a probability
+vector.  A binary column on (0, 1) takes (1 - t, t), t being its mean; a
+genotype column on (0, 1, 2) takes the Hardy-Weinberg vector
+(t^2, 2t(1-t), (1-t)^2), t being the reference-allele probability.  In both
+families the dependence falls as the low parameter rises from 0 to the high
+one, where it vanishes, so one bisection on [0, t_H] solves every family
+and target kind.  The dependence at low parameter 0 is the feasibility
+ceiling: a target at or above it, or within the solver tolerance below it,
+is refused with InfeasibleTargetError.
 """
 
 from __future__ import annotations
@@ -37,6 +43,10 @@ RESIDUAL_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
 
 
+def _hardy_weinberg(p: float) -> tuple[float, float, float]:
+    return (p * p, 2.0 * p * (1.0 - p), (1.0 - p) * (1.0 - p))
+
+
 def hardy_weinberg_probs(allele_prob: float) -> tuple[float, float, float]:
     """Genotype distribution (p^2, 2p(1-p), (1-p)^2) over counts (0, 1, 2).
 
@@ -48,158 +58,50 @@ def hardy_weinberg_probs(allele_prob: float) -> tuple[float, float, float]:
         raise SpecError(f"allele probability must lie in [0, 1], got {allele_prob!r}")
     if allele_prob in (0.0, 1.0):
         warnings.warn(f"allele probability {allele_prob} gives a degenerate genotype column")
-    p = allele_prob
-    return (p * p, 2.0 * p * (1.0 - p), (1.0 - p) * (1.0 - p))
+    return _hardy_weinberg(allele_prob)
 
 
-def hardy_weinberg_moments(allele_prob: float) -> tuple[float, float]:
-    """Mean and variance of the genotype count, 2 - 2p and 2p(1 - p)."""
-    p = allele_prob
-    return (2.0 - 2.0 * p, 2.0 * p * (1.0 - p))
+# family -> (levels, low/high parameter -> probability vector over them)
+PARAMETRIC_FAMILIES = {
+    "binary": ((0, 1), lambda t: (1.0 - t, t)),
+    "snp": ((0, 1, 2), _hardy_weinberg),
+}
 
 
-def binary_mixture_variance(high_mean: float, low_mean: float) -> float:
-    """Variance of an equal-weight mix of Bernoulli(f_H) and Bernoulli(f_L)."""
-    m = 0.5 * (high_mean + low_mean)
-    return m * (1.0 - m)
+def pair_dependence(
+    levels: tuple[int, ...],
+    high: tuple[float, ...],
+    low: tuple[float, ...],
+    high_weight: float,
+) -> tuple[float, float]:
+    """(covariance, correlation) of two pattern-identical columns.
 
-
-def snp_mixture_variance(high_allele: float, low_allele: float) -> float:
-    """Variance of an equal-weight mix of two genotype-count distributions.
-
-    E[x^2] under Hardy-Weinberg(p) is 2(1 - p)(2 - p) and the mixture mean
-    is 2 - pH - pL, so
-
-        V = (1-pH)(2-pH) + (1-pL)(2-pL) - (2 - pH - pL)^2.
+    ``high`` and ``low`` are probability vectors over ``levels``; the high
+    one holds on clusters of total weight ``high_weight``, the low one on
+    the rest.
     """
-    ph, pl = high_allele, low_allele
-    second = (1.0 - ph) * (2.0 - ph) + (1.0 - pl) * (2.0 - pl)
-    mean = 2.0 - ph - pl
-    return second - mean * mean
-
-
-def binary_pair_dependence(high_mean: float, low_mean: float) -> tuple[float, float]:
-    """(covariance, correlation) of two pattern-identical binary columns."""
-    cov = 0.25 * (high_mean - low_mean) ** 2
-    var = binary_mixture_variance(high_mean, low_mean)
+    w_h, w_l = high_weight, 1.0 - high_weight
+    f_h = sum(x * p for x, p in zip(levels, high))
+    f_l = sum(x * p for x, p in zip(levels, low))
+    v_h = sum((x - f_h) ** 2 * p for x, p in zip(levels, high))
+    v_l = sum((x - f_l) ** 2 * p for x, p in zip(levels, low))
+    cov = w_h * w_l * (f_h - f_l) ** 2
+    var = w_h * v_h + w_l * v_l + cov
     return cov, cov / var if var > 0.0 else math.nan
 
 
-def snp_pair_dependence(high_allele: float, low_allele: float) -> tuple[float, float]:
-    """(covariance, correlation) of two pattern-identical genotype columns."""
-    cov = (high_allele - low_allele) ** 2
-    var = snp_mixture_variance(high_allele, low_allele)
-    return cov, cov / var if var > 0.0 else math.nan
-
-
-def _bisect(g, lo: float, hi: float, context: str) -> float:
-    """Root of a decreasing g with g(lo) > 0 > g(hi)."""
-    g_lo = g(lo)
-    g_hi = g(hi)
-    if not (g_lo > 0.0 > g_hi):
-        raise InfeasibleTargetError(f"{context}: no admissible solution brackets the target")
+def _bisect(dependence, target: float, high_param: float) -> float:
+    """The t in (0, high_param) where the falling ``dependence`` meets ``target``."""
+    lo, hi = 0.0, high_param
     for _ in range(_MAX_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):
             break
-        if g(mid) > 0.0:
+        if dependence(mid) > target:
             lo = mid
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def _check_probability(value: float, name: str) -> None:
-    if not 0.0 < value < 1.0:
-        raise SpecError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-
-
-def calibrate_binary_covariance(high_mean: float, covariance: float) -> float:
-    """Low mean hitting a within-group covariance, f_L = f_H - 2 sqrt(Cov).
-
-    Feasible for 0 < Cov <= (f_H / 2)^2; beyond that the low mean would be
-    negative.
-    """
-    _check_probability(high_mean, "high mean")
-    limit = (0.5 * high_mean) ** 2
-    if not 0.0 < covariance <= limit:
-        raise InfeasibleTargetError(
-            f"binary covariance target {covariance!r} outside (0, {limit!r}] for high mean {high_mean!r}"
-        )
-    return high_mean - 2.0 * math.sqrt(covariance)
-
-
-def calibrate_binary_correlation(high_mean: float, correlation: float) -> float:
-    """Low mean hitting a within-group correlation, by bisection on f_L.
-
-    The correlation (f_H - f_L)^2 / (4 V) decreases in f_L on [0, f_H];
-    its supremum at f_L = 0 is f_H / (2 - f_H), so only targets below that
-    are attainable.
-    """
-    _check_probability(high_mean, "high mean")
-    if not 0.0 < correlation < 1.0:
-        raise InfeasibleTargetError(f"correlation target must lie in (0, 1), got {correlation!r}")
-    limit = high_mean / (2.0 - high_mean)
-    if correlation >= limit:
-        raise InfeasibleTargetError(
-            f"binary correlation target {correlation!r} not below the ceiling "
-            f"{limit!r} for high mean {high_mean!r}"
-        )
-
-    def gap(low_mean: float) -> float:
-        var = binary_mixture_variance(high_mean, low_mean)
-        return (high_mean - low_mean) - 2.0 * math.sqrt(correlation * var)
-
-    low = _bisect(gap, 0.0, high_mean, "binary correlation")
-    _verify(correlation, binary_pair_dependence(high_mean, low)[1], "binary correlation")
-    return low
-
-
-def calibrate_snp_covariance(high_allele: float, covariance: float) -> float:
-    """Low allele probability hitting a covariance, p_L = p_H - sqrt(Cov).
-
-    Feasible for 0 < Cov < p_H^2, keeping p_L inside (0, p_H).
-    """
-    _check_probability(high_allele, "high allele probability")
-    limit = high_allele * high_allele
-    if not 0.0 < covariance < limit:
-        raise InfeasibleTargetError(
-            f"genotype covariance target {covariance!r} outside (0, {limit!r}) "
-            f"for high allele probability {high_allele!r}"
-        )
-    return high_allele - math.sqrt(covariance)
-
-
-def calibrate_snp_correlation(high_allele: float, correlation: float) -> float:
-    """Low allele probability hitting a correlation, by bisection on p_L.
-
-    The correlation (p_H - p_L)^2 / V rises from 0 at p_L = p_H to p_H at
-    p_L = 0 (where V = p_H exactly), so targets at or above p_H are
-    unattainable.
-    """
-    _check_probability(high_allele, "high allele probability")
-    if not 0.0 < correlation < 1.0:
-        raise InfeasibleTargetError(f"correlation target must lie in (0, 1), got {correlation!r}")
-    if correlation >= high_allele:
-        raise InfeasibleTargetError(
-            f"genotype correlation target {correlation!r} not below the ceiling "
-            f"{high_allele!r} (the high allele probability)"
-        )
-
-    def gap(low_allele: float) -> float:
-        var = snp_mixture_variance(high_allele, low_allele)
-        return (high_allele - low_allele) - math.sqrt(correlation * var)
-
-    low = _bisect(gap, 0.0, high_allele, "genotype correlation")
-    _verify(correlation, snp_pair_dependence(high_allele, low)[1], "genotype correlation")
-    return low
-
-
-def _verify(target: float, achieved: float, context: str) -> None:
-    if not abs(achieved - target) < RESIDUAL_TOLERANCE:
-        raise InfeasibleTargetError(
-            f"{context}: solver residual {abs(achieved - target)!r} exceeds {RESIDUAL_TOLERANCE}"
-        )
 
 
 @dataclass(frozen=True)
@@ -222,25 +124,28 @@ class CalibrationResult:
     groups: tuple[GroupCalibration, ...]
 
 
-def _binary_vector(mean: float) -> ProbabilityVector:
-    return ProbabilityVector((1.0 - mean, mean))
-
-
 def calibrate_group(
     groups: GroupStructure,
     family: str,
+    high_weights: tuple[float, ...],
     high_prob: float | None = None,
     high: tuple[float, ...] | None = None,
     low: tuple[float, ...] | None = None,
 ) -> CalibrationResult:
     """Solve every group's target, producing its (H, L) profile pair.
 
-    ``family`` picks the parameterisation: 'binary' and 'snp' solve targets
-    against a shared high parameter ``high_prob`` (the high mean, or the
-    high allele probability); 'explicit' takes literal ``high`` and ``low``
-    vectors, accepts no targets, and reports the dependence they imply for
-    binary or genotype level codes.
+    ``high_weights[v]`` is the total weight of the clusters where group
+    v + 1 takes its high profile.  ``family`` picks the parameterisation:
+    'binary' and 'snp' solve targets against a shared high parameter
+    ``high_prob`` (the high mean, or the high allele probability);
+    'explicit' takes literal ``high`` and ``low`` vectors, accepts no
+    targets, and reports the dependence they imply on level codes
+    0, 1, ...
     """
+    if len(high_weights) != groups.group_count:
+        raise SpecError(
+            f"calibration: {len(high_weights)} high weights for {groups.group_count} groups"
+        )
     if family == "explicit":
         if groups.targets is not None:
             raise SpecError("explicit family: profiles are fixed, targets cannot be solved")
@@ -249,60 +154,61 @@ def calibrate_group(
         if len(high) != len(low):
             raise SpecError("explicit family: H and L lengths disagree")
         levels = tuple(range(len(high)))
-        codes = [float(x) for x in levels]
-        f_h = sum(x * p for x, p in zip(codes, high))
-        f_l = sum(x * p for x, p in zip(codes, low))
-        cov = 0.25 * (f_h - f_l) ** 2
-        var_h = sum((x - f_h) ** 2 * p for x, p in zip(codes, high))
-        var_l = sum((x - f_l) ** 2 * p for x, p in zip(codes, low))
-        var = 0.5 * (var_h + var_l) + 0.25 * (f_h - f_l) ** 2
-        cor = cov / var if var > 0.0 else math.nan
+        high_vec = ProbabilityVector(tuple(high))
+        low_vec = ProbabilityVector(tuple(low))
         solved = tuple(
             GroupCalibration(
-                group=v,
-                target=None,
-                high=ProbabilityVector(tuple(high)),
-                low=ProbabilityVector(tuple(low)),
-                low_parameter=None,
-                covariance=cov,
-                correlation=cor,
+                v, None, high_vec, low_vec, None, *pair_dependence(levels, high, low, w_h)
             )
-            for v in range(1, groups.group_count + 1)
+            for v, w_h in enumerate(high_weights, start=1)
         )
         return CalibrationResult(family, levels, solved)
 
-    if family not in ("binary", "snp"):
+    if family not in PARAMETRIC_FAMILIES:
         raise SpecError(f"unknown family {family!r}")
     if high_prob is None:
         raise SpecError(f"{family} family: the shared high parameter is required")
+    if not 0.0 < high_prob < 1.0:
+        raise SpecError(
+            f"{family} family: the high parameter must lie strictly inside (0, 1), "
+            f"got {high_prob!r}"
+        )
     if groups.targets is None:
         raise SpecError(f"{family} family: per-group targets are required")
 
-    levels = (0, 1) if family == "binary" else (0, 1, 2)
+    levels, vector = PARAMETRIC_FAMILIES[family]
+    high_probs = vector(high_prob)
     solved = []
-    for v, target in enumerate(groups.targets, start=1):
-        if family == "binary":
-            if target.kind == "covariance":
-                low_param = calibrate_binary_covariance(high_prob, target.value)
-            else:
-                low_param = calibrate_binary_correlation(high_prob, target.value)
-            cov, cor = binary_pair_dependence(high_prob, low_param)
-            high_vec = _binary_vector(high_prob)
-            low_vec = _binary_vector(low_param)
-        else:
-            if target.kind == "covariance":
-                low_param = calibrate_snp_covariance(high_prob, target.value)
-            else:
-                low_param = calibrate_snp_correlation(high_prob, target.value)
-            cov, cor = snp_pair_dependence(high_prob, low_param)
-            high_vec = ProbabilityVector(hardy_weinberg_probs(high_prob))
-            low_vec = ProbabilityVector(hardy_weinberg_probs(low_param))
+    for v, (target, w_h) in enumerate(zip(groups.targets, high_weights), start=1):
+        which = 0 if target.kind == "covariance" else 1
+
+        def dependence(t: float) -> float:
+            return pair_dependence(levels, high_probs, vector(t), w_h)[which]
+
+        # A target within the solver tolerance of the ceiling cannot be told
+        # apart from it, and the ceiling itself needs a degenerate low profile.
+        ceiling = dependence(0.0)
+        if not 0.0 < target.value < ceiling - RESIDUAL_TOLERANCE:
+            raise InfeasibleTargetError(
+                f"group {v}: {family} {target.kind} target {target.value!r} is "
+                f"infeasible: it must be positive and more than {RESIDUAL_TOLERANCE} "
+                f"below the ceiling {ceiling!r}, the {target.kind} at low parameter 0"
+            )
+        low_param = _bisect(dependence, target.value, high_prob)
+        low_probs = vector(low_param)
+        cov, cor = pair_dependence(levels, high_probs, low_probs, w_h)
+        residual = abs((cov, cor)[which] - target.value)
+        if not residual < RESIDUAL_TOLERANCE:
+            raise InfeasibleTargetError(
+                f"group {v}: {family} {target.kind} solver residual {residual!r} "
+                f"exceeds {RESIDUAL_TOLERANCE}"
+            )
         solved.append(
             GroupCalibration(
                 group=v,
                 target=target,
-                high=high_vec,
-                low=low_vec,
+                high=ProbabilityVector(high_probs),
+                low=ProbabilityVector(low_probs),
                 low_parameter=low_param,
                 covariance=cov,
                 correlation=cor,

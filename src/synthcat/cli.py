@@ -19,10 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .association import association_matrix
-from .calibration import calibrate_group
 from .generator import build_spec, generate
 from .model import (
-    GroupStructure,
     InfeasibleTargetError,
     RunConfig,
     SpecError,
@@ -81,18 +79,7 @@ def _cmd_calibrate(args) -> int:
     config = _load(args)
     if config.groups is None:
         raise SpecError("calibrate: config must declare groups")
-    structure = GroupStructure(
-        sizes=config.groups.sizes,
-        targets=config.groups.targets,
-        noise_count=len(config.noise),
-    )
-    result = calibrate_group(
-        structure,
-        config.groups.family,
-        high_prob=config.groups.high_prob,
-        high=config.groups.high,
-        low=config.groups.low,
-    )
+    result = build_spec(config).calibration
     out = _out_dir(args)
     write_calibration_report(out / "calibration_report.csv", result)
     print(f"calibrated {len(result.groups)} groups ({result.family}) to {out}")

@@ -15,6 +15,7 @@ with bit-identical output for any thread count.
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -185,6 +186,17 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     )
 
 
+def _high_weights(
+    pattern: PatternMatrix, clusters: ClusterSpec, group_count: int
+) -> tuple[float, ...]:
+    """Per group, the total weight of the clusters where its columns are 'H'."""
+    out = []
+    for v in range(1, group_count + 1):
+        column = pattern.column(pattern.column_groups.index(v))
+        out.append(math.fsum(w for w, label in zip(clusters.weights, column) if label == HIGH))
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class BuiltSpec:
     """A GeneratorSpec plus the group metadata that produced it."""
@@ -222,6 +234,7 @@ def build_spec(config: RunConfig) -> BuiltSpec:
     calibration = calibrate_group(
         structure,
         config.groups.family,
+        _high_weights(pattern, clusters, structure.group_count),
         high_prob=config.groups.high_prob,
         high=config.groups.high,
         low=config.groups.low,

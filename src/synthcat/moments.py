@@ -17,8 +17,6 @@ enumeration of the joint support as an independent check for small specs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-
 import numpy as np
 
 from .model import ClusterSpec, ProfileMatrix, SpecError
@@ -46,11 +44,6 @@ def cluster_variances(profile: ProfileMatrix) -> np.ndarray:
     return out
 
 
-def marginal_mean(weights: np.ndarray, means_p: np.ndarray) -> float:
-    """Mixture mean of one variable from its per-cluster means."""
-    return float(weights @ means_p)
-
-
 def marginal_variance(weights: np.ndarray, variances_p: np.ndarray, means_p: np.ndarray) -> float:
     """Mixture variance: mean of within variances plus variance of means.
 
@@ -62,45 +55,6 @@ def marginal_variance(weights: np.ndarray, variances_p: np.ndarray, means_p: np.
     within = weights @ variances_p
     between = weights @ (means_p - grand) ** 2
     return float(within + between)
-
-
-def marginal_covariance(weights: np.ndarray, means_p: np.ndarray, means_q: np.ndarray) -> float:
-    """Mixture covariance of two distinct variables from cluster means.
-
-    Centering before the weighted product keeps the value exactly zero for
-    noise columns, whose cluster means are all equal.
-    """
-    dev_p = means_p - weights @ means_p
-    dev_q = means_q - weights @ means_q
-    return float(weights @ (dev_p * dev_q))
-
-
-def equal_weight_covariance(means_p: np.ndarray, means_q: np.ndarray) -> float:
-    """Covariance under equal cluster weights, as a sum over cluster pairs.
-
-    With psi_c = 1/C for all c,
-
-        Cov(x_p, x_q) = (1/C^2) sum_{c < c'} (f_{p,c} - f_{p,c'})(f_{q,c} - f_{q,c'}),
-
-    which makes explicit that only cluster pairs on which both columns'
-    means differ contribute.
-    """
-    c_count = len(means_p)
-    total = 0.0
-    for a, b in combinations(range(c_count), 2):
-        total += (means_p[a] - means_p[b]) * (means_q[a] - means_q[b])
-    return total / c_count**2
-
-
-def within_group_covariance(f_hp: float, f_lp: float, f_hq: float, f_lq: float) -> float:
-    """Covariance of two columns whose H/L pattern coincides, balanced design.
-
-    Each column takes its H mean on half the total weight and its L mean on
-    the other half, in lockstep, so
-
-        Cov(x_p, x_q) = (1/4) (f_H,p - f_L,p)(f_H,q - f_L,q).
-    """
-    return 0.25 * (f_hp - f_lp) * (f_hq - f_lq)
 
 
 @dataclass(frozen=True)

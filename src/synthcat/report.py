@@ -147,13 +147,20 @@ def build_run(config: RunConfig, threads: int = 1, shuffle: bool = False) -> Run
     summaries = None
     if built.groups is not None:
         names = tuple(v.name for v in built.spec.profile.variables)
-        theoretical = AssociationMatrix(moments.correlation, names, "pearson")
-        if built.groups.targets is not None and built.groups.targets[0].kind == "covariance":
-            theoretical = AssociationMatrix(moments.covariance, names, "covariance")
-            sample_matrix = _sample_covariance(dataset)
-            summaries = summarize_groups(built.groups, theoretical, sample_matrix)
-        else:
-            summaries = summarize_groups(built.groups, theoretical, sample)
+        # Each group is reported on its own target's scale; groups without
+        # targets are reported as correlations.
+        groups = built.groups
+        kinds = [t.kind for t in groups.targets or ()] or ["correlation"] * groups.group_count
+        matrices = {
+            "correlation": (AssociationMatrix(moments.correlation, names, "pearson"), sample)
+        }
+        if "covariance" in kinds:
+            matrices["covariance"] = (
+                AssociationMatrix(moments.covariance, names, "covariance"),
+                _sample_covariance(dataset),
+            )
+        by_kind = {kind: summarize_groups(groups, *pair) for kind, pair in matrices.items()}
+        summaries = [by_kind[kind][v] for v, kind in enumerate(kinds)]
     return RunResult(config, built, dataset, moments, sample, summaries)
 
 

@@ -19,7 +19,8 @@ from synthcat.association import (
     stuart_kendall_tau_c,
     tau_c_pair_scan,
 )
-from synthcat.calibration import calibrate_snp_covariance, hardy_weinberg_probs
+from closed_forms import balanced_low_parameter
+from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import GeneratorSpec, bind_pattern, build_spec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, VariableDomain, load_config
 from synthcat.moments import brute_force_moments, cluster_means, moment_matrices
@@ -144,7 +145,7 @@ def group_blocks(sizes):
 
 
 def test_criterion_1_three_way_covariance_agreement():
-    from synthcat.moments import equal_weight_covariance, marginal_covariance
+    from closed_forms import equal_weight_covariance, marginal_covariance
 
     start = time.perf_counter()
     rng = np.random.default_rng(1)
@@ -212,11 +213,11 @@ def test_criterion_2_within_group_closed_form():
 
 
 def test_criterion_3_calibration_round_trip():
-    def pair_config(target):
+    def pair_config(target, clusters):
         return load_config(
             {
                 "seed": 1,
-                "clusters": {"n": 4},
+                "clusters": clusters,
                 "groups": {
                     "k": 2,
                     "sizes": [2, 2],
@@ -227,24 +228,37 @@ def test_criterion_3_calibration_round_trip():
             }
         )
 
-    worst_cov = 0.0
-    for value in np.arange(0.1, 0.4501, 0.05):
-        built = build_spec(pair_config({"covariance": float(value)}))
-        matrices = moment_matrices(built.spec.profile, built.spec.clusters)
-        worst_cov = max(worst_cov, abs(matrices.covariance[0, 1] - value))
-    assert worst_cov < 1e-12
+    # Balanced, then unequal weights and unequal counts: each group's own
+    # H/L weight split decides its dependence.
+    cluster_specs = (
+        {"n": 4},
+        {"n": 1000, "weights": [0.4, 0.1, 0.4, 0.1]},
+        {"counts": [100, 300, 300, 100]},
+    )
+    pairs = ((0, 1), (2, 3))
 
+    worst_cov = 0.0
     worst_cor = 0.0
-    for value in (0.4, 0.5, 0.6, 0.7, 0.8):
-        built = build_spec(pair_config({"correlation": value}))
-        matrices = moment_matrices(built.spec.profile, built.spec.clusters)
-        worst_cor = max(worst_cor, abs(matrices.correlation[0, 1] - value))
+    for clusters in cluster_specs:
+        for value in np.arange(0.1, 0.4501, 0.05):
+            built = build_spec(pair_config({"covariance": float(value)}, clusters))
+            matrices = moment_matrices(built.spec.profile, built.spec.clusters)
+            for p, q in pairs:
+                worst_cov = max(worst_cov, abs(matrices.covariance[p, q] - value))
+
+        for value in (0.4, 0.5, 0.6, 0.7, 0.8):
+            built = build_spec(pair_config({"correlation": value}, clusters))
+            matrices = moment_matrices(built.spec.profile, built.spec.clusters)
+            for p, q in pairs:
+                worst_cor = max(worst_cor, abs(matrices.correlation[p, q] - value))
+    assert worst_cov < 1e-12
     assert worst_cor < 1e-9
 
-    assert calibrate_snp_covariance(0.95, 0.45) == 0.95 - math.sqrt(0.45)
+    assert balanced_low_parameter("snp", 0.95, "covariance", 0.45) == 0.95 - math.sqrt(0.45)
     print(
         f"ACCEPTANCE 3 PASS: covariance round-trip gap {worst_cov:.2e}, "
-        f"correlation gap {worst_cor:.2e}, pL(0.95, 0.45) bit-exact"
+        f"correlation gap {worst_cor:.2e} (equal, unequal weights and counts), "
+        f"pL(0.95, 0.45) bit-exact"
     )
 
 

@@ -1,33 +1,42 @@
-"""Calibration: genotype family, closed forms, bisection round-trips."""
+"""Calibration: genotype family, the weighted dependence, the bisection solver.
+
+The balanced closed forms in ``closed_forms`` serve as oracles for the
+library's general weighted code.
+"""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synthcat.calibration import (
+from closed_forms import (
+    balanced_low_parameter as solve,
     binary_mixture_variance,
     binary_pair_dependence,
-    calibrate_binary_correlation,
-    calibrate_binary_covariance,
-    calibrate_group,
-    calibrate_snp_correlation,
-    calibrate_snp_covariance,
     hardy_weinberg_moments,
-    hardy_weinberg_probs,
     snp_mixture_variance,
     snp_pair_dependence,
+)
+from synthcat.calibration import (
+    PARAMETRIC_FAMILIES,
+    RESIDUAL_TOLERANCE,
+    calibrate_group,
+    hardy_weinberg_probs,
+    pair_dependence,
 )
 from synthcat.model import (
     ClusterSpec,
     DependenceTarget,
     GroupStructure,
     InfeasibleTargetError,
+    ProbabilityVector,
     ProfileMatrix,
     SpecError,
     VariableDomain,
 )
-from synthcat.moments import moment_matrices
+from synthcat.moments import brute_force_moments, moment_matrices
 
 
 class TestHardyWeinberg:
@@ -78,8 +87,6 @@ class TestMixtureVariances:
         variables = (VariableDomain("s", (0, 1, 2)),)
         for _ in range(25):
             ph, pl = rng.uniform(0.05, 0.95, size=2)
-            from synthcat.model import ProbabilityVector
-
             profile = ProfileMatrix(
                 variables,
                 (
@@ -95,76 +102,78 @@ class TestMixtureVariances:
 
 class TestBinarySolvers:
     def test_covariance_closed_form(self):
-        low = calibrate_binary_covariance(0.8, 0.04)
+        low = solve("binary", 0.8, "covariance", 0.04)
         assert low == pytest.approx(0.8 - 2 * 0.2)
         cov, _ = binary_pair_dependence(0.8, low)
         assert cov == pytest.approx(0.04, abs=1e-15)
 
     def test_covariance_feasibility(self):
+        # The ceiling (f_H / 2)^2 needs f_L = 0, a degenerate column: refused.
         limit = (0.8 / 2) ** 2
-        assert calibrate_binary_covariance(0.8, limit) == pytest.approx(0.0)
-        with pytest.raises(InfeasibleTargetError):
-            calibrate_binary_covariance(0.8, limit + 1e-9)
-        with pytest.raises(InfeasibleTargetError):
-            calibrate_binary_covariance(0.8, 0.0)
+        for value in (limit, limit + 1e-9, 0.0):
+            with pytest.raises(InfeasibleTargetError):
+                solve("binary", 0.8, "covariance", value)
 
     def test_correlation_round_trip(self):
         for high in (0.6, 0.8, 0.95):
             ceiling = high / (2 - high)
             for target in np.linspace(0.05, ceiling - 0.02, 12):
-                low = calibrate_binary_correlation(high, float(target))
+                low = solve("binary", high, "correlation", float(target))
                 _, cor = binary_pair_dependence(high, low)
                 assert cor == pytest.approx(target, abs=1e-10)
 
     def test_correlation_ceiling(self):
         ceiling = 0.8 / (2 - 0.8)
         with pytest.raises(InfeasibleTargetError, match="ceiling"):
-            calibrate_binary_correlation(0.8, ceiling)
+            solve("binary", 0.8, "correlation", ceiling)
         with pytest.raises(InfeasibleTargetError):
-            calibrate_binary_correlation(0.8, 1.0)
+            solve("binary", 0.8, "correlation", 1.0)
 
 
 class TestSnpSolvers:
     def test_covariance_closed_form_is_literal(self):
         # The solver must be exactly high - sqrt(cov), bit for bit.
-        assert calibrate_snp_covariance(0.95, 0.45) == 0.95 - math.sqrt(0.45)
+        assert solve("snp", 0.95, "covariance", 0.45) == 0.95 - math.sqrt(0.45)
 
     def test_covariance_round_trip(self):
         for cov in np.arange(0.1, 0.451, 0.05):
-            low = calibrate_snp_covariance(0.95, float(cov))
+            low = solve("snp", 0.95, "covariance", float(cov))
             achieved, _ = snp_pair_dependence(0.95, low)
             assert achieved == pytest.approx(cov, abs=1e-12)
 
     def test_covariance_feasibility(self):
         with pytest.raises(InfeasibleTargetError):
-            calibrate_snp_covariance(0.95, 0.95**2)
+            solve("snp", 0.95, "covariance", 0.95**2)
         with pytest.raises(InfeasibleTargetError):
-            calibrate_snp_covariance(0.95, 0.0)
+            solve("snp", 0.95, "covariance", 0.0)
         with pytest.raises(SpecError):
-            calibrate_snp_covariance(1.0, 0.1)
+            solve("snp", 1.0, "covariance", 0.1)
 
     def test_correlation_round_trip(self):
         for target in (0.4, 0.5, 0.6, 0.7, 0.8):
-            low = calibrate_snp_correlation(0.95, target)
+            low = solve("snp", 0.95, "correlation", target)
             _, cor = snp_pair_dependence(0.95, low)
             assert cor == pytest.approx(target, abs=1e-10)
             assert 0.0 < low < 0.95
 
     def test_correlation_round_trip_near_the_ceiling(self):
-        low = calibrate_snp_correlation(0.99, 0.98)
+        low = solve("snp", 0.99, "correlation", 0.98)
         _, cor = snp_pair_dependence(0.99, low)
         assert cor == pytest.approx(0.98, abs=1e-10)
 
     def test_correlation_ceiling_is_the_high_parameter(self):
         with pytest.raises(InfeasibleTargetError, match="ceiling"):
-            calibrate_snp_correlation(0.95, 0.95)
+            solve("snp", 0.95, "correlation", 0.95)
         with pytest.raises(InfeasibleTargetError, match="ceiling"):
-            calibrate_snp_correlation(0.95, 0.96)
+            solve("snp", 0.95, "correlation", 0.96)
 
     def test_solutions_are_seedless_and_repeatable(self):
-        first = [calibrate_snp_correlation(0.95, t) for t in (0.4, 0.6, 0.8)]
-        second = [calibrate_snp_correlation(0.95, t) for t in (0.4, 0.6, 0.8)]
+        first = [solve("snp", 0.95, "correlation", t) for t in (0.4, 0.6, 0.8)]
+        second = [solve("snp", 0.95, "correlation", t) for t in (0.4, 0.6, 0.8)]
         assert first == second
+
+
+BALANCED = (0.5,) * 4
 
 
 class TestCalibrateGroup:
@@ -175,7 +184,9 @@ class TestCalibrateGroup:
         )
 
     def test_snp_shared_covariance(self):
-        result = calibrate_group(self.structure("covariance", [0.45] * 4), "snp", high_prob=0.95)
+        result = calibrate_group(
+            self.structure("covariance", [0.45] * 4), "snp", BALANCED, high_prob=0.95
+        )
         assert result.levels == (0, 1, 2)
         for g in result.groups:
             assert g.low_parameter == 0.95 - math.sqrt(0.45)
@@ -184,14 +195,14 @@ class TestCalibrateGroup:
 
     def test_snp_mixed_correlations(self):
         result = calibrate_group(
-            self.structure("correlation", [0.4, 0.5, 0.6, 0.7]), "snp", high_prob=0.95
+            self.structure("correlation", [0.4, 0.5, 0.6, 0.7]), "snp", BALANCED, high_prob=0.95
         )
         for g, target in zip(result.groups, (0.4, 0.5, 0.6, 0.7)):
             assert g.correlation == pytest.approx(target, abs=1e-10)
 
     def test_binary_family(self):
         result = calibrate_group(
-            self.structure("correlation", [0.2, 0.3, 0.2, 0.1]), "binary", high_prob=0.8
+            self.structure("correlation", [0.2, 0.3, 0.2, 0.1]), "binary", BALANCED, high_prob=0.8
         )
         assert result.levels == (0, 1)
         for g, target in zip(result.groups, (0.2, 0.3, 0.2, 0.1)):
@@ -202,7 +213,7 @@ class TestCalibrateGroup:
         structure = GroupStructure(sizes=(3, 3, 3, 3))
         high = hardy_weinberg_probs(0.95)
         low = hardy_weinberg_probs(0.25)
-        result = calibrate_group(structure, "explicit", high=high, low=low)
+        result = calibrate_group(structure, "explicit", BALANCED, high=high, low=low)
         f_h, _ = hardy_weinberg_moments(0.95)
         f_l, _ = hardy_weinberg_moments(0.25)
         expected_cov = 0.25 * (f_h - f_l) ** 2
@@ -213,20 +224,80 @@ class TestCalibrateGroup:
     def test_explicit_family_rejects_targets(self):
         with pytest.raises(SpecError, match="targets"):
             calibrate_group(
-                self.structure("covariance", [0.1] * 4), "explicit",
+                self.structure("covariance", [0.1] * 4), "explicit", BALANCED,
                 high=(0.5, 0.5), low=(0.9, 0.1),
             )
 
     def test_missing_requirements(self):
         with pytest.raises(SpecError, match="high parameter"):
-            calibrate_group(self.structure("covariance", [0.1] * 4), "snp")
+            calibrate_group(self.structure("covariance", [0.1] * 4), "snp", BALANCED)
         with pytest.raises(SpecError, match="targets"):
-            calibrate_group(GroupStructure(sizes=(2, 2)), "snp", high_prob=0.9)
+            calibrate_group(GroupStructure(sizes=(2, 2)), "snp", (0.5, 0.5), high_prob=0.9)
         with pytest.raises(SpecError, match="family"):
-            calibrate_group(self.structure("covariance", [0.1] * 4), "poisson", high_prob=0.9)
+            calibrate_group(
+                self.structure("covariance", [0.1] * 4), "poisson", BALANCED, high_prob=0.9
+            )
+        with pytest.raises(SpecError, match="high weights"):
+            calibrate_group(self.structure("covariance", [0.1] * 4), "snp", (0.5,), high_prob=0.9)
 
     def test_infeasible_group_is_reported(self):
         with pytest.raises(InfeasibleTargetError):
             calibrate_group(
-                self.structure("correlation", [0.4, 0.96, 0.4, 0.4]), "snp", high_prob=0.95
+                self.structure("correlation", [0.4, 0.96, 0.4, 0.4]), "snp", BALANCED,
+                high_prob=0.95,
             )
+
+
+def two_cluster_spec(family, high_param, low_param, high_weight):
+    """Two pattern-identical columns: H in cluster 1, L in cluster 2."""
+    levels, vector = PARAMETRIC_FAMILIES[family]
+    high = ProbabilityVector(vector(high_param))
+    low = ProbabilityVector(vector(low_param))
+    variables = (VariableDomain("a", levels), VariableDomain("b", levels))
+    profile = ProfileMatrix(variables, ((high, high), (low, low)))
+    return profile, ClusterSpec.from_weights((high_weight, 1.0 - high_weight), 10)
+
+
+families = st.sampled_from(sorted(PARAMETRIC_FAMILIES))
+params = st.floats(0.01, 0.99)
+
+
+class TestWeightedDependence:
+    @settings(max_examples=150, deadline=None)
+    @given(family=families, high_param=params, low_param=params, high_weight=params)
+    def test_pair_dependence_matches_the_moment_engines(
+        self, family, high_param, low_param, high_weight
+    ):
+        levels, vector = PARAMETRIC_FAMILIES[family]
+        cov, cor = pair_dependence(levels, vector(high_param), vector(low_param), high_weight)
+        profile, clusters = two_cluster_spec(family, high_param, low_param, high_weight)
+        engines = (moment_matrices, brute_force_moments)
+        for matrices in (engine(profile, clusters) for engine in engines):
+            assert cov == pytest.approx(matrices.covariance[0, 1], abs=1e-12)
+            assert cor == pytest.approx(matrices.correlation[0, 1], abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        family=families,
+        kind=st.sampled_from(["covariance", "correlation"]),
+        high_param=st.floats(0.05, 0.99),
+        high_weight=st.floats(0.05, 0.95),
+        fraction=st.floats(0.01, 0.99),
+    )
+    def test_feasible_targets_round_trip(self, family, kind, high_param, high_weight, fraction):
+        levels, vector = PARAMETRIC_FAMILIES[family]
+        which = ("covariance", "correlation").index(kind)
+        ceiling = pair_dependence(levels, vector(high_param), vector(0.0), high_weight)[which]
+        target = DependenceTarget(kind, fraction * ceiling)
+        result = calibrate_group(
+            GroupStructure(sizes=(2,), targets=(target,)), family, (high_weight,),
+            high_prob=high_param,
+        )
+        solved = result.groups[0]
+        assert 0.0 < solved.low_parameter < high_param
+        profile, clusters = two_cluster_spec(
+            family, high_param, solved.low_parameter, high_weight
+        )
+        matrices = moment_matrices(profile, clusters)
+        achieved = (matrices.covariance, matrices.correlation)[which][0, 1]
+        assert abs(achieved - target.value) < RESIDUAL_TOLERANCE

@@ -20,6 +20,7 @@ from synthcat.model import (
     VariableDomain,
     load_config,
 )
+from synthcat.moments import moment_matrices
 from synthcat.patterns import balanced_pattern
 from synthcat.sampling import shuffle_order
 
@@ -308,3 +309,29 @@ class TestBuildSpec:
             assert profile.cell(c, 0).probs == profile.cell(c, 1).probs
             assert profile.cell(c, 0).probs == profile.cell(c, 2).probs
             assert profile.cell(c, 3).probs == profile.cell(c, 4).probs
+
+    @pytest.mark.parametrize(
+        "groups",
+        [
+            {"family": "explicit", "H": list(H_PROBS), "L": list(L_PROBS)},
+            {"family": "binary", "pH": 0.8, "targets": [{"correlation": 0.2}] * 4},
+            {"family": "snp", "pH": 0.95, "targets": [{"covariance": 0.2}] * 4},
+        ],
+        ids=["explicit", "binary", "snp"],
+    )
+    def test_calibration_reports_the_spec_moments_under_unequal_counts(self, groups):
+        config = load_config(
+            {
+                "seed": 3,
+                "clusters": {"counts": [50, 100, 150, 100, 50, 150]},
+                "groups": {"k": 4, "sizes": [2, 3, 2, 2], **groups},
+            }
+        )
+        built = build_spec(config)
+        matrices = moment_matrices(built.spec.profile, built.spec.clusters)
+        start = 0
+        for solved, size in zip(built.calibration.groups, built.groups.sizes):
+            pair = (start, start + 1)
+            assert solved.covariance == pytest.approx(matrices.covariance[pair], abs=1e-12)
+            assert solved.correlation == pytest.approx(matrices.correlation[pair], abs=1e-12)
+            start += size

@@ -5,6 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import (
+    equal_weight_covariance,
+    marginal_covariance,
+    marginal_mean,
+    within_group_covariance,
+)
 from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import bind_pattern, build_spec
 from synthcat.model import (
@@ -19,12 +25,8 @@ from synthcat.moments import (
     brute_force_moments,
     cluster_means,
     cluster_variances,
-    equal_weight_covariance,
-    marginal_covariance,
-    marginal_mean,
     marginal_variance,
     moment_matrices,
-    within_group_covariance,
 )
 from synthcat.patterns import balanced_pattern
 

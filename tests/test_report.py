@@ -226,6 +226,35 @@ class TestPipeline:
         assert targets == [0.4, 0.5, 0.6, 0.7]
         assert theoretical == pytest.approx(targets, abs=1e-9)
 
+    def test_group_summary_reports_each_group_in_its_own_kind(self, tmp_path):
+        config = {
+            "seed": 4,
+            "clusters": {"n": 500},
+            "groups": {
+                "k": 2,
+                "sizes": [3, 2],
+                "family": "snp",
+                "pH": 0.95,
+                "targets": [{"correlation": 0.5}, {"covariance": 0.3}],
+            },
+        }
+        paths = run_pipeline(config, tmp_path / "run")
+        values = np.loadtxt(paths["dataset.csv"], delimiter=",", skiprows=1)
+        sample = {
+            "correlation": np.corrcoef(values, rowvar=False),
+            "covariance": np.cov(values, rowvar=False, ddof=1),
+        }
+        lines = paths["group_summary.csv"].read_text().strip().splitlines()
+        blocks = [(0, 3), (3, 5)]
+        assert len(lines) == 3
+        for line, (lo, hi) in zip(lines[1:], blocks):
+            _, _, kind, target, theoretical, observed, _ = line.split(",")
+            assert float(theoretical) == pytest.approx(float(target), abs=1e-12)
+            block = sample[kind][lo:hi, lo:hi]
+            expected = block[~np.eye(hi - lo, dtype=bool)].mean()
+            assert float(observed) == pytest.approx(expected, abs=1e-12)
+        assert [line.split(",")[2] for line in lines[1:]] == ["correlation", "covariance"]
+
     def test_two_runs_are_byte_identical(self, tmp_path):
         first = run_pipeline(explicit_config(), tmp_path / "a")
         second = run_pipeline(explicit_config(), tmp_path / "b")
@@ -311,7 +340,10 @@ class TestCli:
     def test_infeasible_target_exits_three(self, tmp_path, capsys):
         config = write_config(tmp_path, snp_config(values=(0.4, 0.99, 0.4, 0.4)))
         assert main(["calibrate", "--config", config, "--out", str(tmp_path / "o")]) == 3
-        assert "error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error" in err
+        for part in ("group 2", "snp", "correlation", "ceiling 0.95"):
+            assert part in err
 
     def test_associate_from_csv(self, tmp_path):
         data = tmp_path / "data.csv"
