@@ -7,6 +7,7 @@ make this test pass.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -34,6 +35,24 @@ GOLDEN = {
     ),
 }
 
+# Artifacts made only of Python float arithmetic and json/hashlib, so their
+# digests hold on every machine: name -> (manifest config_sha256,
+# calibration_report.csv digest or None for a config without targets).
+PURE_PYTHON = {
+    "explicit": (
+        "a5f0593c349db81dfb388a53fa7a8885824f030d368284434eef4a25e899ba93",
+        None,
+    ),
+    "ladder": (
+        "017997993580fa08e170efb55222e07a15540b48477a6b5f1e42edd7b1137af3",
+        "b80243b61ec2cab47b8fb21abc4b64b00f93fb2203d5e0c65afd305981ba73bf",
+    ),
+    "linkage-shuffled": (
+        "d074eced2b40cb7ce61fd144fe1fffe4865979f895b9696f488cdc58b2bec4ac",
+        "7f599cd5bae1f1a076c4414419b829ebd88e831a778c3ebe61810c6f729767db",
+    ),
+}
+
 
 def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -45,3 +64,16 @@ def test_generated_bytes_match_golden_digests(name, tmp_path):
     paths = run_pipeline(config, tmp_path, shuffle=shuffle)
     assert sha256(paths["dataset.csv"]) == dataset_digest
     assert sha256(paths["allocation.txt"]) == allocation_digest
+
+
+@pytest.mark.parametrize("name", sorted(PURE_PYTHON))
+def test_config_and_calibration_digests_match_golden(name, tmp_path):
+    config, shuffle, _, _ = GOLDEN[name]
+    config_digest, calibration_digest = PURE_PYTHON[name]
+    paths = run_pipeline(config, tmp_path, shuffle=shuffle)
+    manifest = json.loads(paths["manifest.json"].read_text())
+    assert manifest["config_sha256"] == config_digest
+    if calibration_digest is None:
+        assert "calibration_report.csv" not in paths
+    else:
+        assert sha256(paths["calibration_report.csv"]) == calibration_digest
