@@ -60,7 +60,7 @@ from .moments import (
     cluster_means,
     moment_matrices,
 )
-from .patterns import PatternMatrix, balanced_pattern, grouped_pattern, pad_groups
+from .patterns import PatternMatrix, balanced_pattern, grouped_pattern
 from .report import (
     ComparisonReport,
     GroupSummary,
@@ -118,7 +118,6 @@ __all__ = [
     "hardy_weinberg_probs",
     "load_config",
     "moment_matrices",
-    "pad_groups",
     "pair_dependence",
     "pearson_matrix",
     "run_from_manifest",

@@ -51,14 +51,18 @@ class ContingencyTable:
     def column_sums(self) -> np.ndarray:
         return self.counts.sum(axis=0)
 
-    def violations(self) -> list[str]:
-        out = []
-        if self.counts.ndim != 2:
-            out.append("contingency table: counts must be 2-dimensional")
-            return out
-        if (self.counts < 0).any():
-            out.append("contingency table: negative counts")
-        return out
+
+def _level_index(levels, x: np.ndarray, message: str) -> np.ndarray:
+    """Position of each value of ``x`` among the sorted ``levels``.
+
+    Raises SpecError with ``message`` if any value is not a declared level.
+    """
+    levels = np.asarray(levels)
+    index = np.searchsorted(levels, x)
+    bad = (index >= len(levels)) | (levels[np.minimum(index, len(levels) - 1)] != x)
+    if bad.any():
+        raise SpecError(message)
+    return index
 
 
 def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> ContingencyTable:
@@ -72,14 +76,8 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> Cont
     y = np.asarray(y)
     if x.shape != y.shape:
         raise SpecError("crosstab: columns differ in length")
-    ix = np.searchsorted(levels_x, x)
-    iy = np.searchsorted(levels_y, y)
-    bad = (ix >= len(levels_x)) | (np.asarray(levels_x)[np.minimum(ix, len(levels_x) - 1)] != x)
-    if bad.any():
-        raise SpecError("crosstab: values outside the declared x levels")
-    bad = (iy >= len(levels_y)) | (np.asarray(levels_y)[np.minimum(iy, len(levels_y) - 1)] != y)
-    if bad.any():
-        raise SpecError("crosstab: values outside the declared y levels")
+    ix = _level_index(levels_x, x, "crosstab: values outside the declared x levels")
+    iy = _level_index(levels_y, y, "crosstab: values outside the declared y levels")
     counts = np.zeros((len(levels_x), len(levels_y)), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
     return ContingencyTable(counts)
@@ -151,31 +149,6 @@ def concentration_coefficient(table: ContingencyTable) -> float:
     return float((conditional - baseline) / denominator)
 
 
-def _concordance_counts(counts: np.ndarray) -> tuple[int, int]:
-    """Concordant and discordant unordered pair counts from a crosstab.
-
-    For a subject pair to be concordant both coordinates must strictly
-    agree in direction; ties in either coordinate count for neither side.
-    Each cell is paired with the cells strictly south-east of it
-    (concordant) and strictly south-west (discordant); summing over cells
-    visits every unordered pair once.
-    """
-    rows, cols = counts.shape
-    concordant = 0
-    discordant = 0
-    for i in range(rows - 1):
-        south = counts[i + 1 :]
-        for j in range(cols):
-            cell = int(counts[i, j])
-            if cell == 0:
-                continue
-            if j + 1 < cols:
-                concordant += cell * int(south[:, j + 1 :].sum())
-            if j > 0:
-                discordant += cell * int(south[:, :j].sum())
-    return concordant, discordant
-
-
 def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
     """Stuart-Kendall tau_c over two code columns.
 
@@ -195,9 +168,7 @@ def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
     levels_x = tuple(np.unique(x))
     levels_y = tuple(np.unique(y))
     table = crosstab(x, y, levels_x, levels_y)
-    concordant, discordant = _concordance_counts(table.counts)
-    m = min(m_x, m_y)
-    return float(2.0 * (concordant - discordant) / (n * n * (m - 1) / m))
+    return float(_tau_c_tables(table.counts[None], n, min(m_x, m_y))[0])
 
 
 def tau_c_pair_scan(x, y, m_x: int, m_y: int) -> float:
@@ -284,14 +255,11 @@ def _level_columns(values: np.ndarray, columns: list[int], variables) -> np.ndar
     out = np.empty((len(values), len(columns)), dtype=np.min_scalar_type(width))
     offset = 0
     for k, (p, variable) in enumerate(zip(columns, variables)):
-        levels = np.asarray(variable.levels)
-        x = values[:, p]
-        index = np.searchsorted(levels, x)
-        bad = (index >= len(levels)) | (levels[np.minimum(index, len(levels) - 1)] != x)
-        if bad.any():
-            raise SpecError(
-                f"association: column {variable.name!r} has values outside its declared levels"
-            )
+        index = _level_index(
+            variable.levels,
+            values[:, p],
+            f"association: column {variable.name!r} has values outside its declared levels",
+        )
         out[:, k] = index + offset
         offset += variable.size
     return out
@@ -363,8 +331,13 @@ def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
     return np.where(denominator > 0, values, np.nan)
 
 
-def _tau_c_tables(tables: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
-    """``stuart_kendall_tau_c`` of each table, n_c - n_d from 2-D suffix sums."""
+def _tau_c_tables(tables: np.ndarray, n: int, m: int | np.ndarray) -> np.ndarray:
+    """tau_c of each table, with ``m`` its (scalar or per-table) min level count.
+
+    Each cell pairs with the cells strictly south-east of it (concordant)
+    and strictly south-west (discordant); ties in either coordinate count
+    for neither side.  n_c - n_d comes from 2-D suffix sums.
+    """
     # below_right[i, j] = counts in rows > i and columns > j.
     tail = np.cumsum(np.cumsum(tables[:, ::-1, ::-1], axis=1), axis=2)[:, ::-1, ::-1]
     below_right = np.zeros_like(tables)

@@ -26,6 +26,7 @@ from . import sampling
 from .calibration import CalibrationResult, calibrate_group
 from .model import (
     ClusterSpec,
+    Dataset,
     GroupStructure,
     ProbabilityVector,
     ProfileMatrix,
@@ -72,55 +73,48 @@ def bind_pattern(
     """Replace H/L/A labels with probability vectors, column by column.
 
     ``high`` and ``low`` are per-contributing-column lists (or a single
-    vector, used for every column).  ``noise`` serves the pattern's own
-    all-'A' columns first, in order; any vectors left over become extra
-    trailing noise columns.  A noise vector repeats across all cluster
-    rows, which is what makes the column carry no signal.
+    vector, used for every column).  ``noise`` holds exactly one vector per
+    all-'A' column of the pattern, in column order.  A noise vector repeats
+    across all cluster rows, which is what makes the column carry no signal.
     """
-    columns = [pattern.column(p) for p in range(pattern.variable_count)]
     noise_positions = []
     contributing_positions = []
-    for p, labels in enumerate(columns):
+    for p in range(pattern.variable_count):
+        labels = pattern.column(p)
         if all(label == NOISE for label in labels):
             noise_positions.append(p)
-        elif any(label == NOISE for label in labels):
+        elif NOISE in labels:
             raise SpecError(f"bind_pattern: column {p + 1} mixes noise and signal labels")
         else:
             contributing_positions.append(p)
 
     noise = list(noise)
-    if len(noise) < len(noise_positions):
+    if len(noise) != len(noise_positions):
         raise SpecError(
             f"bind_pattern: pattern has {len(noise_positions)} noise columns "
-            f"but only {len(noise)} noise vectors were given"
+            f"but {len(noise)} noise vectors were given"
         )
-    trailing = noise[len(noise_positions):]
-    total = pattern.variable_count + len(trailing)
-    if len(variables) != total:
-        raise SpecError(f"bind_pattern: {len(variables)} domains for {total} columns")
+    if len(variables) != pattern.variable_count:
+        raise SpecError(
+            f"bind_pattern: {len(variables)} domains for {pattern.variable_count} columns"
+        )
     highs = _per_column(high, len(contributing_positions), "high")
     lows = _per_column(low, len(contributing_positions), "low")
 
-    by_position: dict[int, tuple] = {}
-    for slot, p in enumerate(contributing_positions):
-        by_position[p] = ("signal", slot)
-    for slot, p in enumerate(noise_positions):
-        by_position[p] = ("noise", slot)
+    # Per column, the vector that each of its labels stands for.
+    bound: dict[int, dict[str, ProbabilityVector]] = {}
+    for p, vector in zip(noise_positions, noise):
+        bound[p] = {NOISE: vector}
+    for p, high_vector, low_vector in zip(contributing_positions, highs, lows):
+        bound[p] = {HIGH: high_vector, LOW: low_vector}
 
     rows = []
     for row in pattern.symbols:
         cells = []
         for p, label in enumerate(row):
-            role, slot = by_position[p]
-            if role == "noise":
-                cells.append(noise[slot])
-            elif label == HIGH:
-                cells.append(highs[slot])
-            elif label == LOW:
-                cells.append(lows[slot])
-            else:
+            if label not in bound[p]:
                 raise SpecError(f"bind_pattern: unknown label {label!r}")
-        cells.extend(trailing)
+            cells.append(bound[p][label])
         rows.append(tuple(cells))
     return ProfileMatrix(variables, tuple(rows))
 
@@ -138,14 +132,16 @@ def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
 
 
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
-    """Draw the full dataset; output is independent of ``threads``.
+    """Draw the full dataset, one column per task on ``threads`` (>= 1) workers.
+
+    The output is independent of ``threads``.
 
     With ``shuffle`` the subjects are reordered by a dedicated seeded
     stream, so the data no longer reveals the allocation through row order;
     the returned assignments are reordered in lockstep.
     """
-    from .model import Dataset
-
+    if threads < 1:
+        raise SpecError(f"generate: threads must be at least 1, got {threads}")
     report = validate_spec(spec.profile, spec.clusters)
     if not report.ok:
         raise SpecError("; ".join(report.violations))
@@ -159,15 +155,8 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
 
     # Workers write straight into the result: returned columns would queue
     # up in the pool faster than the caller copies them out.
-    def fill(p: int) -> None:
-        _generate_column(spec, p, values[:, p])
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(p_count)))
-    else:
-        for p in range(p_count):
-            fill(p)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(lambda p: _generate_column(spec, p, values[:, p]), range(p_count)))
 
     if shuffle:
         order = sampling.shuffle_order(spec.seed, n)
@@ -240,12 +229,10 @@ def build_spec(config: RunConfig) -> BuiltSpec:
         low=config.groups.low,
     )
 
-    by_group = {solved.group: solved for solved in calibration.groups}
-    highs = []
-    lows = []
-    for group_id in structure.column_groups():
-        highs.append(by_group[group_id].high)
-        lows.append(by_group[group_id].low)
+    # calibration.groups holds group v at position v - 1.
+    solved = [calibration.groups[v - 1] for v in structure.column_groups()]
+    highs = [group.high for group in solved]
+    lows = [group.low for group in solved]
     noise_vectors = [ProbabilityVector(cfg.probs) for cfg in config.noise]
 
     if config.variables is not None:

@@ -17,6 +17,7 @@ reports; the generator refuses to run unless the report is clean.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +70,8 @@ class VariableDomain:
             out.append(f"variable {self.name!r}: level codes must be strictly increasing")
         if self.kind not in KINDS:
             out.append(f"variable {self.name!r}: unknown kind {self.kind!r}")
+        if any(c in self.name for c in ",\n\r"):
+            out.append(f"variable {self.name!r}: name must not contain a comma or a line break")
         return out
 
 
@@ -154,6 +157,8 @@ class ClusterSpec:
             out.append(f"clusters: weight sum != 1 (got {total!r})")
         if any(c < 0 for c in self.counts):
             out.append("clusters: counts must be non-negative")
+        elif self.subjects == 0:
+            out.append("clusters: at least one subject required")
         return out
 
 
@@ -292,11 +297,7 @@ class ValidationReport:
         return not self.violations
 
 
-def validate_spec(
-    profile: ProfileMatrix,
-    clusters: ClusterSpec,
-    groups: GroupStructure | None = None,
-) -> ValidationReport:
+def validate_spec(profile: ProfileMatrix, clusters: ClusterSpec) -> ValidationReport:
     """Collect every hard error and warning for a would-be generator spec.
 
     Hard errors block generation.  The only warning is the identifiability
@@ -310,13 +311,6 @@ def validate_spec(
             f"spec: profile has {profile.cluster_count} cluster rows but "
             f"clusters declare {clusters.cluster_count}"
         )
-    if groups is not None:
-        violations.extend(groups.violations())
-        expected = groups.variable_count + groups.noise_count
-        if expected != profile.variable_count:
-            violations.append(
-                f"spec: groups cover {expected} columns but profile has {profile.variable_count}"
-            )
 
     warnings = []
     if profile.variables and not any("level" in v for v in violations):
@@ -352,25 +346,6 @@ class Dataset:
     @property
     def variable_names(self) -> tuple[str, ...]:
         return tuple(domain.name for domain in self.profile.variables)
-
-    def violations(self) -> list[str]:
-        out = []
-        n, width = self.values.shape
-        if width != self.profile.variable_count:
-            out.append("dataset: column count does not match profile")
-        if self.assignments.shape != (n,):
-            out.append("dataset: allocation length does not match subject count")
-            return out
-        for p, domain in enumerate(self.profile.variables):
-            if not np.isin(self.values[:, p], domain.levels).all():
-                out.append(f"dataset: column {domain.name!r} contains illegal level codes")
-        c_count = self.clusters.cluster_count
-        if not ((self.assignments >= 1) & (self.assignments <= c_count)).all():
-            out.append("dataset: allocation outside 1..C")
-        tallies = np.bincount(self.assignments, minlength=c_count + 1)[1:]
-        if tuple(int(t) for t in tallies) != self.clusters.counts:
-            out.append("dataset: per-cluster tallies do not match declared counts")
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,17 +398,90 @@ class RunConfig:
     noise: tuple[NoiseConfig, ...] = field(default=())
 
 
-def _parse_target(obj: object, context: str) -> DependenceTarget:
+def _object(obj: object, context: str) -> dict:
+    if not isinstance(obj, dict):
+        raise SpecError(f"{context}: expected an object, got {obj!r}")
+    return obj
+
+
+def _each(convert):
+    """A parser for a list whose items ``convert`` parses, each under its index."""
+
+    def parse(obj: object, context: str) -> tuple:
+        if not isinstance(obj, (list, tuple)):
+            raise SpecError(f"{context}: expected a list, got {obj!r}")
+        return tuple(convert(item, f"{context}[{i}]") for i, item in enumerate(obj))
+
+    return parse
+
+
+def _number(obj: object, context: str) -> float:
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise SpecError(f"{context}: expected a number, got {obj!r}")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise SpecError(f"{context}: number too large for a float") from None
+
+
+def _integer(obj: object, context: str) -> int:
+    """An integer, or a float with an integral value, as an int."""
+    if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
+        raise SpecError(f"{context}: expected an integer, got {obj!r}")
+    if not isinstance(obj, numbers.Integral) and not float(obj).is_integer():
+        raise SpecError(f"{context}: expected an integer, got {obj!r}")
+    return int(obj)
+
+
+def _text(obj: object, context: str) -> str:
+    if not isinstance(obj, str):
+        raise SpecError(f"{context}: expected a string, got {obj!r}")
+    return obj
+
+
+_numbers = _each(_number)
+_integers = _each(_integer)
+
+
+def _required(obj: dict, key: str, context: str, convert):
+    if key not in obj:
+        raise SpecError(f"{context}.{key} is required")
+    return convert(obj[key], f"{context}.{key}")
+
+
+def _optional(obj: dict, key: str, context: str, convert):
+    return None if key not in obj else convert(obj[key], f"{context}.{key}")
+
+
+def _target(obj: object, context: str) -> DependenceTarget:
     if not isinstance(obj, dict) or len(obj) != 1:
         raise SpecError(f"{context}: targets must be single-key objects like {{'correlation': 0.4}}")
     kind, value = next(iter(obj.items()))
     if kind not in TARGET_KINDS:
         raise SpecError(f"{context}: unknown target kind {kind!r}")
-    return DependenceTarget(kind, float(value))
+    return DependenceTarget(kind, _number(value, f"{context}.{kind}"))
 
 
-def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
-    unknown = set(obj) - allowed
+def _variable(obj: object, context: str) -> VariableDomain:
+    obj = _object(obj, context)
+    return VariableDomain(
+        name=_required(obj, "name", context, _text),
+        levels=_required(obj, "levels", context, _integers),
+        kind=str(obj.get("kind", "interval")),
+    )
+
+
+def _noise(obj: object, context: str) -> NoiseConfig:
+    obj = _object(obj, context)
+    return NoiseConfig(
+        name=_required(obj, "name", context, _text),
+        levels=_required(obj, "levels", context, _integers),
+        probs=_required(obj, "probs", context, _numbers),
+    )
+
+
+def _require_keys(obj: object, allowed: set[str], context: str) -> None:
+    unknown = set(_object(obj, context)) - allowed
     if unknown:
         raise SpecError(f"{context}: unknown keys {sorted(unknown)}")
 
@@ -441,9 +489,10 @@ def _require_keys(obj: dict, allowed: set[str], context: str) -> None:
 def load_config(source: str | Path | dict) -> RunConfig:
     """Parse a config dict or JSON file into a RunConfig.
 
-    Structural problems (unknown keys, missing seed, both or neither of
-    profile/groups) raise SpecError immediately; semantic problems such as
-    bad probability sums surface later through validate_spec.
+    Structural problems (unknown or missing keys, values of the wrong type,
+    both or neither of profile/groups) raise a SpecError naming the key;
+    semantic problems such as bad probability sums surface later through
+    validate_spec.
     """
     if isinstance(source, (str, Path)):
         raw = json.loads(Path(source).read_text())
@@ -454,78 +503,53 @@ def load_config(source: str | Path | dict) -> RunConfig:
     _require_keys(raw, {"seed", "clusters", "variables", "profile", "groups", "noise"}, "config")
     if "seed" not in raw:
         raise SpecError("config: seed is required")
-    seed = int(raw["seed"])
+    seed = _integer(raw["seed"], "config.seed")
     if not 0 <= seed < 2**64:
         raise SpecError("config: seed must fit in an unsigned 64-bit integer")
 
     cl_raw = raw.get("clusters", {})
     _require_keys(cl_raw, {"C", "n", "weights", "counts"}, "config.clusters")
     clusters = ClustersConfig(
-        count=None if "C" not in cl_raw else int(cl_raw["C"]),
-        subjects=None if "n" not in cl_raw else int(cl_raw["n"]),
-        weights=None if "weights" not in cl_raw else tuple(float(w) for w in cl_raw["weights"]),
-        counts=None if "counts" not in cl_raw else tuple(int(c) for c in cl_raw["counts"]),
+        count=_optional(cl_raw, "C", "config.clusters", _integer),
+        subjects=_optional(cl_raw, "n", "config.clusters", _integer),
+        weights=_optional(cl_raw, "weights", "config.clusters", _numbers),
+        counts=_optional(cl_raw, "counts", "config.clusters", _integers),
     )
 
-    variables = None
-    if "variables" in raw:
-        variables = tuple(
-            VariableDomain(
-                name=str(v["name"]),
-                levels=tuple(int(x) for x in v["levels"]),
-                kind=str(v.get("kind", "interval")),
-            )
-            for v in raw["variables"]
-        )
+    variables = _optional(raw, "variables", "config", _each(_variable))
 
     if ("profile" in raw) == ("groups" in raw):
         raise SpecError("config: exactly one of 'profile' or 'groups' is required")
-
-    profile = None
-    if "profile" in raw:
-        if variables is None:
-            raise SpecError("config: 'profile' requires 'variables'")
-        profile = tuple(
-            tuple(tuple(float(p) for p in cell) for cell in row) for row in raw["profile"]
-        )
+    if "profile" in raw and variables is None:
+        raise SpecError("config: 'profile' requires 'variables'")
+    profile = _optional(raw, "profile", "config", _each(_each(_numbers)))
 
     groups = None
     if "groups" in raw:
         g_raw = raw["groups"]
         _require_keys(g_raw, {"k", "sizes", "family", "targets", "pH", "H", "L"}, "config.groups")
-        sizes = tuple(int(s) for s in g_raw["sizes"])
-        if "k" in g_raw and int(g_raw["k"]) != len(sizes):
+        sizes = _required(g_raw, "sizes", "config.groups", _integers)
+        if _optional(g_raw, "k", "config.groups", _integer) not in (None, len(sizes)):
             raise SpecError("config.groups: k does not match the number of sizes")
-        family = str(g_raw["family"])
+        family = _required(g_raw, "family", "config.groups", _text)
         if family not in FAMILIES:
             raise SpecError(f"config.groups: unknown family {family!r}")
-        targets = None
-        if "targets" in g_raw:
-            targets = tuple(
-                _parse_target(t, f"config.groups.targets[{i}]") for i, t in enumerate(g_raw["targets"])
-            )
         groups = GroupsConfig(
             sizes=sizes,
             family=family,
-            targets=targets,
-            high_prob=None if "pH" not in g_raw else float(g_raw["pH"]),
-            high=None if "H" not in g_raw else tuple(float(p) for p in g_raw["H"]),
-            low=None if "L" not in g_raw else tuple(float(p) for p in g_raw["L"]),
-        )
-
-    noise = ()
-    if "noise" in raw:
-        noise = tuple(
-            NoiseConfig(
-                name=str(v["name"]),
-                levels=tuple(int(x) for x in v["levels"]),
-                probs=tuple(float(p) for p in v["probs"]),
-            )
-            for v in raw["noise"]
+            targets=_optional(g_raw, "targets", "config.groups", _each(_target)),
+            high_prob=_optional(g_raw, "pH", "config.groups", _number),
+            high=_optional(g_raw, "H", "config.groups", _numbers),
+            low=_optional(g_raw, "L", "config.groups", _numbers),
         )
 
     return RunConfig(
-        seed=seed, clusters=clusters, variables=variables, profile=profile, groups=groups, noise=noise
+        seed=seed,
+        clusters=clusters,
+        variables=variables,
+        profile=profile,
+        groups=groups,
+        noise=_optional(raw, "noise", "config", _each(_noise)) or (),
     )
 
 

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import GroupStructure, SpecError
 
 HIGH = "H"
@@ -46,9 +44,6 @@ class PatternMatrix:
 
     def column(self, p: int) -> tuple[str, ...]:
         return tuple(row[p] for row in self.symbols)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([list(row) for row in self.symbols])
 
 
 def _run_length(cluster: int, variables: int) -> tuple[int, str]:
@@ -116,35 +111,9 @@ def grouped_pattern(groups: GroupStructure) -> tuple[PatternMatrix, int]:
     k = groups.group_count
     cluster_count = 2 * k.bit_length()
     core = balanced_pattern(cluster_count, k)
-    rows = []
-    for core_row in core.symbols:
-        row: list[str] = []
-        for symbol, size in zip(core_row, groups.sizes):
-            row.extend([symbol] * size)
-        row.extend([NOISE] * groups.noise_count)
-        rows.append(tuple(row))
-    ids = []
-    for v, size in enumerate(groups.sizes, start=1):
-        ids.extend([v] * size)
-    ids.extend([0] * groups.noise_count)
-    return PatternMatrix(tuple(rows), tuple(ids)), cluster_count
-
-
-def pad_groups(
-    pairs: tuple[tuple[int, float], ...],
-    pad_size: int = 2,
-    pad_correlation: float = 0.01,
-) -> tuple[tuple[int, float], ...]:
-    """Pad (size, correlation) groups up to the next power-of-2 count.
-
-    Pads are small essentially-uncorrelated groups appended after the real
-    ones; the correlation is kept barely positive so the calibration stays
-    well posed.
-    """
-    k = len(pairs)
-    if k == 0:
-        raise SpecError("pad_groups: need at least one group")
-    target = 1
-    while target < k:
-        target *= 2
-    return tuple(pairs) + ((pad_size, pad_correlation),) * (target - k)
+    columns = groups.column_groups()
+    rows = tuple(
+        tuple(core_row[v - 1] for v in columns) + (NOISE,) * groups.noise_count
+        for core_row in core.symbols
+    )
+    return PatternMatrix(rows, columns + (0,) * groups.noise_count), cluster_count

@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .association import AssociationMatrix, pearson_matrix
@@ -104,7 +103,6 @@ class ComparisonReport:
     convention.
     """
 
-    gaps: np.ndarray
     max_abs_gap: float
     mean_abs_gap: float
     sign_agreement: float
@@ -119,7 +117,6 @@ def compare_matrices(theoretical: AssociationMatrix, sample: AssociationMatrix) 
     both = finite & off
     agree = np.sign(theoretical.values[both]) == np.sign(sample.values[both])
     return ComparisonReport(
-        gaps=gaps,
         max_abs_gap=float(gaps[finite].max()) if finite.any() else math.nan,
         mean_abs_gap=float(gaps[finite].mean()) if finite.any() else math.nan,
         sign_agreement=float(agree.mean()) if both.any() else math.nan,
@@ -307,7 +304,6 @@ def run_pipeline(
             "package": __version__,
             "python": sys.version.split()[0],
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
         },
         "artifacts": {name: _sha256(path) for name, path in sorted(paths.items())},
     }

@@ -24,7 +24,8 @@ from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import GeneratorSpec, bind_pattern, build_spec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, VariableDomain, load_config
 from synthcat.moments import brute_force_moments, cluster_means, moment_matrices
-from synthcat.patterns import HIGH, balanced_pattern, grouped_pattern, pad_groups
+from helpers import pad_groups
+from synthcat.patterns import HIGH, balanced_pattern, grouped_pattern
 from synthcat.model import GroupStructure
 from synthcat.report import build_run, run_pipeline, within_group_averages
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from helpers import dataset_violations
 from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import (
     GeneratorSpec,
@@ -14,6 +15,7 @@ from synthcat.generator import (
 )
 from synthcat.model import (
     ClusterSpec,
+    GroupStructure,
     ProbabilityVector,
     ProfileMatrix,
     SpecError,
@@ -21,7 +23,7 @@ from synthcat.model import (
     load_config,
 )
 from synthcat.moments import moment_matrices
-from synthcat.patterns import balanced_pattern
+from synthcat.patterns import balanced_pattern, grouped_pattern
 from synthcat.sampling import shuffle_order
 
 H_PROBS = hardy_weinberg_probs(0.95)
@@ -79,19 +81,20 @@ class TestBindPattern:
         assert profile.cell(1, 1).probs == (0.2, 0.8)
         assert profile.cell(0, 1).probs == (0.8, 0.2)
 
-    def test_trailing_noise_columns(self):
-        pattern = balanced_pattern(2, 2)
+    def test_one_noise_vector_per_noise_column(self):
+        pattern, _ = grouped_pattern(GroupStructure((1, 1), noise_count=1))
         noise = ProbabilityVector((0.25, 0.75))
-        profile = bind_pattern(
+        args = (
             pattern,
             domains(3, (0, 1)),
             ProbabilityVector((0.1, 0.9)),
             ProbabilityVector((0.9, 0.1)),
-            noise=[noise],
         )
-        assert profile.variable_count == 3
-        assert profile.cell(0, 2).probs == (0.25, 0.75)
-        assert profile.cell(1, 2).probs == (0.25, 0.75)
+        profile = bind_pattern(*args, noise=[noise])
+        assert all(profile.cell(c, 2) == noise for c in range(profile.cluster_count))
+        for wrong in ([], [noise, noise]):
+            with pytest.raises(SpecError, match="noise vectors"):
+                bind_pattern(*args, noise=wrong)
 
     def test_per_column_count_mismatch(self):
         pattern = balanced_pattern(2, 2)
@@ -121,7 +124,7 @@ class TestGenerate:
     def test_shape_and_validity(self):
         data = generate(self.spec())
         assert data.values.shape == (800, 16)
-        assert not data.violations()
+        assert not dataset_violations(data)
         assert set(np.unique(data.values)) <= {0, 1, 2}
 
     def test_cell_frequencies_track_the_profile(self):
@@ -174,7 +177,7 @@ class TestGenerate:
         assert np.array_equal(shuffled.values, plain.values[order])
         assert np.array_equal(shuffled.assignments, plain.assignments[order])
         assert shuffled.shuffled
-        assert not shuffled.violations()
+        assert not dataset_violations(shuffled)
         assert not np.array_equal(shuffled.assignments, plain.assignments)
 
     @pytest.mark.filterwarnings("ignore:identifiability")

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from helpers import dataset_violations
 from synthcat.model import (
     ClusterSpec,
     ClustersConfig,
@@ -44,6 +45,10 @@ class TestVariableDomain:
         assert VariableDomain("a", (3, 2, 1)).violations()
         assert VariableDomain("a", (0, 1), "continuous").violations()
 
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_flags_csv_unsafe_names(self, name):
+        assert any("comma or a line break" in v for v in VariableDomain(name, (0, 1)).violations())
+
 
 class TestProbabilityVector:
     def test_sum_tolerance(self):
@@ -72,6 +77,9 @@ class TestClusterSpec:
         assert ClusterSpec((0.5, 0.5), (1,)).violations()
         assert ClusterSpec((-0.5, 1.5), (1, 1)).violations()
         assert ClusterSpec((), ()).violations()
+
+    def test_zero_subjects_flagged(self):
+        assert ClusterSpec.uniform(4, 0).violations() == ["clusters: at least one subject required"]
 
 
 class TestGroupStructure:
@@ -150,15 +158,15 @@ class TestDataset:
 
     def test_clean(self):
         data = self.make([[0, 1, 0], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 2, 2])
-        assert data.violations() == []
+        assert dataset_violations(data) == []
 
     def test_illegal_codes_flagged(self):
         data = self.make([[0, 1, 5], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 2, 2])
-        assert any("illegal level codes" in v for v in data.violations())
+        assert any("illegal level codes" in v for v in dataset_violations(data))
 
     def test_tally_mismatch_flagged(self):
         data = self.make([[0, 1, 0], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 1, 2])
-        assert any("tallies" in v for v in data.violations())
+        assert any("tallies" in v for v in dataset_violations(data))
 
 
 class TestConfigIO:
@@ -225,6 +233,15 @@ class TestConfigIO:
         raw["groups"]["k"] = 4
         with pytest.raises(SpecError, match="k does not match"):
             load_config(raw)
+
+    def test_integral_floats_read_as_integers(self):
+        raw = self.grouped()
+        raw["seed"] = 99.0
+        raw["clusters"]["n"] = 800.0
+        raw["groups"]["sizes"] = [2.0] * 8
+        config = load_config(raw)
+        assert config == load_config(self.grouped())
+        assert isinstance(config.seed, int) and isinstance(config.clusters.subjects, int)
 
     def test_file_round_trip(self, tmp_path):
         import json

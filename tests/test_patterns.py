@@ -3,7 +3,8 @@
 import pytest
 
 from synthcat.model import DependenceTarget, GroupStructure, SpecError
-from synthcat.patterns import balanced_pattern, grouped_pattern, pad_groups
+from helpers import pad_groups
+from synthcat.patterns import balanced_pattern, grouped_pattern
 
 EIGHT_BY_SIXTEEN = (
     "LLLLLLLLLLLLLLLL",

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from synthcat.association import AssociationMatrix, association_matrix
+from synthcat import generator
 from synthcat.cli import main
 from synthcat.model import GroupStructure, SpecError, VariableDomain, load_config
 from synthcat.moments import moment_matrices
@@ -299,6 +300,32 @@ class TestPipeline:
             run_from_manifest(bad, tmp_path / "b")
 
 
+# Malformed configs: (path to the key, new value or DELETE, text the error
+# must contain).  Each is applied to ``snp_config()``.
+DELETE = object()
+MALFORMED = {
+    "missing-family": (("groups", "family"), DELETE, "config.groups.family is required"),
+    "missing-sizes": (("groups", "sizes"), DELETE, "config.groups.sizes is required"),
+    "missing-variable-name": (
+        ("variables",), [{"levels": [0, 1, 2]}], "config.variables[0].name is required"
+    ),
+    "missing-noise-probs": (
+        ("noise",), [{"name": "z", "levels": [0, 1]}], "config.noise[0].probs is required"
+    ),
+    "sizes-not-a-list": (("groups", "sizes"), 5, "config.groups.sizes"),
+    "variable-not-an-object": (("variables",), ["a"], "config.variables[0]"),
+    "pH-not-a-number": (("groups", "pH"), "high", "config.groups.pH"),
+    "pH-too-large": (("groups", "pH"), 10**400, "config.groups.pH"),
+    "target-not-a-number": (
+        ("groups", "targets"), [{"correlation": "x"}] * 4, "config.groups.targets[0].correlation"
+    ),
+    "seed-not-a-number": (("seed",), "abc", "config.seed"),
+    "seed-not-integral": (("seed",), 1.7, "config.seed"),
+    "n-not-integral": (("clusters", "n"), 10.5, "config.clusters.n"),
+    "no-subjects": (("clusters", "n"), 0, "at least one subject"),
+}
+
+
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -433,6 +460,42 @@ class TestCli:
         bad.write_text("{not json")
         assert main(["generate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_config_exits_two(self, tmp_path, capsys, case):
+        path, value, message = MALFORMED[case]
+        config = snp_config()
+        *parents, key = path
+        holder = config
+        for parent in parents:
+            holder = holder[parent]
+        if value is DELETE:
+            del holder[key]
+        else:
+            holder[key] = value
+        argv = ["pipeline", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_csv_unsafe_variable_name_exits_two(self, tmp_path, capsys, name):
+        config = snp_config()
+        config["noise"] = [{"name": name, "levels": [0, 1], "probs": [0.5, 0.5]}]
+        argv = ["pipeline", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert "comma or a line break" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "dataset.csv").exists()
+
+    def test_zero_threads_exits_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was created")
+
+        monkeypatch.setattr(generator, "ThreadPoolExecutor", no_pool)
+        config = write_config(tmp_path, explicit_config())
+        for command in ("generate", "pipeline"):
+            argv = [command, "--config", config, "--out", str(tmp_path / "o"), "--threads", "0"]
+            assert main(argv) == 2
+            assert "threads must be at least 1" in capsys.readouterr().err
 
     def test_bad_spec_config(self, tmp_path, capsys):
         config = write_config(tmp_path, {"clusters": {"n": 10}})
