@@ -131,6 +131,14 @@ def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
         start += count
 
 
+def _validated(spec: GeneratorSpec):
+    """The spec's validation report; raises SpecError on any hard violation."""
+    report = validate_spec(spec.profile, spec.clusters)
+    if not report.ok:
+        raise SpecError("; ".join(report.violations))
+    return report
+
+
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     """Draw the full dataset, one column per task on ``threads`` (>= 1) workers.
 
@@ -142,10 +150,7 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     """
     if threads < 1:
         raise SpecError(f"generate: threads must be at least 1, got {threads}")
-    report = validate_spec(spec.profile, spec.clusters)
-    if not report.ok:
-        raise SpecError("; ".join(report.violations))
-    for message in report.warnings:
+    for message in _validated(spec).warnings:
         warnings.warn(message)
 
     assignments = allocate_subjects(spec.clusters)
@@ -202,7 +207,17 @@ def build_spec(config: RunConfig) -> BuiltSpec:
     calibration (or take literal H/L vectors), lay columns out group by
     group with noise last, and derive the cluster count from the group
     count.
+
+    The spec is validated here, so every subcommand refuses a config that
+    ``validate_spec`` finds a hard violation in (SpecError).  Identifiability
+    warnings are left to ``generate``.
     """
+    built = _assemble(config)
+    _validated(built.spec)
+    return built
+
+
+def _assemble(config: RunConfig) -> BuiltSpec:
     if config.profile is not None:
         assert config.variables is not None  # load_config enforces this
         rows = tuple(
@@ -220,6 +235,11 @@ def build_spec(config: RunConfig) -> BuiltSpec:
     )
     pattern, cluster_count = grouped_pattern(structure)
     clusters = resolve_clusters(config.clusters, derived_count=cluster_count)
+    # The calibration solves against the cluster weights, so bad weights are
+    # reported as such, not as an infeasible target.
+    problems = clusters.violations()
+    if problems:
+        raise SpecError("; ".join(problems))
     calibration = calibrate_group(
         structure,
         config.groups.family,

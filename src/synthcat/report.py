@@ -21,10 +21,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import AssociationMatrix, pearson_matrix
+from .association import AssociationMatrix, _level_index, pearson_matrix
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
-from .model import Dataset, GroupStructure, RunConfig, SpecError, dump_config, load_config
+from .model import (
+    Dataset,
+    GroupStructure,
+    RunConfig,
+    SpecError,
+    VariableDomain,
+    dump_config,
+    load_config,
+)
 from .moments import MomentMatrices, moment_matrices
 
 
@@ -185,19 +193,81 @@ def write_matrix_csv(path: Path, values: np.ndarray, names: tuple[str, ...]) -> 
     path.write_text("\n".join(lines) + "\n")
 
 
+# Rows per block of the code writer: the block's token indices (8 bytes per
+# cell) and gathered bytes stay a few MB however long the table is.
+_ROWS_PER_BLOCK = 4096
+
+
+def _write_codes(
+    path: Path, values: np.ndarray, columns: tuple[VariableDomain, ...], header: bool
+) -> None:
+    """Write an n x P array of level codes as comma-separated text lines.
+
+    Each column's declared levels (sorted) become byte tokens once:
+    ``str(level)`` followed by a comma, or by a newline in the last column.
+    A block of rows is written by finding each cell's level position, then
+    gathering its token.  Tokens are padded to the widest one and the
+    padding is dropped by a mask, so mixed widths need no second path.
+
+    The bytes equal numpy's ``savetxt(path, values, fmt="%d", delimiter=",",
+    header=<column names> if header else "", comments="")`` (except that
+    savetxt leaves out an empty header line).  A value that is not a
+    declared level of its column raises SpecError, and the file is removed,
+    so no partial file is left behind.
+    """
+    tokens: list[bytes] = []
+    offsets = []
+    for p, column in enumerate(columns):
+        end = b"\n" if p == len(columns) - 1 else b","
+        offsets.append(len(tokens))
+        tokens.extend(str(level).encode() + end for level in column.levels)
+    # One fixed-width item per token, NUL-padded to the widest.  No token
+    # holds a NUL byte, so the nonzero bytes are exactly each token's own.
+    table = np.array(tokens, dtype=np.bytes_)
+
+    path = Path(path)
+    f = path.open("wb")
+    try:
+        with f:
+            if header:
+                f.write((",".join(c.name for c in columns) + "\n").encode())
+            for start in range(0, len(values), _ROWS_PER_BLOCK):
+                block = values[start : start + _ROWS_PER_BLOCK]
+                index = np.empty(block.shape, dtype=np.intp)
+                for p, column in enumerate(columns):
+                    index[:, p] = offsets[p] + _level_index(
+                        column.levels,
+                        block[:, p],
+                        f"{path.name}: column {column.name!r} has values outside its "
+                        "declared levels",
+                    )
+                cells = table[index].view(np.uint8)
+                f.write(cells[cells != 0])
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
 def write_dataset_csv(path: Path, dataset: Dataset) -> None:
-    np.savetxt(
-        path,
-        dataset.values,
-        fmt="%d",
-        delimiter=",",
-        header=",".join(dataset.variable_names),
-        comments="",
-    )
+    """Write the dataset as a headered integer CSV, one subject per line.
+
+    The first line holds the variable names; each further line holds one
+    subject's level codes.  Fields are comma-separated and every line ends
+    with a newline: the bytes of numpy's ``savetxt(path, values, fmt="%d",
+    delimiter=",", header=<names>, comments="")``.  A value outside its
+    column's declared levels raises SpecError and leaves no file.
+    """
+    _write_codes(path, dataset.values, dataset.profile.variables, header=True)
 
 
 def write_allocation(path: Path, dataset: Dataset) -> None:
-    np.savetxt(path, dataset.assignments, fmt="%d")
+    """Write each subject's true cluster (1..C), one per line, no header.
+
+    The bytes are those of numpy's ``savetxt(path, assignments, fmt="%d")``.
+    A cluster outside 1..C raises SpecError and leaves no file.
+    """
+    clusters = VariableDomain("cluster", tuple(range(1, dataset.clusters.cluster_count + 1)))
+    _write_codes(path, dataset.assignments[:, None], (clusters,), header=False)
 
 
 def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:

@@ -486,6 +486,21 @@ class TestCli:
         assert "comma or a line break" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
+    @pytest.mark.parametrize("command", ["generate", "moments", "calibrate", "report", "pipeline"])
+    @pytest.mark.parametrize("bad", ["no-subjects", "csv-unsafe-name", "negative-weight"])
+    def test_invalid_spec_exits_two_in_every_subcommand(self, tmp_path, capsys, command, bad):
+        config = snp_config()
+        if bad == "no-subjects":
+            config["clusters"] = {"n": 0}
+        elif bad == "csv-unsafe-name":
+            config["noise"] = [{"name": "a,b", "levels": [0, 1], "probs": [0.5, 0.5]}]
+        else:
+            config["clusters"] = {"n": 400, "weights": [-0.5, 0.5, 0.5, 0.25, 0.25, 0.0]}
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert "error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
     def test_zero_threads_exits_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was created")
