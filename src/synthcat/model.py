@@ -85,11 +85,12 @@ class ProbabilityVector:
         return np.asarray(self.probs, dtype=float)
 
     def violations(self, context: str = "probability vector") -> list[str]:
+        # Each test is written to fail on NaN, which compares false to everything.
         out = []
-        if any(p < 0.0 or p > 1.0 for p in self.probs):
+        if not all(0.0 <= p <= 1.0 for p in self.probs):
             out.append(f"{context}: entries must lie in [0, 1]")
         total = sum(self.probs)
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             out.append(f"{context}: probability sum != 1 (got {total!r})")
         return out
 
@@ -150,10 +151,11 @@ class ClusterSpec:
             return out
         if len(self.counts) != len(self.weights):
             out.append("clusters: weights and counts disagree in length")
-        if any(w < 0.0 for w in self.weights):
+        # As in ProbabilityVector.violations, NaN fails each test.
+        if not all(w >= 0.0 for w in self.weights):
             out.append("clusters: weights must be non-negative")
         total = sum(self.weights)
-        if abs(total - 1.0) > SUM_TOLERANCE:
+        if not abs(total - 1.0) <= SUM_TOLERANCE:
             out.append(f"clusters: weight sum != 1 (got {total!r})")
         if any(c < 0 for c in self.counts):
             out.append("clusters: counts must be non-negative")
@@ -176,7 +178,7 @@ class DependenceTarget:
             return out
         if self.kind == "correlation" and not 0.0 < self.value < 1.0:
             out.append(f"{context}: correlation target must lie in (0, 1), got {self.value!r}")
-        if self.kind == "covariance" and self.value <= 0.0:
+        if self.kind == "covariance" and not self.value > 0.0:
             out.append(f"{context}: covariance target must be positive, got {self.value!r}")
         return out
 
@@ -419,9 +421,13 @@ def _number(obj: object, context: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
         raise SpecError(f"{context}: expected a number, got {obj!r}")
     try:
-        return float(obj)
+        value = float(obj)
     except OverflowError:
         raise SpecError(f"{context}: number too large for a float") from None
+    # json reads NaN and Infinity; no config number may be either.
+    if not np.isfinite(value):
+        raise SpecError(f"{context}: expected a finite number, got {obj!r}")
+    return value
 
 
 def _integer(obj: object, context: str) -> int:
@@ -431,6 +437,14 @@ def _integer(obj: object, context: str) -> int:
     if not isinstance(obj, numbers.Integral) and not float(obj).is_integer():
         raise SpecError(f"{context}: expected an integer, got {obj!r}")
     return int(obj)
+
+
+def checked_seed(obj: object, context: str) -> int:
+    """``obj`` as a run seed: an integer with 0 <= seed < 2**64, else SpecError."""
+    seed = _integer(obj, context)
+    if not 0 <= seed < 2**64:
+        raise SpecError(f"{context} must fit in an unsigned 64-bit integer, got {seed}")
+    return seed
 
 
 def _text(obj: object, context: str) -> str:
@@ -503,9 +517,7 @@ def load_config(source: str | Path | dict) -> RunConfig:
     _require_keys(raw, {"seed", "clusters", "variables", "profile", "groups", "noise"}, "config")
     if "seed" not in raw:
         raise SpecError("config: seed is required")
-    seed = _integer(raw["seed"], "config.seed")
-    if not 0 <= seed < 2**64:
-        raise SpecError("config: seed must fit in an unsigned 64-bit integer")
+    seed = checked_seed(raw["seed"], "config.seed")
 
     cl_raw = raw.get("clusters", {})
     _require_keys(cl_raw, {"C", "n", "weights", "counts"}, "config.clusters")

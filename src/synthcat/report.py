@@ -1,12 +1,12 @@
-"""Pipeline assembly: run everything, write artifacts, compare matrices.
+"""Pipeline assembly: one staged run, its artifact files, and the manifest.
 
-A run takes a config to a directory of artifacts: the dataset and its true
-allocation, the exact moment matrices implied by the spec, the sample
-Pearson matrix, per-group summaries of target vs theoretical vs sample
-dependence, the calibration report when targets were solved, and a
-manifest.  The manifest embeds the config and enough version and hash
-information that the whole run can be reproduced and verified bit for bit
-from the manifest alone.
+A run (``RunResult``) takes a config through lazy stages: the validated
+spec, the dataset, the exact moment matrices, the sample Pearson matrix,
+per-group summaries of target vs theoretical vs sample dependence, and the
+theory-vs-sample comparison.  ``ARTIFACTS`` says which stages feed which
+file.  ``run_pipeline`` writes them plus a manifest that embeds the config
+and enough version and hash information that the whole run can be
+reproduced and verified bit for bit from the manifest alone.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,7 @@ from .model import (
     RunConfig,
     SpecError,
     VariableDomain,
+    checked_seed,
     dump_config,
     load_config,
 )
@@ -133,46 +135,80 @@ def compare_matrices(theoretical: AssociationMatrix, sample: AssociationMatrix) 
 
 @dataclass(frozen=True)
 class RunResult:
-    """Everything a pipeline run produces, before any files are written."""
+    """The stages of one run, each computed on first use and then kept.
 
-    config: RunConfig
-    built: BuiltSpec
-    dataset: Dataset
-    moments: MomentMatrices
-    sample_pearson: AssociationMatrix
-    summaries: list[GroupSummary] | None
+    ``source`` is a RunConfig, a config dict or a JSON path; ``seed``, when
+    given, replaces the config's seed and is checked like it.  Stages:
+    config -> built (validated) -> dataset and moments -> sample_pearson ->
+    summaries, comparison.  Asking for moments never generates the dataset.
+    """
 
+    source: RunConfig | str | Path | dict
+    threads: int = 1
+    shuffle: bool = False
+    seed: int | None = None
 
-def build_run(config: RunConfig, threads: int = 1, shuffle: bool = False) -> RunResult:
-    """Run the full chain in memory: build, generate, moments, associate."""
-    built = build_spec(config)
-    dataset = generate(built.spec, threads=threads, shuffle=shuffle)
-    moments = moment_matrices(built.spec.profile, built.spec.clusters)
-    sample = pearson_matrix(dataset)
-    summaries = None
-    if built.groups is not None:
-        names = tuple(v.name for v in built.spec.profile.variables)
-        # Each group is reported on its own target's scale; groups without
-        # targets are reported as correlations.
-        groups = built.groups
+    @cached_property
+    def config(self) -> RunConfig:
+        config = self.source if isinstance(self.source, RunConfig) else load_config(self.source)
+        if self.seed is not None:
+            config = replace(config, seed=checked_seed(self.seed, "seed"))
+        return config
+
+    @cached_property
+    def built(self) -> BuiltSpec:
+        return build_spec(self.config)
+
+    @cached_property
+    def names(self) -> tuple[str, ...]:
+        return tuple(v.name for v in self.built.spec.profile.variables)
+
+    @cached_property
+    def dataset(self) -> Dataset:
+        return generate(self.built.spec, threads=self.threads, shuffle=self.shuffle)
+
+    @cached_property
+    def moments(self) -> MomentMatrices:
+        return moment_matrices(self.built.spec.profile, self.built.spec.clusters)
+
+    @cached_property
+    def sample_pearson(self) -> AssociationMatrix:
+        return pearson_matrix(self.dataset)
+
+    @cached_property
+    def summaries(self) -> list[GroupSummary] | None:
+        """Each group on its target's scale (correlation without targets); None without groups."""
+        groups = self.built.groups
+        if groups is None:
+            return None
         kinds = [t.kind for t in groups.targets or ()] or ["correlation"] * groups.group_count
-        matrices = {
-            "correlation": (AssociationMatrix(moments.correlation, names, "pearson"), sample)
-        }
+        matrices = {"correlation": (self._theoretical_pearson(), self.sample_pearson)}
         if "covariance" in kinds:
+            sample = np.cov(self.dataset.values, rowvar=False, ddof=1)
             matrices["covariance"] = (
-                AssociationMatrix(moments.covariance, names, "covariance"),
-                _sample_covariance(dataset),
+                AssociationMatrix(self.moments.covariance, self.names, "covariance"),
+                AssociationMatrix(sample, self.names, "covariance"),
             )
         by_kind = {kind: summarize_groups(groups, *pair) for kind, pair in matrices.items()}
-        summaries = [by_kind[kind][v] for v, kind in enumerate(kinds)]
-    return RunResult(config, built, dataset, moments, sample, summaries)
+        return [by_kind[kind][v] for v, kind in enumerate(kinds)]
+
+    @cached_property
+    def calibration(self) -> CalibrationResult:
+        if self.config.groups is None:
+            raise SpecError("calibrate: config must declare groups")
+        return self.built.calibration
+
+    @cached_property
+    def comparison(self) -> ComparisonReport:
+        return compare_matrices(self._theoretical_pearson(), self.sample_pearson)
+
+    def _theoretical_pearson(self) -> AssociationMatrix:
+        return AssociationMatrix(self.moments.correlation, self.names, "pearson")
 
 
-def _sample_covariance(dataset: Dataset) -> AssociationMatrix:
-    values = dataset.values.astype(float)
-    names = tuple(v.name for v in dataset.profile.variables)
-    return AssociationMatrix(np.cov(values, rowvar=False, ddof=1), names, "covariance")
+def build_run(config, threads: int = 1, shuffle: bool = False) -> RunResult:
+    """The run of ``config`` (a RunConfig, dict or JSON path); no stage is computed yet."""
+    return RunResult(config, threads, shuffle)
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +358,55 @@ def write_long_format(path: Path, matrix: AssociationMatrix) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
+def write_association(out_dir, matrix: AssociationMatrix) -> None:
+    """Write ``<measure>_matrix.csv`` and its heatmap-ready ``<measure>_long.csv``."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_matrix_csv(out / f"{matrix.measure}_matrix.csv", matrix.values, matrix.names)
+    write_long_format(out / f"{matrix.measure}_long.csv", matrix)
+
+
+def write_comparison(path: Path, comparison: ComparisonReport) -> None:
+    path.write_text(json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n")
+
+
+# Each artifact file: the name of its writer in this module, and the writer's
+# arguments after the path, taken from the run's stages (None: the file does
+# not apply to the run).  The writer is looked up by name when it is called,
+# so a wrapper put on the module later, such as a tracer, sees every call.
+ARTIFACTS = {
+    "dataset.csv": ("write_dataset_csv", lambda run: (run.dataset,)),
+    "allocation.txt": ("write_allocation", lambda run: (run.dataset,)),
+    "theoretical_covariance.csv": (
+        "write_matrix_csv", lambda run: (run.moments.covariance, run.names)),
+    "theoretical_correlation.csv": (
+        "write_matrix_csv", lambda run: (run.moments.correlation, run.names)),
+    "sample_pearson.csv": ("write_matrix_csv", lambda run: (run.sample_pearson.values, run.names)),
+    "group_summary.csv": (
+        "write_group_summary", lambda run: None if run.summaries is None else (run.summaries,)),
+    "calibration_report.csv": ("write_calibration_report", lambda run: (run.calibration,)),
+    "comparison.json": ("write_comparison", lambda run: (run.comparison,)),
+}
+
+
+def write_artifacts(run: RunResult, out_dir, names) -> dict[str, Path]:
+    """Write the named artifacts of ``run`` into ``out_dir``; return their paths.
+
+    Every stage the files need is computed before the directory is made, so
+    a run that fails writes nothing.  group_summary.csv is skipped for a
+    config without groups; calibration_report.csv is a SpecError for one.
+    """
+    arguments = {name: ARTIFACTS[name][1](run) for name in names}
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths = {}
+    for name, args in arguments.items():
+        if args is not None:
+            paths[name] = out / name
+            globals()[ARTIFACTS[name][0]](paths[name], *args)
+    return paths
+
+
 def run_pipeline(
     config_source,
     out_dir,
@@ -334,41 +419,23 @@ def run_pipeline(
     Artifacts: dataset.csv, allocation.txt, theoretical_covariance.csv,
     theoretical_correlation.csv, sample_pearson.csv, group_summary.csv
     (grouped configs), calibration_report.csv (configs with targets), and
-    manifest.json.  Identical config, seed and shuffle flag reproduce every
-    byte; the thread count never changes output.
+    manifest.json.  ``config_source`` is anything ``build_run`` takes; a
+    ``seed`` outside [0, 2**64) is a SpecError, and nothing is written.
+    Identical config, seed and shuffle flag reproduce every byte; the thread
+    count never changes output.
     """
-    config = load_config(config_source)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    result = build_run(config, threads=threads, shuffle=shuffle)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    names = tuple(v.name for v in result.built.spec.profile.variables)
+    run = replace(build_run(config_source, threads=threads, shuffle=shuffle), seed=seed)
+    names = ["dataset.csv", "allocation.txt", "theoretical_covariance.csv",
+             "theoretical_correlation.csv", "sample_pearson.csv", "group_summary.csv"]
+    if run.config.groups is not None and run.config.groups.targets is not None:
+        names.append("calibration_report.csv")
+    paths = write_artifacts(run, out_dir, names)
 
-    paths: dict[str, Path] = {}
-
-    def emit(name: str, writer, *args) -> None:
-        path = out / name
-        writer(path, *args)
-        paths[name] = path
-
-    emit("dataset.csv", write_dataset_csv, result.dataset)
-    emit("allocation.txt", write_allocation, result.dataset)
-    emit("theoretical_covariance.csv", write_matrix_csv, result.moments.covariance, names)
-    emit("theoretical_correlation.csv", write_matrix_csv, result.moments.correlation, names)
-    emit("sample_pearson.csv", write_matrix_csv, result.sample_pearson.values, names)
-    if result.summaries is not None:
-        emit("group_summary.csv", write_group_summary, result.summaries)
-    if result.built.calibration is not None and result.built.groups is not None:
-        if result.built.groups.targets is not None:
-            emit("calibration_report.csv", write_calibration_report, result.built.calibration)
-
+    config = dump_config(run.config)
     manifest = {
-        "config": dump_config(config),
-        "config_sha256": hashlib.sha256(
-            json.dumps(dump_config(config), sort_keys=True).encode()
-        ).hexdigest(),
-        "seed": config.seed,
+        "config": config,
+        "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "seed": run.config.seed,
         "options": {"shuffle": shuffle},
         "versions": {
             "package": __version__,
@@ -377,7 +444,7 @@ def run_pipeline(
         },
         "artifacts": {name: _sha256(path) for name, path in sorted(paths.items())},
     }
-    manifest_path = out / "manifest.json"
+    manifest_path = Path(out_dir) / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     paths["manifest.json"] = manifest_path
     return paths

@@ -1,5 +1,7 @@
 """Domain types: validation reports, cluster resolution, config round-trips."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,10 @@ class TestProbabilityVector:
         assert ProbabilityVector((0.3, 0.8)).violations()
         assert ProbabilityVector((-0.1, 1.1)).violations()
 
+    def test_nan_entries_are_violations(self):
+        assert len(ProbabilityVector((math.nan, 0.5, 0.5)).violations()) == 2
+        assert ProbabilityVector((math.nan, 1.0)).violations()
+
 
 class TestClusterSpec:
     def test_largest_remainder_is_exact_and_deterministic(self):
@@ -77,6 +83,10 @@ class TestClusterSpec:
         assert ClusterSpec((0.5, 0.5), (1,)).violations()
         assert ClusterSpec((-0.5, 1.5), (1, 1)).violations()
         assert ClusterSpec((), ()).violations()
+
+    def test_nan_weights_are_violations(self):
+        assert len(ClusterSpec((math.nan, 0.5), (1, 1)).violations()) == 2
+        assert DependenceTarget("covariance", math.nan).violations()
 
     def test_zero_subjects_flagged(self):
         assert ClusterSpec.uniform(4, 0).violations() == ["clusters: at least one subject required"]

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from synthcat.association import AssociationMatrix, association_matrix
-from synthcat import generator
+from synthcat import generator, report
 from synthcat.cli import main
 from synthcat.model import GroupStructure, SpecError, VariableDomain, load_config
 from synthcat.moments import moment_matrices
@@ -22,6 +22,7 @@ from synthcat.report import (
     write_dataset_csv,
     write_matrix_csv,
 )
+from test_acceptance import EXPLICIT_CONFIG, LADDER_CONFIG
 
 H_PROBS = [0.9025, 0.095, 0.0025]
 L_PROBS = [0.0625, 0.375, 0.5625]
@@ -323,6 +324,13 @@ MALFORMED = {
     "seed-not-integral": (("seed",), 1.7, "config.seed"),
     "n-not-integral": (("clusters", "n"), 10.5, "config.clusters.n"),
     "no-subjects": (("clusters", "n"), 0, "at least one subject"),
+    "weights-nan": (("clusters", "weights"), [math.nan] * 6, "config.clusters.weights[0]"),
+    "noise-prob-nan": (
+        ("noise",),
+        [{"name": "z", "levels": [0, 1], "probs": [math.nan, 1.0]}],
+        "config.noise[0].probs[0]",
+    ),
+    "pH-infinite": (("groups", "pH"), math.inf, "config.groups.pH"),
 }
 
 
@@ -516,3 +524,109 @@ class TestCli:
         config = write_config(tmp_path, {"clusters": {"n": 10}})
         assert main(["generate", "--config", config, "--out", str(tmp_path / "o")]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "moments", "calibrate", "report", "pipeline", "associate"]
+    )
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_out_of_range_seed_exits_two_in_every_subcommand(self, tmp_path, capsys, command, seed):
+        config = write_config(tmp_path, snp_config())
+        out = tmp_path / "o"
+        assert main([command, "--config", config, "--seed", seed, "--out", str(out)]) == 2
+        assert "seed must fit in an unsigned 64-bit integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_undecodable_config_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"seed": 1, "clusters": {"n": 10}, "note": "caf\xe9"}')
+        assert main(["generate", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_undecodable_csv_exits_two(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_bytes(b"a,caf\xe9\n0,1\n1,0\n")
+        assert main(["associate", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+class TestSeedOverride:
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.5])
+    def test_invalid_seed_raises_before_writing(self, tmp_path, seed):
+        with pytest.raises(SpecError, match="seed"):
+            run_pipeline(explicit_config(), tmp_path / "run", seed=seed)
+        assert not (tmp_path / "run").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        paths = run_pipeline(explicit_config(), tmp_path / "run", seed=2**64 - 1)
+        assert json.loads(paths["manifest.json"].read_text())["seed"] == 2**64 - 1
+
+
+STAGED = {
+    "explicit": (EXPLICIT_CONFIG, []),
+    "ladder": (LADDER_CONFIG, []),
+    "snp-shuffled": (snp_config(), ["--shuffle"]),
+}
+
+
+class TestStagedRun:
+    """Every config subcommand writes files of the same staged run."""
+
+    @pytest.mark.parametrize("name", sorted(STAGED))
+    def test_subcommand_files_equal_pipeline_files(self, tmp_path, capsys, name):
+        config, flags = STAGED[name]
+        path = write_config(tmp_path, config)
+        assert main(["pipeline", "--config", path, "--out", str(tmp_path / "pipeline")] + flags) == 0
+        pipeline = {f.name: f.read_bytes() for f in (tmp_path / "pipeline").iterdir()}
+        written = {}
+        for command in ("generate", "moments", "calibrate"):
+            argv = [command, "--config", path, "--out", str(tmp_path / command)]
+            assert main(argv + (flags if command == "generate" else [])) == 0
+            written.update((f.name, f.read_bytes()) for f in (tmp_path / command).iterdir())
+        capsys.readouterr()
+        assert sorted(written) == [
+            "allocation.txt",
+            "calibration_report.csv",
+            "dataset.csv",
+            "theoretical_correlation.csv",
+            "theoretical_covariance.csv",
+        ]
+        # The pipeline writes the calibration report only for configs with targets.
+        has_targets = "targets" in config["groups"]
+        assert ("calibration_report.csv" in pipeline) == has_targets
+        for file, data in written.items():
+            if file in pipeline:
+                assert data == pipeline[file], file
+
+    def test_report_comparison_holds_the_runs_comparison(self, tmp_path):
+        config = snp_config(seed=31)
+        out = tmp_path / "o"
+        assert main(["report", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        run = build_run(load_config(config))
+        theoretical = AssociationMatrix(run.moments.correlation, run.names, "pearson")
+        expected = compare_matrices(theoretical, run.sample_pearson)
+        assert json.loads((out / "comparison.json").read_text()) == {
+            "max_abs_gap": expected.max_abs_gap,
+            "mean_abs_gap": expected.mean_abs_gap,
+            "sign_agreement": expected.sign_agreement,
+        }
+
+    @pytest.mark.parametrize("command", ["moments", "calibrate"])
+    def test_moments_and_calibrate_never_generate(self, tmp_path, capsys, monkeypatch, command):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generate was called")
+
+        monkeypatch.setattr(report, "generate", no_generate)
+        config = write_config(tmp_path, snp_config())
+        assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
+        capsys.readouterr()
+
+    def test_stages_are_computed_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            report, "generate", lambda *args, **kwargs: calls.append(1) or generate(*args, **kwargs)
+        )
+        run = build_run(load_config(snp_config()))
+        assert run.summaries is run.summaries
+        assert run.sample_pearson is run.sample_pearson
+        assert run.dataset is run.dataset
+        assert len(calls) == 1
