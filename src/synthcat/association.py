@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Dataset, KindError, SpecError, VariableDomain
+from .moments import MomentMatrices
 
 MEASURES = ("v", "vcc", "tauc", "pearson")
 
@@ -220,24 +221,41 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     return np.asarray(values), tuple(variables)
 
 
-def pearson_matrix(data) -> AssociationMatrix:
-    """Sample Pearson correlations of the level codes.
+# Rows of the table copied to float at a time by ``sample_moments``.
+_MOMENT_ROWS = 4096
 
-    Non-interval columns and zero-variance columns give NaN cells; the
-    diagonal is 1 by convention.
+
+def sample_moments(data) -> MomentMatrices:
+    """Sample means, covariance (ddof 1) and Pearson correlation of the codes.
+
+    Sum x_p and Sum x_p x_q, summed over row blocks, are exact in float64 for
+    integer codes below 2**53, as is S = n Sum x_p x_q - Sum x_p Sum x_q; the
+    covariance S / (n (n - 1)) and correlation S_pq / (sqrt S_pp sqrt S_qq) take
+    elementwise IEEE operations only, so their bytes do not depend on the machine.
+    Non-interval and constant columns get NaN correlations, the diagonal 1; n = 1 gives NaN.
     """
     values, variables = _columns(data)
-    x = values.astype(float)
-    x = x - x.mean(axis=0)
-    norms = np.sqrt((x**2).sum(axis=0))
-    interval = np.array([v.kind == "interval" for v in variables])
-    ok = interval & (norms > 0.0)
-    scale = np.where(ok, norms, np.nan)
-    with np.errstate(invalid="ignore"):
-        unit = x / scale
-    matrix = unit.T @ unit
-    np.fill_diagonal(matrix, 1.0)
-    return AssociationMatrix(matrix, tuple(v.name for v in variables), "pearson")
+    n = len(values)
+    sums = np.zeros(values.shape[1])
+    cross = np.zeros((len(sums), len(sums)))
+    for start in range(0, n, _MOMENT_ROWS):
+        x = values[start : start + _MOMENT_ROWS].astype(float)
+        sums += x.sum(axis=0)
+        cross += x.T @ x
+    scaled = n * cross - np.outer(sums, sums)
+    interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sd = np.where(interval, np.sqrt(np.diag(scaled)), np.nan)
+        cov = scaled / (n * (n - 1))
+        cor = scaled / np.outer(sd, sd)
+        np.fill_diagonal(cor, 1.0)
+        return MomentMatrices(sums / n, np.diag(cov).copy(), cov, cor)
+
+
+def pearson_matrix(data) -> AssociationMatrix:
+    """Sample Pearson correlations of the level codes: ``sample_moments(data).correlation``."""
+    names = tuple(v.name for v in _columns(data)[1])
+    return AssociationMatrix(sample_moments(data).correlation, names, "pearson")
 
 
 # Bytes of the float64 indicator block that ``_pair_tables`` reuses.

@@ -48,14 +48,17 @@ def _cmd_run(args) -> int:
 
 def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     """Headered integer CSV to values + interval domains over observed levels."""
-    with open(path) as f:
-        header = f.readline().strip()
-        # Counting the lines first lets loadtxt allocate the result once
-        # instead of growing it, which would copy it at its full size.
-        lines, last = 0, "\n"
-        for chunk in iter(lambda: f.read(1 << 16), ""):
-            lines += chunk.count("\n")
-            last = chunk[-1]
+    try:
+        with open(path, encoding="utf-8") as f:
+            header = f.readline().strip()
+            # Counting the lines first lets loadtxt allocate the result once
+            # instead of growing it, which would copy it at its full size.
+            lines, last = 0, "\n"
+            for chunk in iter(lambda: f.read(1 << 16), ""):
+                lines += chunk.count("\n")
+                last = chunk[-1]
+    except UnicodeDecodeError as err:
+        raise SpecError(f"associate: {path} is not UTF-8 ({err})") from None
     if not header:
         raise SpecError(f"associate: {path} is empty")
     names = header.split(",")
@@ -65,7 +68,7 @@ def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
             warnings.simplefilter("ignore", UserWarning)
             values = np.loadtxt(
                 path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None,
-                max_rows=lines + (last != "\n"),
+                max_rows=lines + (last != "\n"), encoding="utf-8",
             )
     except ValueError as err:
         raise SpecError(f"associate: {path} is not an integer CSV ({err})")
@@ -139,7 +142,7 @@ def main(argv=None) -> int:
     except InfeasibleTargetError as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
-    except (SpecError, OSError, UnicodeDecodeError, json.JSONDecodeError) as err:
+    except (SpecError, OSError, json.JSONDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -509,7 +509,10 @@ def load_config(source: str | Path | dict) -> RunConfig:
     validate_spec.
     """
     if isinstance(source, (str, Path)):
-        raw = json.loads(Path(source).read_text())
+        try:
+            raw = json.loads(Path(source).read_text(encoding="utf-8"))
+        except UnicodeDecodeError as err:
+            raise SpecError(f"config: {source} is not UTF-8 ({err})") from None
     else:
         raw = source
     if not isinstance(raw, dict):

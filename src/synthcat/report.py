@@ -1,7 +1,7 @@
 """Pipeline assembly: one staged run, its artifact files, and the manifest.
 
 A run (``RunResult``) takes a config through lazy stages: the validated
-spec, the dataset, the exact moment matrices, the sample Pearson matrix,
+spec, the dataset, the exact moment matrices, the sample moments (one pass),
 per-group summaries of target vs theoretical vs sample dependence, and the
 theory-vs-sample comparison.  ``ARTIFACTS`` says which stages feed which
 file.  ``run_pipeline`` writes them plus a manifest that embeds the config
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import AssociationMatrix, _level_index, pearson_matrix
+from .association import AssociationMatrix, _level_index, sample_moments
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
 from .model import (
@@ -139,7 +139,7 @@ class RunResult:
 
     ``source`` is a RunConfig, a config dict or a JSON path; ``seed``, when
     given, replaces the config's seed and is checked like it.  Stages:
-    config -> built (validated) -> dataset and moments -> sample_pearson ->
+    config -> built (validated) -> dataset and moments -> sample -> sample_pearson,
     summaries, comparison.  Asking for moments never generates the dataset.
     """
 
@@ -172,8 +172,12 @@ class RunResult:
         return moment_matrices(self.built.spec.profile, self.built.spec.clusters)
 
     @cached_property
+    def sample(self) -> MomentMatrices:
+        return sample_moments(self.dataset)
+
+    @cached_property
     def sample_pearson(self) -> AssociationMatrix:
-        return pearson_matrix(self.dataset)
+        return AssociationMatrix(self.sample.correlation, self.names, "pearson")
 
     @cached_property
     def summaries(self) -> list[GroupSummary] | None:
@@ -182,14 +186,11 @@ class RunResult:
         if groups is None:
             return None
         kinds = [t.kind for t in groups.targets or ()] or ["correlation"] * groups.group_count
-        matrices = {"correlation": (self._theoretical_pearson(), self.sample_pearson)}
-        if "covariance" in kinds:
-            sample = np.cov(self.dataset.values, rowvar=False, ddof=1)
-            matrices["covariance"] = (
-                AssociationMatrix(self.moments.covariance, self.names, "covariance"),
-                AssociationMatrix(sample, self.names, "covariance"),
-            )
-        by_kind = {kind: summarize_groups(groups, *pair) for kind, pair in matrices.items()}
+        by_kind = {}
+        for kind in set(kinds):
+            theory, sample = (AssociationMatrix(getattr(m, kind), self.names, kind)
+                              for m in (self.moments, self.sample))
+            by_kind[kind] = summarize_groups(groups, theory, sample)
         return [by_kind[kind][v] for v, kind in enumerate(kinds)]
 
     @cached_property
@@ -200,10 +201,8 @@ class RunResult:
 
     @cached_property
     def comparison(self) -> ComparisonReport:
-        return compare_matrices(self._theoretical_pearson(), self.sample_pearson)
-
-    def _theoretical_pearson(self) -> AssociationMatrix:
-        return AssociationMatrix(self.moments.correlation, self.names, "pearson")
+        theoretical = AssociationMatrix(self.moments.correlation, self.names, "pearson")
+        return compare_matrices(theoretical, self.sample_pearson)
 
 
 def build_run(config, threads: int = 1, shuffle: bool = False) -> RunResult:
@@ -226,7 +225,7 @@ def write_matrix_csv(path: Path, values: np.ndarray, names: tuple[str, ...]) -> 
     lines = ["," + ",".join(names)]
     for name, row in zip(names, values):
         lines.append(name + "," + ",".join(_format(x) for x in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 # Rows per block of the code writer: the block's token indices (8 bytes per
@@ -322,7 +321,7 @@ def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:
                 ]
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_calibration_report(path: Path, calibration: CalibrationResult) -> None:
@@ -343,7 +342,7 @@ def write_calibration_report(path: Path, calibration: CalibrationResult) -> None
                 ]
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -355,7 +354,7 @@ def write_long_format(path: Path, matrix: AssociationMatrix) -> None:
     lines = ["p,q,value"]
     for name_p, name_q, value in matrix.long_format():
         lines.append(f"{name_p},{name_q},{_format(value)}")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_association(out_dir, matrix: AssociationMatrix) -> None:
@@ -367,7 +366,8 @@ def write_association(out_dir, matrix: AssociationMatrix) -> None:
 
 
 def write_comparison(path: Path, comparison: ComparisonReport) -> None:
-    path.write_text(json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n"
+    path.write_text(text, encoding="utf-8")
 
 
 # Each artifact file: the name of its writer in this module, and the writer's
@@ -445,7 +445,9 @@ def run_pipeline(
         "artifacts": {name: _sha256(path) for name, path in sorted(paths.items())},
     }
     manifest_path = Path(out_dir) / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest_path.write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+    )
     paths["manifest.json"] = manifest_path
     return paths
 
@@ -456,7 +458,7 @@ def run_from_manifest(manifest_path, out_dir, threads: int = 1) -> dict[str, Pat
     Raises SpecError if any regenerated artifact's hash disagrees with the
     manifest, so a clean return certifies bit-exact reproduction.
     """
-    manifest = json.loads(Path(manifest_path).read_text())
+    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
     paths = run_pipeline(
         manifest["config"],
         out_dir,

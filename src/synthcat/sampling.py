@@ -41,11 +41,11 @@ def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
 
 def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
     """The uniform draws for one whole column, subjects 0..n-1 in order."""
-    gen = Generator(Philox(key=[seed, variable]))
+    gen = Generator(Philox(key=np.array([seed, variable], dtype=np.uint64)))
     return gen.random(subjects)
 
 
 def shuffle_order(seed: int, subjects: int) -> np.ndarray:
     """Permutation of 0..n-1 from the dedicated shuffle stream."""
-    gen = Generator(Philox(key=[seed, SHUFFLE_STREAM]))
+    gen = Generator(Philox(key=np.array([seed, SHUFFLE_STREAM], dtype=np.uint64)))
     return gen.permutation(subjects)

@@ -77,3 +77,20 @@ def test_config_and_calibration_digests_match_golden(name, tmp_path):
         assert "calibration_report.csv" not in paths
     else:
         assert sha256(paths["calibration_report.csv"]) == calibration_digest
+
+
+# sample_pearson.csv of each golden run.  Its sums are exact integers in
+# float64 and its last steps are elementwise IEEE operations, so these
+# digests hold on every machine and BLAS build.
+SAMPLE_PEARSON = {
+    "explicit": "6c7d688afe27c443844d3b3c096ad9ba645ce250aa61e25b9ed6cea6eea8a257",
+    "ladder": "1b923d4cb7de1a52d7a78e947737f7822225eeeca7fc3b3c590a5eb1a387f327",
+    "linkage-shuffled": "fe2adb14f8bc05ac66997327f3875fba9d7a12b77d81c6381de1f92a524e1dfb",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLE_PEARSON))
+def test_sample_pearson_digests_match_golden(name, tmp_path):
+    config, shuffle, _, _ = GOLDEN[name]
+    paths = run_pipeline(config, tmp_path, shuffle=shuffle)
+    assert sha256(paths["sample_pearson.csv"]) == SAMPLE_PEARSON[name]

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import synthcat
 from synthcat.association import AssociationMatrix, association_matrix
 from synthcat import generator, report
 from synthcat.cli import main
@@ -560,6 +565,16 @@ class TestSeedOverride:
         paths = run_pipeline(explicit_config(), tmp_path / "run", seed=2**64 - 1)
         assert json.loads(paths["manifest.json"].read_text())["seed"] == 2**64 - 1
 
+    @pytest.mark.parametrize("pair", [(2**64 - 1, 2**64 - 2), (2**63, 2**63 + 1)])
+    def test_neighbouring_large_seeds_give_different_datasets(self, tmp_path, pair):
+        """Seeds at and above 2**63 key their streams exactly, not through float64."""
+        first, second = (
+            run_pipeline(explicit_config(), tmp_path / str(seed), seed=seed, shuffle=True)
+            for seed in pair
+        )
+        for name in ("dataset.csv", "allocation.txt"):
+            assert first[name].read_bytes() != second[name].read_bytes()
+
 
 STAGED = {
     "explicit": (EXPLICIT_CONFIG, []),
@@ -630,3 +645,44 @@ class TestStagedRun:
         assert run.sample_pearson is run.sample_pearson
         assert run.dataset is run.dataset
         assert len(calls) == 1
+
+
+def run_cli_in_c_locale(cwd, *argv) -> subprocess.CompletedProcess:
+    """The CLI in a process whose locale encoding is ASCII."""
+    src = str(Path(synthcat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-m", "synthcat.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, errors="replace",
+    )
+
+
+class TestTextEncoding:
+    """Every text file is read and written as UTF-8, whatever the locale."""
+
+    def test_utf8_names_round_trip_in_an_ascii_locale(self, tmp_path):
+        config = {
+            "seed": 3,
+            "clusters": {"counts": [20, 30]},
+            "variables": [{"name": "café", "levels": [0, 1, 2]}, {"name": "b", "levels": [0, 1]}],
+            "profile": [[[0.2, 0.3, 0.5], [0.5, 0.5]], [[0.6, 0.3, 0.1], [0.1, 0.9]]],
+        }
+        (tmp_path / "c.json").write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        done = run_cli_in_c_locale(tmp_path, "pipeline", "--config", "c.json", "--out", "o")
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "o" / "dataset.csv").read_bytes().startswith("café,b\n".encode())
+        assert "café" in (tmp_path / "o" / "sample_pearson.csv").read_text(encoding="utf-8")
+        argv = ["associate", "--data", "o/dataset.csv", "--measure", "v", "--out", "a"]
+        done = run_cli_in_c_locale(tmp_path, *argv)
+        assert done.returncode == 0, done.stderr
+        assert "\ncafé,café,1.0\n" in (tmp_path / "a" / "v_long.csv").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "argv", [["pipeline", "--config", "bad.json"], ["associate", "--data", "bad.json"]]
+    )
+    def test_undecodable_file_exits_two_and_names_it(self, tmp_path, argv):
+        (tmp_path / "bad.json").write_bytes(b'{"seed": 1, "x": "\xff"}\n')
+        done = run_cli_in_c_locale(tmp_path, *argv, "--out", "o")
+        assert done.returncode == 2
+        assert "bad.json" in done.stderr and "UTF-8" in done.stderr
+        assert not (tmp_path / "o").exists()
