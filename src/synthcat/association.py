@@ -225,23 +225,41 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
 _MOMENT_ROWS = 4096
 
 
+def _shifted_sums(values: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
+    """Sum x and X^T X of ``shift(block)`` over row blocks, one float block at a time."""
+    sums = np.zeros(values.shape[1])
+    cross = np.zeros((len(sums), len(sums)))
+    for start in range(0, len(values), _MOMENT_ROWS):
+        x = shift(values[start : start + _MOMENT_ROWS])
+        sums += x.sum(axis=0)
+        cross += x.T @ x
+        del x  # free this block before the next one is made
+    return sums, cross
+
+
 def sample_moments(data) -> MomentMatrices:
     """Sample means, covariance (ddof 1) and Pearson correlation of the codes.
 
-    Sum x_p and Sum x_p x_q, summed over row blocks, are exact in float64 for
-    integer codes below 2**53, as is S = n Sum x_p x_q - Sum x_p Sum x_q; the
-    covariance S / (n (n - 1)) and correlation S_pq / (sqrt S_pp sqrt S_qq) take
-    elementwise IEEE operations only, so their bytes do not depend on the machine.
-    Non-interval and constant columns get NaN correlations, the diagonal 1; n = 1 gives NaN.
+    The sums run over x' = x - min x per column; S = n Sum x'_p x'_q - Sum x'_p
+    Sum x'_q does not change under the shift.  While n max_p Sum x'_p^2 < 2**53,
+    every partial sum and S are exact integers in float64, in any summation order
+    (Cauchy-Schwarz bounds them all), and the covariance S / (n (n - 1)) and
+    correlation S_pq / (sqrt S_pp sqrt S_qq) take elementwise IEEE operations only,
+    so their bytes do not depend on the machine.  Beyond that bound a second pass
+    centres on the float means.  Non-interval and constant columns get NaN
+    correlations, the diagonal 1; n = 1 gives NaN.
     """
     values, variables = _columns(data)
     n = len(values)
-    sums = np.zeros(values.shape[1])
-    cross = np.zeros((len(sums), len(sums)))
-    for start in range(0, n, _MOMENT_ROWS):
-        x = values[start : start + _MOMENT_ROWS].astype(float)
-        sums += x.sum(axis=0)
-        cross += x.T @ x
+    low = values.min(axis=0)
+    # x - min lies in [0, 2**64), so its uint64 difference never wraps.
+    sums, cross = _shifted_sums(
+        values, lambda x: np.subtract(x, low, dtype=np.uint64, casting="unsafe").astype(float)
+    )
+    centre = low.astype(float)
+    if not n * cross.diagonal().max() < 2**53:
+        centre = low + sums / n
+        sums, cross = _shifted_sums(values, lambda x: x - centre)
     scaled = n * cross - np.outer(sums, sums)
     interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -249,7 +267,7 @@ def sample_moments(data) -> MomentMatrices:
         cov = scaled / (n * (n - 1))
         cor = scaled / np.outer(sd, sd)
         np.fill_diagonal(cor, 1.0)
-        return MomentMatrices(sums / n, np.diag(cov).copy(), cov, cor)
+        return MomentMatrices((sums + n * centre) / n, np.diag(cov).copy(), cov, cor)
 
 
 def pearson_matrix(data) -> AssociationMatrix:

@@ -84,6 +84,63 @@ def test_matches_integer_oracle_bit_for_bit(data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(tables(), st.integers(-(2**40), 2**40))
+def test_large_codes_keep_bits(data, shift):
+    """S is formed from codes less their column minimum, so it does not cancel."""
+    values, variables = data
+    shifted = tuple(VariableDomain(v.name, tuple(x + shift for x in v.levels), v.kind) for v in variables)
+    assert_matches_oracle(values + shift, shifted)
+
+
+def test_codes_near_1e8_over_two_blocks():
+    """Sum x^2 of the raw codes is past 2**53 here; the shifted sums are not."""
+    n = 2 * association._MOMENT_ROWS + 1
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 2, n)
+    values = 10**8 + np.column_stack([a, a + rng.integers(0, 3, n), np.ones(n, dtype=np.int64)])
+    variables = tuple(
+        VariableDomain(name, tuple(range(10**8, 10**8 + 4))) for name in ("a", "b", "c")
+    )
+    assert_matches_oracle(values, variables)
+    moments = sample_moments((values, variables))
+    assert moments.covariance[2, 2] == 0.0
+    assert math.isnan(moments.correlation[0, 2])
+    assert 0.0 < moments.correlation[0, 1] < 1.0
+
+
+def test_past_the_exact_bound_centres_on_the_means():
+    """One low outlier puts Sum x'^2 past 2**53; S is taken about the means."""
+    rng = np.random.default_rng(10)
+    n = 2 * association._MOMENT_ROWS
+    u = rng.integers(0, 1000, n)
+    values = 2**40 + np.column_stack([u, u + rng.integers(0, 1000, n)])
+    values[0] = 0
+    variables = tuple(VariableDomain(name, tuple(sorted(set(values[:, p].tolist()))))
+                      for p, name in enumerate("ab"))
+    moments = sample_moments((values, variables))
+    means, cov, cor = oracle(values, variables)
+    np.testing.assert_allclose(moments.means, means, rtol=1e-15)
+    np.testing.assert_allclose(moments.covariance, cov, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(moments.correlation, cor, rtol=1e-13, atol=0)
+
+
+def test_int64_extremes_do_not_wrap():
+    """Codes at both ends of int64 differ by 2**64 - 1 from the column minimum."""
+    b = np.random.default_rng(11).integers(0, 2, 100)
+    a = np.where(b == 1, 2**63 - 1, -(2**63))
+    values = np.column_stack([a, b, np.full(100, 2**63 - 1)])
+    variables = (
+        VariableDomain("a", (-(2**63), 2**63 - 1)),
+        VariableDomain("b", (0, 1)),
+        VariableDomain("c", (2**63 - 1,)),
+    )
+    moments = sample_moments((values, variables))
+    assert moments.correlation[0, 1] == pytest.approx(1.0, abs=1e-12)
+    assert moments.covariance[2, 2] == 0.0
+    assert math.isnan(moments.correlation[0, 2])
+
+
+@settings(max_examples=100, deadline=None)
 @given(tables(), st.integers(1, 5))
 def test_block_size_never_changes_bits(data, rows):
     expected = sample_moments(data)
