@@ -258,6 +258,8 @@ class ProfileMatrix:
         out = []
         for domain in self.variables:
             out.extend(domain.violations())
+        if not self.variables:
+            out.append("profile: at least one variable required")
         if not self.rows:
             out.append("profile: at least one cluster row required")
         for c, row in enumerate(self.rows, start=1):

@@ -9,9 +9,10 @@ every cross moment reduces to sums over cluster means:
     Var(x_p)          = sum_c psi_c Var_c(x_p) + sum_c psi_c (f_{p,c} - E x_p)^2
 
 with f_{p,c} the mean of variable p inside cluster c.  These formulas are
-exact, not sample estimates; generated data should agree with them up to
-sampling error.  ``brute_force_moments`` recomputes everything by full
-enumeration of the joint support as an independent check for small specs.
+exact, not sample estimates.  Each sum is added term by term in a fixed
+order, with no BLAS product, so its bits are the same on every machine.
+``brute_force_moments`` recomputes everything by full enumeration of the
+joint support as an independent check for small specs.
 """
 
 from __future__ import annotations
@@ -22,39 +23,28 @@ import numpy as np
 from .model import ClusterSpec, ProfileMatrix, SpecError
 
 
+def _stacked(profile: ProfileMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """P x M level codes and C x P x M probabilities, zero-padded to the widest variable."""
+    sizes = np.array([domain.size for domain in profile.variables])
+    declared = np.arange(sizes.max()) < sizes[:, None]
+    levels = np.zeros(declared.shape)
+    levels[declared] = [x for domain in profile.variables for x in domain.levels]
+    probs = np.zeros((profile.cluster_count, *declared.shape))
+    probs[:, declared] = [[x for cell in row for x in cell.probs] for row in profile.rows]
+    return levels, probs
+
+
+def _expect(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Sum over the last axis of values * probs, added level by level."""
+    out = np.zeros(probs.shape[:-1])
+    for m in range(probs.shape[-1]):
+        out += values[..., m] * probs[..., m]
+    return out
+
+
 def cluster_means(profile: ProfileMatrix) -> np.ndarray:
     """C x P matrix of within-cluster means f_{p,c} = sum_x x * phi(x)."""
-    out = np.empty((profile.cluster_count, profile.variable_count))
-    for p, domain in enumerate(profile.variables):
-        levels = np.asarray(domain.levels, dtype=float)
-        for c in range(profile.cluster_count):
-            out[c, p] = levels @ profile.cell(c, p).as_array()
-    return out
-
-
-def cluster_variances(profile: ProfileMatrix) -> np.ndarray:
-    """C x P matrix of within-cluster variances."""
-    out = np.empty((profile.cluster_count, profile.variable_count))
-    for p, domain in enumerate(profile.variables):
-        levels = np.asarray(domain.levels, dtype=float)
-        for c in range(profile.cluster_count):
-            probs = profile.cell(c, p).as_array()
-            mean = levels @ probs
-            out[c, p] = (levels - mean) ** 2 @ probs
-    return out
-
-
-def marginal_variance(weights: np.ndarray, variances_p: np.ndarray, means_p: np.ndarray) -> float:
-    """Mixture variance: mean of within variances plus variance of means.
-
-    The decomposition keeps the result exactly zero when every cluster is
-    degenerate at the same level, which the naive E[x^2] - (E x)^2 form
-    does not.
-    """
-    grand = weights @ means_p
-    within = weights @ variances_p
-    between = weights @ (means_p - grand) ** 2
-    return float(within + between)
+    return _expect(*_stacked(profile))
 
 
 @dataclass(frozen=True)
@@ -74,18 +64,25 @@ def moment_matrices(profile: ProfileMatrix, clusters: ClusterSpec) -> MomentMatr
     between).  Correlations involving a constant column are NaN.
     """
     weights = clusters.weight_array()
-    f = cluster_means(profile)
-    v = cluster_variances(profile)
     p_count = profile.variable_count
-    means = weights @ f
-    variances = np.array([marginal_variance(weights, v[:, p], f[:, p]) for p in range(p_count)])
+    levels, probs = _stacked(profile)
+    f = _expect(levels, probs)
+    within = _expect((levels - f[:, :, None]) ** 2, probs)
+    # Means are taken about the first cluster's: a column with one mean in
+    # every cluster gets it exactly, and zero deviations.
+    shift, spread = np.zeros((2, p_count))
+    for w, f_c, within_c in zip(weights, f, within):
+        shift += w * (f_c - f[0])
+        spread += w * within_c
+    means = f[0] + shift
     dev = f - means
-    # Weighting each rounded product dev_p * dev_q keeps the matrix exactly
-    # symmetric and lets equal and opposite cluster terms cancel to an exact
-    # zero; a weighted matrix product does neither.
+    # Weighting each rounded product keeps cov exactly symmetric and lets
+    # equal and opposite cluster terms cancel to an exact zero.
     cov = np.zeros((p_count, p_count))
     for w, d in zip(weights, dev):
         cov += w * np.outer(d, d)
+    # Within plus between: exactly 0 for a column degenerate at one level.
+    variances = spread + np.diag(cov)
     np.fill_diagonal(cov, variances)
     sd = np.sqrt(variances)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -108,9 +108,9 @@ def summarize_groups(
 class ComparisonReport:
     """Cellwise gaps between a theoretical and a sample matrix.
 
-    Gaps cover every cell where both sides are finite; the sign-agreement
-    fraction is computed off the diagonal only, since diagonals agree by
-    convention.
+    Gaps cover every cell where both sides are finite.  ``sign_agreement``
+    is the share of such off-diagonal cells with |theoretical| > 1e-12 (zero
+    and its round-off have no sign) that the sample matches in sign, or NaN.
     """
 
     max_abs_gap: float
@@ -124,12 +124,12 @@ def compare_matrices(theoretical: AssociationMatrix, sample: AssociationMatrix) 
     gaps = np.abs(theoretical.values - sample.values)
     finite = np.isfinite(theoretical.values) & np.isfinite(sample.values)
     off = ~np.eye(theoretical.values.shape[0], dtype=bool)
-    both = finite & off
-    agree = np.sign(theoretical.values[both]) == np.sign(sample.values[both])
+    signed = finite & off & (np.abs(theoretical.values) > 1e-12)
+    agree = np.sign(theoretical.values[signed]) == np.sign(sample.values[signed])
     return ComparisonReport(
         max_abs_gap=float(gaps[finite].max()) if finite.any() else math.nan,
         mean_abs_gap=float(gaps[finite].mean()) if finite.any() else math.nan,
-        sign_agreement=float(agree.mean()) if both.any() else math.nan,
+        sign_agreement=float(agree.mean()) if signed.any() else math.nan,
     )
 
 

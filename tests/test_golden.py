@@ -8,10 +8,14 @@ make this test pass.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from synthcat.report import run_pipeline
+from synthcat.report import build_run, run_pipeline, write_artifacts
 from test_acceptance import EXPLICIT_CONFIG, LADDER_CONFIG, LINKAGE_CONFIG
 
 GOLDEN = {
@@ -94,3 +98,85 @@ def test_sample_pearson_digests_match_golden(name, tmp_path):
     config, shuffle, _, _ = GOLDEN[name]
     paths = run_pipeline(config, tmp_path, shuffle=shuffle)
     assert sha256(paths["sample_pearson.csv"]) == SAMPLE_PEARSON[name]
+
+
+# The other artifacts of each golden run that are computed in floating point,
+# comparison.json (written by ``report``, not ``run_pipeline``) included.  The
+# theoretical moments are fixed-order elementwise IEEE operations with no
+# BLAS product, so these digests hold on every machine and BLAS build too.
+THEORETICAL = {
+    "explicit": {
+        "theoretical_covariance.csv": "1b9965187bac096a3f77ba637fe6fc43299a5f6991cfe94566e8886d75788236",
+        "theoretical_correlation.csv": "125b415a1628a1488a1341ad3b7039b51b1d4c7da31de55223b19e29febc360d",
+        "group_summary.csv": "ea65d7644e22e3d873d75d69ed8ec8a8de01e2e8095fd4a10140bef17d956140",
+        "comparison.json": "bdb88076361fcde40605625b23c1f2b0ba3aef7507df678124b9f2db6308c64a",
+    },
+    "ladder": {
+        "theoretical_covariance.csv": "276b26e655a067d1ea13612f4344e6bb1bbca6f2d94ac693df8c5f228568ff60",
+        "theoretical_correlation.csv": "88e5a0bc3678ad4821cd71b6e2990c6c62a59655798faafcbf73e0d6537f0199",
+        "group_summary.csv": "627f591e31394fa2a4b561d842261b100e343ec91607de2af05525ee7c3c58b2",
+        "comparison.json": "c7c30e2e6911ccb16c24be6e848a6aa24fc3de6af6495f8ec87f32861c47e33f",
+    },
+    "linkage-shuffled": {
+        "theoretical_covariance.csv": "3cdc2e676bf9a2a4e0776cba85c61dc1aa71a2de90ac9514c16a500a3debcc80",
+        "theoretical_correlation.csv": "102eade60977f48a0372c0859bcee7295cf94adef5c1aeacc197c57878b52840",
+        "group_summary.csv": "912267f60b37ac900afc3866e1d4295731b76c47027892b05477ce23f6f04524",
+        "comparison.json": "0319163e2e61bba702357abd72bb0f4758908803100f0ff92e81a5539779e32b",
+    },
+}
+
+
+def pinned_digests(name):
+    """Every artifact digest pinned above for one golden config."""
+    _, _, dataset_digest, allocation_digest = GOLDEN[name]
+    pins = {"dataset.csv": dataset_digest, "allocation.txt": allocation_digest}
+    if PURE_PYTHON[name][1] is not None:
+        pins["calibration_report.csv"] = PURE_PYTHON[name][1]
+    pins["sample_pearson.csv"] = SAMPLE_PEARSON[name]
+    pins.update(THEORETICAL[name])
+    return pins
+
+
+@pytest.mark.parametrize("name", sorted(THEORETICAL))
+def test_theoretical_digests_match_golden(name, tmp_path):
+    config, shuffle, _, _ = GOLDEN[name]
+    paths = run_pipeline(config, tmp_path, shuffle=shuffle)
+    paths.update(write_artifacts(build_run(config, shuffle=shuffle), tmp_path, ["comparison.json"]))
+    assert {artifact: sha256(paths[artifact]) for artifact in THEORETICAL[name]} == THEORETICAL[name]
+
+
+# Run in a fresh interpreter: rerun a ladder manifest (argv[1]) into argv[2],
+# add comparison.json, and print every artifact's digest.
+_LADDER_RERUN = """
+import hashlib, json, sys
+from pathlib import Path
+from synthcat.report import build_run, run_from_manifest, write_artifacts
+from test_acceptance import LADDER_CONFIG
+paths = run_from_manifest(sys.argv[1], sys.argv[2])
+paths.update(write_artifacts(build_run(LADDER_CONFIG), sys.argv[2], ["comparison.json"]))
+del paths["manifest.json"]
+print(json.dumps({k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}))
+"""
+
+
+@pytest.mark.parametrize("coretype", [None, "Prescott", "SandyBridge"])
+def test_ladder_digests_hold_under_other_blas_kernels(coretype, tmp_path):
+    """The nearest thing to a second machine that one host offers.
+
+    OPENBLAS_CORETYPE makes an OpenBLAS built for several CPUs use another
+    CPU's kernels (other BLAS builds ignore it).  The manifest is written
+    here and verified by ``run_from_manifest`` under the other kernels; an
+    artifact that passed through a BLAS product would change its bytes.
+    """
+    manifest = run_pipeline(LADDER_CONFIG, tmp_path / "run")["manifest.json"]
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+    if coretype is not None:
+        env["OPENBLAS_CORETYPE"] = coretype
+    tests = Path(__file__).parent
+    env["PYTHONPATH"] = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+    done = subprocess.run(
+        [sys.executable, "-c", _LADDER_RERUN, str(manifest), str(tmp_path / "rerun")],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == pinned_digests("ladder")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from closed_forms import (
     equal_weight_covariance,
@@ -21,13 +23,7 @@ from synthcat.model import (
     VariableDomain,
     load_config,
 )
-from synthcat.moments import (
-    brute_force_moments,
-    cluster_means,
-    cluster_variances,
-    marginal_variance,
-    moment_matrices,
-)
+from synthcat.moments import brute_force_moments, cluster_means, moment_matrices
 from synthcat.patterns import balanced_pattern
 
 
@@ -57,7 +53,8 @@ class TestClusterMeans:
         variables = (VariableDomain("snp", (0, 1, 2)),)
         profile = ProfileMatrix(variables, ((ProbabilityVector(probs),),))
         assert cluster_means(profile)[0, 0] == pytest.approx(1.5)
-        assert cluster_variances(profile)[0, 0] == pytest.approx(0.375)
+        variances = moment_matrices(profile, ClusterSpec.uniform(1, 10)).variances
+        assert variances[0] == pytest.approx(0.375)
 
 
 class TestMarginalFormulas:
@@ -90,8 +87,10 @@ class TestMarginalFormulas:
         assert marginal_covariance(weights, f_p, f_q) == 0.0
 
     def test_degenerate_variance_is_exactly_zero(self):
-        weights = np.array([0.5, 0.5])
-        assert marginal_variance(weights, np.zeros(2), np.full(2, 2.0)) == 0.0
+        variables = (VariableDomain("a", (0, 1, 2)),)
+        at_two = ProbabilityVector((0.0, 0.0, 1.0))
+        profile = ProfileMatrix(variables, ((at_two,), (at_two,)))
+        assert moment_matrices(profile, ClusterSpec.uniform(2, 10)).variances[0] == 0.0
 
     def test_mean(self):
         assert marginal_mean(np.array([0.25, 0.75]), np.array([1.0, 3.0])) == pytest.approx(2.5)
@@ -240,3 +239,55 @@ class TestStructuralOrdering:
         assert len(within) == 8
         assert max(within) - min(within) < 1e-12
         assert min(within) > max(between)
+
+
+@st.composite
+def mixture_specs(draw):
+    """(profile, clusters, constant): C 1-5 clusters, P 1-4 variables.
+
+    Codes are 2-4 increasing integers in [-1000, 1000], so widths differ
+    and the stacked profile is padded.  Cells come from small integer
+    masses, so levels of probability zero and degenerate cells are common.
+    A column flagged in ``constant`` has the same cell in every cluster.
+    Cluster weights are random.
+    """
+    c_count = draw(st.integers(1, 5))
+    p_count = draw(st.integers(1, 4))
+    variables, columns, constant = [], [], []
+    for p in range(p_count):
+        levels = tuple(sorted(draw(st.sets(st.integers(-1000, 1000), min_size=2, max_size=4))))
+        masses = st.lists(st.integers(0, 4), min_size=len(levels), max_size=len(levels))
+        constant.append(draw(st.booleans()))
+        cells = []
+        for c in range(c_count):
+            if constant[p] and cells:
+                cells.append(cells[0])
+                continue
+            mass = draw(masses.filter(any))
+            cells.append(ProbabilityVector(tuple(m / sum(mass) for m in mass)))
+        variables.append(VariableDomain(f"x{p + 1}", levels))
+        columns.append(cells)
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=c_count, max_size=c_count)))
+    clusters = ClusterSpec.from_weights(tuple(weights / weights.sum()), 10 * c_count)
+    profile = ProfileMatrix(tuple(variables), tuple(zip(*columns)))
+    return profile, clusters, constant
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixture_specs())
+def test_closed_forms_match_enumeration(spec):
+    profile, clusters, constant = spec
+    fast = moment_matrices(profile, clusters)
+    slow = brute_force_moments(profile, clusters)
+    # The enumeration rounds relative to the codes, not to a cell near zero.
+    scale = max(abs(x) for v in profile.variables for x in v.levels)
+    np.testing.assert_allclose(fast.means, slow.means, rtol=1e-12, atol=1e-12 * scale)
+    np.testing.assert_allclose(fast.covariance, slow.covariance, rtol=1e-12, atol=1e-12 * scale**2)
+    live = ~np.isnan(fast.correlation)
+    np.testing.assert_allclose(fast.correlation[live], slow.correlation[live], rtol=1e-12, atol=1e-12)
+    assert np.array_equal(fast.covariance, fast.covariance.T)
+    off = ~np.eye(profile.variable_count, dtype=bool)
+    for p in np.flatnonzero(constant):
+        assert np.all(fast.covariance[p][off[p]] == 0.0)
+        if max(profile.cell(0, p).probs) == 1.0:
+            assert fast.variances[p] == 0.0

@@ -133,6 +133,19 @@ class TestCompareMatrices:
         assert report.max_abs_gap == 0.0
         assert math.isnan(report.sign_agreement)
 
+    def test_theoretical_zeros_are_not_signed(self):
+        # An exact zero and a round-off 1e-17 have no sign; only the 0.3 cell counts.
+        theory = np.array([[1.0, 0.0, 1e-17], [0.0, 1.0, 0.3], [1e-17, 0.3, 1.0]])
+        sample = np.array([[1.0, 0.02, -0.01], [0.02, 1.0, 0.25], [-0.01, 0.25, 1.0]])
+        names = ("a", "b", "c")
+        report = compare_matrices(
+            AssociationMatrix(theory, names, "pearson"), AssociationMatrix(sample, names, "pearson")
+        )
+        assert report.sign_agreement == 1.0
+        assert report.max_abs_gap == pytest.approx(0.05)
+        zeros = AssociationMatrix(np.where(theory == 0.3, 0.0, theory), names, "pearson")
+        assert math.isnan(compare_matrices(zeros, zeros).sign_agreement)
+
     def test_dimension_mismatch(self):
         a = AssociationMatrix(np.eye(2), ("a", "b"), "pearson")
         b = AssociationMatrix(np.eye(3), ("a", "b", "c"), "pearson")
@@ -500,10 +513,14 @@ class TestCli:
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
     @pytest.mark.parametrize("command", ["generate", "moments", "calibrate", "report", "pipeline"])
-    @pytest.mark.parametrize("bad", ["no-subjects", "csv-unsafe-name", "negative-weight"])
+    @pytest.mark.parametrize(
+        "bad", ["no-subjects", "csv-unsafe-name", "negative-weight", "no-variables"]
+    )
     def test_invalid_spec_exits_two_in_every_subcommand(self, tmp_path, capsys, command, bad):
         config = snp_config()
-        if bad == "no-subjects":
+        if bad == "no-variables":
+            config = {"seed": 1, "clusters": {"C": 2, "n": 4}, "variables": [], "profile": [[], []]}
+        elif bad == "no-subjects":
             config["clusters"] = {"n": 0}
         elif bad == "csv-unsafe-name":
             config["noise"] = [{"name": "a,b", "levels": [0, 1], "probs": [0.5, 0.5]}]
