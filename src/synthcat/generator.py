@@ -6,8 +6,8 @@ draw every (subject, variable) cell independently from the cluster's
 categorical profile by direct inverse-CDF lookup in ``sampling``: a cell
 takes the first level whose cumulative probability exceeds its uniform.
 Profiles come either from an explicit ProfileMatrix or from a
-PatternMatrix whose H/L/A labels are bound to concrete probability
-vectors.
+PatternMatrix whose H/L labels are bound to concrete probability vectors,
+with any noise columns appended after the pattern's.
 
 Columns are independent streams, so generation can fan out across threads
 with bit-identical output for any thread count.
@@ -36,7 +36,7 @@ from .model import (
     resolve_clusters,
     validate_spec,
 )
-from .patterns import HIGH, LOW, NOISE, PatternMatrix, grouped_pattern
+from .patterns import HIGH, LOW, PatternMatrix, grouped_pattern
 
 
 @dataclass(frozen=True)
@@ -70,53 +70,29 @@ def bind_pattern(
     low,
     noise=(),
 ) -> ProfileMatrix:
-    """Replace H/L/A labels with probability vectors, column by column.
+    """Replace each H/L label with its column's high or low vector, then add noise.
 
-    ``high`` and ``low`` are per-contributing-column lists (or a single
-    vector, used for every column).  ``noise`` holds exactly one vector per
-    all-'A' column of the pattern, in column order.  A noise vector repeats
-    across all cluster rows, which is what makes the column carry no signal.
+    ``high`` and ``low`` are per-column lists (or a single vector, used for
+    every column).  Each ``noise`` vector becomes one more column after the
+    pattern's, the same in every cluster row, which is what makes it carry
+    no signal.  ``variables`` covers the pattern columns, then the noise
+    columns.
     """
-    noise_positions = []
-    contributing_positions = []
-    for p in range(pattern.variable_count):
-        labels = pattern.column(p)
-        if all(label == NOISE for label in labels):
-            noise_positions.append(p)
-        elif NOISE in labels:
-            raise SpecError(f"bind_pattern: column {p + 1} mixes noise and signal labels")
-        else:
-            contributing_positions.append(p)
-
-    noise = list(noise)
-    if len(noise) != len(noise_positions):
+    noise = tuple(noise)
+    if len(variables) != pattern.variable_count + len(noise):
         raise SpecError(
-            f"bind_pattern: pattern has {len(noise_positions)} noise columns "
-            f"but {len(noise)} noise vectors were given"
+            f"bind_pattern: {len(variables)} domains for {pattern.variable_count} "
+            f"pattern columns and {len(noise)} noise columns"
         )
-    if len(variables) != pattern.variable_count:
-        raise SpecError(
-            f"bind_pattern: {len(variables)} domains for {pattern.variable_count} columns"
-        )
-    highs = _per_column(high, len(contributing_positions), "high")
-    lows = _per_column(low, len(contributing_positions), "low")
-
-    # Per column, the vector that each of its labels stands for.
-    bound: dict[int, dict[str, ProbabilityVector]] = {}
-    for p, vector in zip(noise_positions, noise):
-        bound[p] = {NOISE: vector}
-    for p, high_vector, low_vector in zip(contributing_positions, highs, lows):
-        bound[p] = {HIGH: high_vector, LOW: low_vector}
-
-    rows = []
-    for row in pattern.symbols:
-        cells = []
-        for p, label in enumerate(row):
-            if label not in bound[p]:
-                raise SpecError(f"bind_pattern: unknown label {label!r}")
-            cells.append(bound[p][label])
-        rows.append(tuple(cells))
-    return ProfileMatrix(variables, tuple(rows))
+    highs = _per_column(high, pattern.variable_count, "high")
+    lows = _per_column(low, pattern.variable_count, "low")
+    if not all(label in (HIGH, LOW) for row in pattern.symbols for label in row):
+        raise SpecError(f"bind_pattern: pattern labels must be {HIGH!r} or {LOW!r}")
+    rows = tuple(
+        tuple(hi if label == HIGH else lo for label, hi, lo in zip(row, highs, lows)) + noise
+        for row in pattern.symbols
+    )
+    return ProfileMatrix(variables, rows)
 
 
 def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:

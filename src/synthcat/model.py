@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,6 +69,9 @@ class VariableDomain:
             out.append(f"variable {self.name!r}: needs at least 2 levels")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
             out.append(f"variable {self.name!r}: level codes must be strictly increasing")
+        # Datasets hold the codes as int64.
+        if not all(-(2**63) <= code < 2**63 for code in self.levels):
+            out.append(f"variable {self.name!r}: level codes must lie in [-2**63, 2**63)")
         if self.kind not in KINDS:
             out.append(f"variable {self.name!r}: unknown kind {self.kind!r}")
         if any(c in self.name for c in ",\n\r"):
@@ -260,6 +264,12 @@ class ProfileMatrix:
             out.extend(domain.violations())
         if not self.variables:
             out.append("profile: at least one variable required")
+        names = Counter(domain.name for domain in self.variables)
+        out.extend(
+            f"profile: variable name {name!r} is used {count} times"
+            for name, count in names.items()
+            if count > 1
+        )
         if not self.rows:
             out.append("profile: at least one cluster row required")
         for c, row in enumerate(self.rows, start=1):
@@ -358,13 +368,15 @@ class Dataset:
 #
 # JSON schema, top level keys:
 #   seed      required integer
-#   clusters  {"C"?: int, "n"?: int, "weights"?: [...], "counts"?: [...]}
+#   clusters  {"C"?: int, "n"?: int, "weights"?: [...] | "counts"?: [...]}
 #   variables [{"name": str, "levels": [...], "kind"?: str}]   (optional with groups)
 #   profile   C x P x M nested lists of probabilities            } exactly one of
 #   groups    {"k", "sizes", "family", "targets"?, "pH"?, "H"?, "L"?}  } these two
 #   noise     [{"name": str, "levels": [...], "probs": [...]}]
 #
 # Targets are single-key objects, {"covariance": 0.45} or {"correlation": 0.4}.
+# Column names (generated x1, x2, ... included) are unique, and level codes
+# lie in [-2**63, 2**63).
 
 
 @dataclass(frozen=True)
@@ -623,14 +635,12 @@ def resolve_clusters(config: ClustersConfig, derived_count: int | None = None) -
         count = derived_count
 
     if config.counts is not None:
+        if config.weights is not None:
+            raise SpecError("clusters: give weights or counts, not both")
         if count is not None and len(config.counts) != count:
             raise SpecError(f"clusters: {len(config.counts)} counts given for C={count}")
         if config.subjects is not None and sum(config.counts) != config.subjects:
             raise SpecError("clusters: counts do not sum to n")
-        if config.weights is not None:
-            if len(config.weights) != len(config.counts):
-                raise SpecError("clusters: weights and counts disagree in length")
-            return ClusterSpec(config.weights, config.counts)
         return ClusterSpec.from_counts(config.counts)
 
     if config.subjects is None:

@@ -9,7 +9,8 @@ The balanced design alternates H and L runs whose length halves every two
 rows, so that every pair of distinct clusters disagrees on exactly half of
 the columns and every column splits the clusters into two halves of equal
 total weight.  The grouped design repeats each column of a balanced core
-to form blocks of pattern-identical columns.
+to form blocks of pattern-identical columns.  Noise columns are not part
+of a pattern: ``generator.bind_pattern`` appends them after its columns.
 """
 
 from __future__ import annotations
@@ -20,15 +21,14 @@ from .model import GroupStructure, SpecError
 
 HIGH = "H"
 LOW = "L"
-NOISE = "A"
 
 
 @dataclass(frozen=True)
 class PatternMatrix:
-    """C x P grid of 'H'/'L' symbols, plus trailing 'A' noise columns.
+    """C x P grid of 'H'/'L' symbols.
 
     ``column_groups[p]`` is the 1-based id of the block of identical columns
-    that column p belongs to, 0 for noise columns.
+    that column p belongs to.
     """
 
     symbols: tuple[tuple[str, ...], ...]
@@ -102,8 +102,7 @@ def grouped_pattern(groups: GroupStructure) -> tuple[PatternMatrix, int]:
 
     The group count k must be a power of 2; the matching cluster count is
     C = 2 * (1 + log2 k), the smallest C whose balanced design on k columns
-    exists and leaves distinct groups with distinct patterns.  Noise columns
-    are appended as all-'A' columns in group 0.
+    exists and leaves distinct groups with distinct patterns.
     """
     problems = groups.violations()
     if problems:
@@ -112,8 +111,5 @@ def grouped_pattern(groups: GroupStructure) -> tuple[PatternMatrix, int]:
     cluster_count = 2 * k.bit_length()
     core = balanced_pattern(cluster_count, k)
     columns = groups.column_groups()
-    rows = tuple(
-        tuple(core_row[v - 1] for v in columns) + (NOISE,) * groups.noise_count
-        for core_row in core.symbols
-    )
-    return PatternMatrix(rows, columns + (0,) * groups.noise_count), cluster_count
+    rows = tuple(tuple(core_row[v - 1] for v in columns) for core_row in core.symbols)
+    return PatternMatrix(rows, columns), cluster_count

@@ -215,17 +215,22 @@ def build_run(config, threads: int = 1, shuffle: bool = False) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _format(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return repr(float(value))
+def _format(value) -> str:
+    """A table cell: a float (NaN included) as its repr, None as empty, else ``str``."""
+    if isinstance(value, float):
+        return repr(float(value))
+    return "" if value is None else str(value)
+
+
+def _write_table(path: Path, header: str, rows) -> None:
+    """Write the header line, then one line of comma-separated formatted cells per row."""
+    lines = [header]
+    lines.extend(",".join(map(_format, row)) for row in rows)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def write_matrix_csv(path: Path, values: np.ndarray, names: tuple[str, ...]) -> None:
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, values):
-        lines.append(name + "," + ",".join(_format(x) for x in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, "," + ",".join(names), ((name, *row) for name, row in zip(names, values)))
 
 
 # Rows per block of the code writer: the block's token indices (8 bytes per
@@ -306,43 +311,21 @@ def write_allocation(path: Path, dataset: Dataset) -> None:
 
 
 def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:
-    lines = ["group,size,target_kind,target_value,theoretical,sample,abs_gap"]
-    for s in summaries:
-        lines.append(
-            ",".join(
-                [
-                    str(s.group),
-                    str(s.size),
-                    s.target_kind or "",
-                    _format(s.target_value) if s.target_value is not None else "",
-                    _format(s.theoretical),
-                    _format(s.sample),
-                    _format(s.gap),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "group,size,target_kind,target_value,theoretical,sample,abs_gap"
+    _write_table(path, header, (
+        (s.group, s.size, s.target_kind, s.target_value, s.theoretical, s.sample, s.gap)
+        for s in summaries
+    ))
 
 
 def write_calibration_report(path: Path, calibration: CalibrationResult) -> None:
-    lines = ["group,family,target_kind,target_value,low_parameter,covariance,correlation,high,low"]
-    for g in calibration.groups:
-        lines.append(
-            ",".join(
-                [
-                    str(g.group),
-                    calibration.family,
-                    g.target.kind if g.target else "",
-                    _format(g.target.value) if g.target else "",
-                    _format(g.low_parameter) if g.low_parameter is not None else "",
-                    _format(g.covariance),
-                    _format(g.correlation),
-                    ";".join(_format(p) for p in g.high.probs),
-                    ";".join(_format(p) for p in g.low.probs),
-                ]
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = "group,family,target_kind,target_value,low_parameter,covariance,correlation,high,low"
+    _write_table(path, header, (
+        (g.group, calibration.family, *((g.target.kind, g.target.value) if g.target else (None, None)),
+         g.low_parameter, g.covariance, g.correlation,
+         ";".join(map(_format, g.high.probs)), ";".join(map(_format, g.low.probs)))
+        for g in calibration.groups
+    ))
 
 
 def _sha256(path: Path) -> str:
@@ -351,10 +334,7 @@ def _sha256(path: Path) -> str:
 
 def write_long_format(path: Path, matrix: AssociationMatrix) -> None:
     """Heatmap-ready triplets: variable_p, variable_q, value."""
-    lines = ["p,q,value"]
-    for name_p, name_q, value in matrix.long_format():
-        lines.append(f"{name_p},{name_q},{_format(value)}")
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_table(path, "p,q,value", matrix.long_format())
 
 
 def write_association(out_dir, matrix: AssociationMatrix) -> None:

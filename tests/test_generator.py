@@ -23,7 +23,7 @@ from synthcat.model import (
     load_config,
 )
 from synthcat.moments import moment_matrices
-from synthcat.patterns import balanced_pattern, grouped_pattern
+from synthcat.patterns import PatternMatrix, balanced_pattern, grouped_pattern
 from synthcat.sampling import shuffle_order
 
 H_PROBS = hardy_weinberg_probs(0.95)
@@ -82,19 +82,28 @@ class TestBindPattern:
         assert profile.cell(0, 1).probs == (0.8, 0.2)
 
     def test_one_noise_vector_per_noise_column(self):
-        pattern, _ = grouped_pattern(GroupStructure((1, 1), noise_count=1))
-        noise = ProbabilityVector((0.25, 0.75))
-        args = (
-            pattern,
-            domains(3, (0, 1)),
-            ProbabilityVector((0.1, 0.9)),
-            ProbabilityVector((0.9, 0.1)),
-        )
-        profile = bind_pattern(*args, noise=[noise])
-        assert all(profile.cell(c, 2) == noise for c in range(profile.cluster_count))
-        for wrong in ([], [noise, noise]):
-            with pytest.raises(SpecError, match="noise vectors"):
-                bind_pattern(*args, noise=wrong)
+        pattern, _ = grouped_pattern(GroupStructure((1, 1), noise_count=2))
+        high, low = ProbabilityVector((0.1, 0.9)), ProbabilityVector((0.9, 0.1))
+        noise = [ProbabilityVector((0.25, 0.75)), ProbabilityVector((0.5, 0.5))]
+        profile = bind_pattern(pattern, domains(4, (0, 1)), high, low, noise=noise)
+        plain = bind_pattern(pattern, domains(2, (0, 1)), high, low)
+        assert profile.variable_count == 4
+        for c in range(profile.cluster_count):
+            assert profile.rows[c][:2] == plain.rows[c]
+            assert list(profile.rows[c][2:]) == noise
+        for wrong in ([], noise[:1], noise + noise[:1]):
+            with pytest.raises(SpecError, match="noise columns"):
+                bind_pattern(pattern, domains(4, (0, 1)), high, low, noise=wrong)
+
+    def test_labels_other_than_high_and_low_are_refused(self):
+        pattern = PatternMatrix((("H", "A"), ("L", "A")), (1, 2))
+        with pytest.raises(SpecError, match="labels"):
+            bind_pattern(
+                pattern,
+                domains(2, (0, 1)),
+                ProbabilityVector((0.1, 0.9)),
+                ProbabilityVector((0.9, 0.1)),
+            )
 
     def test_per_column_count_mismatch(self):
         pattern = balanced_pattern(2, 2)

@@ -102,11 +102,12 @@ class TestGroupedPattern:
         direct = balanced_pattern(6, 12)
         assert pattern.symbols == direct.symbols
 
-    def test_noise_columns_appended_with_group_zero(self):
+    def test_noise_columns_stay_out_of_the_pattern(self):
         pattern, _ = grouped_pattern(GroupStructure((3, 3, 3, 3), noise_count=2))
-        assert pattern.variable_count == 14
-        assert all(row[12:] == ("A", "A") for row in pattern.symbols)
-        assert pattern.column_groups[12:] == (0, 0)
+        assert pattern == grouped_pattern(GroupStructure((3, 3, 3, 3)))[0]
+        assert pattern.variable_count == 12
+        assert all(set(row) <= {"H", "L"} for row in pattern.symbols)
+        assert 0 not in pattern.column_groups
 
     def test_cluster_count_scales_with_group_count(self):
         for k, expected_c in ((1, 2), (2, 4), (4, 6), (8, 8), (16, 10), (32, 12)):

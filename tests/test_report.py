@@ -352,6 +352,20 @@ MALFORMED = {
 }
 
 
+# Each invalid spec and a part of the error it must give.
+INVALID_SPECS = {
+    "no-subjects": "error",
+    "csv-unsafe-name": "error",
+    "negative-weight": "error",
+    "no-variables": "error",
+    "level-2**64": "[-2**63, 2**63)",
+    "level-2**63": "[-2**63, 2**63)",
+    "level-below-int64": "[-2**63, 2**63)",
+    "duplicate-name": "'x1' is used 2 times",
+    "weights-and-counts": "give weights or counts, not both",
+}
+
+
 def write_config(tmp_path, config, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(config))
@@ -405,6 +419,14 @@ class TestCli:
         assert main(["associate", "--data", str(data), "--measure", "v", "--out", str(out)]) == 0
         assert (out / "v_matrix.csv").exists()
         assert (out / "v_long.csv").read_text().startswith("p,q,value")
+
+    def test_associate_csv_may_repeat_a_column_name(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("a,a\n0,1\n1,0\n0,1\n1,1\n")
+        out = tmp_path / "o"
+        assert main(["associate", "--data", str(data), "--out", str(out)]) == 0
+        assert (out / "pearson_matrix.csv").read_text().startswith(",a,a\na,")
+        capsys.readouterr()
 
     def test_associate_from_config(self, tmp_path):
         config = write_config(tmp_path, explicit_config())
@@ -512,24 +534,44 @@ class TestCli:
         assert "comma or a line break" in capsys.readouterr().err
         assert not (tmp_path / "o" / "dataset.csv").exists()
 
-    @pytest.mark.parametrize("command", ["generate", "moments", "calibrate", "report", "pipeline"])
     @pytest.mark.parametrize(
-        "bad", ["no-subjects", "csv-unsafe-name", "negative-weight", "no-variables"]
+        "command", ["generate", "moments", "calibrate", "report", "pipeline", "associate"]
     )
+    @pytest.mark.parametrize("bad", list(INVALID_SPECS))
     def test_invalid_spec_exits_two_in_every_subcommand(self, tmp_path, capsys, command, bad):
         config = snp_config()
         if bad == "no-variables":
             config = {"seed": 1, "clusters": {"C": 2, "n": 4}, "variables": [], "profile": [[], []]}
         elif bad == "no-subjects":
             config["clusters"] = {"n": 0}
-        elif bad == "csv-unsafe-name":
-            config["noise"] = [{"name": "a,b", "levels": [0, 1], "probs": [0.5, 0.5]}]
-        else:
+        elif bad == "negative-weight":
             config["clusters"] = {"n": 400, "weights": [-0.5, 0.5, 0.5, 0.25, 0.25, 0.0]}
+        elif bad == "weights-and-counts":
+            config["clusters"] = {"counts": [100] * 6, "weights": [0.5] + [0.1] * 5}
+        else:
+            name, levels = {"csv-unsafe-name": ("a,b", [0, 1]), "duplicate-name": ("x1", [0, 1]),
+                            "level-2**64": ("a1", [0, 2**64]), "level-2**63": ("a1", [0, 2**63]),
+                            "level-below-int64": ("a1", [-(2**63) - 1, 0])}[bad]
+            config["noise"] = [{"name": name, "levels": levels, "probs": [0.5, 0.5]}]
         out = tmp_path / "o"
         assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
-        assert "error" in capsys.readouterr().err
+        assert INVALID_SPECS[bad] in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "moments", "calibrate", "report", "pipeline", "associate"]
+    )
+    def test_level_codes_at_the_int64_bounds_run(self, tmp_path, capsys, command):
+        config = snp_config()
+        levels = [-(2**63), 2**63 - 1]
+        config["noise"] = [{"name": "a1", "levels": levels, "probs": [0.5, 0.5]}]
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        if command in ("generate", "pipeline"):
+            column = [line.split(",")[-1] for line in (out / "dataset.csv").read_text().split()]
+            assert column[0] == "a1"
+            assert sorted(set(column[1:]), key=int) == [str(code) for code in levels]
 
     def test_zero_threads_exits_two_before_any_pool(self, tmp_path, capsys, monkeypatch):
         def no_pool(*args, **kwargs):
