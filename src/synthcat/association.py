@@ -1,11 +1,14 @@
 """Empirical pairwise association measures on categorical data.
 
-Four measures, all driven by the pairwise contingency table or the raw
+Six measures, all driven by the pairwise contingency table or the raw
 level codes: the chi-square statistic, two variants of Cramer's V, the
 concentration coefficient (a proportional-reduction-in-variance measure
 for nominal data), Stuart-Kendall tau_c (rank concordance on rectangular
 tables), and the plain Pearson correlation of level codes for interval
 variables.
+
+Each measure has one implementation, a ``_*_tables`` kernel over a stack
+of tables; the per-pair functions run it on a stack of one.
 
 Measure/kind compatibility: V and the concentration coefficient accept any
 kind; tau_c needs an order (ordinal or interval); Pearson needs interval
@@ -15,7 +18,6 @@ matrix call works on mixed datasets.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .model import Dataset, KindError, SpecError, VariableDomain
 from .moments import MomentMatrices
 
 MEASURES = ("v", "vcc", "tauc", "pearson")
+VARIANTS = ("paper", "standard")
 
 # Kinds each measure accepts.
 _COMPATIBLE = {
@@ -43,14 +46,6 @@ class ContingencyTable:
     @property
     def n(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def row_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
-
-    @property
-    def column_sums(self) -> np.ndarray:
-        return self.counts.sum(axis=0)
 
 
 def _level_index(levels, x: np.ndarray, message: str) -> np.ndarray:
@@ -84,21 +79,23 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> Cont
     return ContingencyTable(counts)
 
 
-def _dropped(table: ContingencyTable) -> np.ndarray:
-    """Counts with zero-margin rows and columns removed."""
-    counts = table.counts
-    if counts.sum() == 0:
+def _check_arguments(measure: str, n: int, sizes=(), variant: str = "paper") -> None:
+    """Refuse ``n`` subjects, level counts ``sizes`` or ``variant`` that ``measure`` cannot take."""
+    if measure == "tauc":
+        if n < 2:
+            raise SpecError("tau_c: need at least two subjects")
+        if min(sizes) < 2:
+            raise SpecError("tau_c: need at least two levels per variable")
+    elif measure == "v" and variant not in VARIANTS:
+        raise SpecError(f"cramers_v: unknown variant {variant!r}")
+    if n == 0:
         raise SpecError("association: all-zero contingency table")
-    counts = counts[counts.sum(axis=1) > 0]
-    return counts[:, counts.sum(axis=0) > 0]
 
 
 def chi_square(table: ContingencyTable) -> float:
     """Pearson chi-square statistic, zero-margin rows/columns dropped."""
-    counts = _dropped(table).astype(float)
-    n = counts.sum()
-    expected = np.outer(counts.sum(axis=1), counts.sum(axis=0)) / n
-    return float(((counts - expected) ** 2 / expected).sum())
+    _check_arguments("v", table.n)
+    return float(_chi_square_tables(table.counts[None], table.n)[0][0])
 
 
 def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
@@ -110,17 +107,8 @@ def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
     with a single row or column has no association to measure, which the
     standard variant reports as NaN (0/0) and the paper variant as 0.
     """
-    if variant not in ("paper", "standard"):
-        raise SpecError(f"cramers_v: unknown variant {variant!r}")
-    counts = _dropped(table)
-    n = counts.sum()
-    smaller = min(counts.shape)
-    chi2 = chi_square(table)
-    if variant == "paper":
-        return float(chi2 / (n * smaller))
-    if smaller == 1:
-        return math.nan
-    return float(math.sqrt(chi2 / (n * (smaller - 1))))
+    _check_arguments("v", table.n, variant=variant)
+    return float(_cramers_v_tables(table.counts[None], table.n, variant)[0])
 
 
 def concentration_coefficient(table: ContingencyTable) -> float:
@@ -131,23 +119,8 @@ def concentration_coefficient(table: ContingencyTable) -> float:
     Directed: the row variable is the predictor.  A degenerate column
     margin makes the denominator vanish; reported as NaN.
     """
-    counts = table.counts
-    n = int(counts.sum())
-    if n == 0:
-        raise SpecError("association: all-zero contingency table")
-    # Multiply numerator and denominator by n^2 to clear the probabilities:
-    # [n sum_ij c_ij^2 / r_i - sum_j s_j^2] / [n^2 - sum_j s_j^2].  Integer
-    # sums with one rounded division per row keep small tables exact.
-    baseline = sum(int(s) ** 2 for s in table.column_sums)
-    denominator = n * n - baseline
-    if denominator <= 0:
-        return math.nan
-    conditional = 0.0
-    for r_i, row in zip(table.row_sums, counts):
-        if r_i == 0:
-            continue
-        conditional += n * sum(int(c) ** 2 for c in row) / int(r_i)
-    return float((conditional - baseline) / denominator)
+    _check_arguments("vcc", table.n)
+    return float(_concentration_tables(table.counts[None], table.n)[0])
 
 
 def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
@@ -159,16 +132,9 @@ def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
     m comes from the declared level counts, not the observed ones, because
     the correction is for the table's rectangular shape.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
     n = len(x)
-    if n < 2:
-        raise SpecError("tau_c: need at least two subjects")
-    if min(m_x, m_y) < 2:
-        raise SpecError("tau_c: need at least two levels per variable")
-    levels_x = tuple(np.unique(x))
-    levels_y = tuple(np.unique(y))
-    table = crosstab(x, y, levels_x, levels_y)
+    _check_arguments("tauc", n, (m_x, m_y))
+    table = crosstab(x, y, np.unique(x), np.unique(y))
     return float(_tau_c_tables(table.counts[None], n, min(m_x, m_y))[0])
 
 
@@ -332,8 +298,8 @@ def _pair_tables(columns: np.ndarray, sizes: list[int]) -> np.ndarray:
     return gram[index[first][:, :, None], index[second][:, None, :]].astype(np.int64)
 
 
-def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
-    """``cramers_v`` of each table; zero-margin rows and columns drop out."""
+def _chi_square_tables(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Chi-square and min(R, S) of each table; zero-margin rows and columns drop out."""
     rows = tables.sum(axis=2)
     cols = tables.sum(axis=1)
     live = (rows > 0)[:, :, None] & (cols > 0)[:, None, :]
@@ -341,7 +307,12 @@ def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         cells = (tables - expected) ** 2 / expected
     chi2 = np.where(live, cells, 0.0).sum(axis=(1, 2))
-    smaller = np.minimum((rows > 0).sum(axis=1), (cols > 0).sum(axis=1))
+    return chi2, np.minimum((rows > 0).sum(axis=1), (cols > 0).sum(axis=1))
+
+
+def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
+    """``cramers_v`` of each table."""
+    chi2, smaller = _chi_square_tables(tables, n)
     if variant == "paper":
         return chi2 / (n * smaller)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -349,11 +320,12 @@ def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
 
 
 def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
-    """``concentration_coefficient`` of each table, with the same arithmetic.
+    """``concentration_coefficient`` of each table.
 
-    Integer sums, one rounded division per row, and the row terms added in
-    row order, so every value equals the per-table function bit for bit
-    while n * sum_j c_ij^2 stays below 2**53.
+    Multiplying through by n^2 clears the probabilities:
+    [n sum_ij c_ij^2 / r_i - sum_j s_j^2] / [n^2 - sum_j s_j^2].  Integer
+    sums, one rounded division per row, and the row terms added in row
+    order keep small tables exact while n * sum_j c_ij^2 stays below 2**53.
     """
     rows = tables.sum(axis=2)
     baseline = (tables.sum(axis=1) ** 2).sum(axis=1)
@@ -398,9 +370,11 @@ def association_matrix(
     p-predicts-q value and (q, p) its reverse unless ``symmetrize`` averages
     the two.  The other measures are symmetric as defined.
 
-    Every pairwise table comes from one batched build (``_pair_tables``);
-    each cell equals the per-pair functions ``cramers_v``,
-    ``concentration_coefficient`` and ``stuart_kendall_tau_c``.
+    Every pairwise table comes from one batched build (``_pair_tables``)
+    and goes through the same kernels that the per-pair functions
+    ``cramers_v``, ``concentration_coefficient`` and ``stuart_kendall_tau_c``
+    wrap; the reference arithmetic the kernels are tested against lives in
+    ``tests/``.
     """
     if measure not in MEASURES:
         raise KindError(f"unknown measure {measure!r}")
@@ -417,15 +391,7 @@ def association_matrix(
     kept = tuple(variables[p] for p in keep)
     sizes = [v.size for v in kept]
     n = len(values)
-    if measure == "tauc":
-        if n < 2:
-            raise SpecError("tau_c: need at least two subjects")
-        if min(sizes) < 2:
-            raise SpecError("tau_c: need at least two levels per variable")
-    elif measure == "v" and variant not in ("paper", "standard"):
-        raise SpecError(f"cramers_v: unknown variant {variant!r}")
-    if n == 0:
-        raise SpecError("association: all-zero contingency table")
+    _check_arguments(measure, n, sizes, variant)
     tables = _pair_tables(_level_columns(values, keep, kept), sizes)
     first, second = np.triu_indices(len(keep), 1)
     p, q = np.asarray(keep)[first], np.asarray(keep)[second]

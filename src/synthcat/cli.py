@@ -16,7 +16,7 @@ import warnings
 
 import numpy as np
 
-from .association import association_matrix
+from .association import MEASURES, VARIANTS, association_matrix
 from .model import InfeasibleTargetError, SpecError, VariableDomain
 from .report import RunResult, run_pipeline, write_artifacts, write_association
 
@@ -122,10 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("associate", help="pairwise association matrix of a dataset")
     common(p, config_required=False)
     p.add_argument("--data", default=None, help="headered integer CSV to analyse")
-    p.add_argument(
-        "--measure", choices=("v", "vcc", "tauc", "pearson"), default="pearson"
-    )
-    p.add_argument("--variant", choices=("paper", "standard"), default="paper")
+    p.add_argument("--measure", choices=MEASURES, default="pearson")
+    p.add_argument("--variant", choices=VARIANTS, default="paper")
     p.add_argument("--symmetrize", action="store_true", help="average the two vcc directions")
     p.set_defaults(handler=_cmd_associate)
 

@@ -372,7 +372,7 @@ class Dataset:
 #   variables [{"name": str, "levels": [...], "kind"?: str}]   (optional with groups)
 #   profile   C x P x M nested lists of probabilities            } exactly one of
 #   groups    {"k", "sizes", "family", "targets"?, "pH"?, "H"?, "L"?}  } these two
-#   noise     [{"name": str, "levels": [...], "probs": [...]}]
+#   noise     [{"name": str, "levels": [...], "probs": [...]}]   (groups only)
 #
 # Targets are single-key objects, {"covariance": 0.45} or {"correlation": 0.4}.
 # Column names (generated x1, x2, ... included) are unique, and level codes
@@ -518,9 +518,9 @@ def load_config(source: str | Path | dict) -> RunConfig:
     """Parse a config dict or JSON file into a RunConfig.
 
     Structural problems (unknown or missing keys, values of the wrong type,
-    both or neither of profile/groups) raise a SpecError naming the key;
-    semantic problems such as bad probability sums surface later through
-    validate_spec.
+    both or neither of profile/groups, noise with a profile) raise a
+    SpecError naming the key; semantic problems such as bad probability
+    sums surface later through validate_spec.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -551,6 +551,8 @@ def load_config(source: str | Path | dict) -> RunConfig:
         raise SpecError("config: exactly one of 'profile' or 'groups' is required")
     if "profile" in raw and variables is None:
         raise SpecError("config: 'profile' requires 'variables'")
+    if "profile" in raw and "noise" in raw:
+        raise SpecError("config: 'noise' needs 'groups'; list a profile's columns in 'variables'")
     profile = _optional(raw, "profile", "config", _each(_each(_numbers)))
 
     groups = None

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import association_oracles as oracle
 from synthcat.association import (
     AssociationMatrix,
     ContingencyTable,
@@ -42,7 +43,7 @@ class TestCrosstab:
     def test_unobserved_levels_keep_zero_margins(self):
         t = crosstab([0, 0], [1, 1], (0, 1, 2), (0, 1))
         assert t.counts.shape == (3, 2)
-        assert t.row_sums.tolist() == [2, 0, 0]
+        assert t.counts.sum(axis=1).tolist() == [2, 0, 0]
 
     def test_length_mismatch(self):
         with pytest.raises(SpecError, match="length"):
@@ -242,8 +243,8 @@ class TestAssociationMatrix:
         t = crosstab(
             data.values[:, 0], data.values[:, 1], (0, 1, 2), (0, 1, 2)
         )
-        assert out[0, 1] == concentration_coefficient(t)
-        assert out[1, 0] == concentration_coefficient(ContingencyTable(t.counts.T))
+        assert out[0, 1] == oracle.concentration_coefficient(t)
+        assert out[1, 0] == oracle.concentration_coefficient(ContingencyTable(t.counts.T))
 
     def test_diagonal_is_one(self):
         data = mixed_dataset()

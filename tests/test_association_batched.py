@@ -1,9 +1,10 @@
-"""The batched association_matrix against the per-pair oracles.
+"""The batched kernels against the per-pair oracles.
 
 Random small datasets mix nominal, ordinal and interval columns, leave some
 declared levels unobserved and make some columns constant.  Every cell must
-equal what crosstab + cramers_v, concentration_coefficient,
-stuart_kendall_tau_c and tau_c_pair_scan give for that pair.
+equal what crosstab + the reference chi_square, cramers_v and
+concentration_coefficient of ``association_oracles``, or tau_c_pair_scan,
+give for that pair.
 """
 
 import math
@@ -13,11 +14,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import association_oracles as oracle
 from synthcat.association import (
     ContingencyTable,
     association_matrix,
-    concentration_coefficient,
-    cramers_v,
+    chi_square,
     crosstab,
     stuart_kendall_tau_c,
     tau_c_pair_scan,
@@ -83,7 +84,9 @@ def test_v_matches_crosstab_and_cramers_v(data, variant):
     assert_only_cells(out, cells)
     for p, q in cells:
         table = crosstab(values[:, p], values[:, q], variables[p].levels, variables[q].levels)
-        expected = cramers_v(table, variant)
+        chi2 = oracle.chi_square(table)
+        assert abs(chi_square(table) - chi2) <= 1e-12 * chi2
+        expected = oracle.cramers_v(table, variant)
         assert np.isnan(out[p, q]) == math.isnan(expected)
         if not math.isnan(expected):
             assert abs(out[p, q] - expected) <= 1e-12
@@ -99,8 +102,8 @@ def test_vcc_matches_concentration_coefficient(data, symmetrize):
     assert_only_cells(out, cells)
     for p, q in cells:
         table = crosstab(values[:, p], values[:, q], variables[p].levels, variables[q].levels)
-        forward = concentration_coefficient(table)
-        backward = concentration_coefficient(ContingencyTable(table.counts.T))
+        forward = oracle.concentration_coefficient(table)
+        backward = oracle.concentration_coefficient(ContingencyTable(table.counts.T))
         if symmetrize:
             forward = backward = 0.5 * (forward + backward)
         assert same(out[p, q], forward)

@@ -194,7 +194,9 @@ class TestConfigIO:
         }
 
     def test_round_trip_identity(self):
-        config = load_config(self.grouped())
+        raw = self.grouped()
+        raw["noise"] = [{"name": "a1", "levels": [0, 1], "probs": [0.5, 0.5]}]
+        config = load_config(raw)
         assert load_config(dump_config(config)) == config
 
     def test_profile_round_trip(self):
@@ -209,7 +211,6 @@ class TestConfigIO:
                 [[0.1, 0.9], [0.2, 0.3, 0.5]],
                 [[0.9, 0.1], [0.5, 0.3, 0.2]],
             ],
-            "noise": [{"name": "a1", "levels": [0, 1], "probs": [0.5, 0.5]}],
         }
         config = load_config(raw)
         assert config.variables[0].kind == "ordinal"

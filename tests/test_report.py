@@ -363,6 +363,7 @@ INVALID_SPECS = {
     "level-below-int64": "[-2**63, 2**63)",
     "duplicate-name": "'x1' is used 2 times",
     "weights-and-counts": "give weights or counts, not both",
+    "noise-with-profile": "'noise' needs 'groups'",
 }
 
 
@@ -542,6 +543,14 @@ class TestCli:
         config = snp_config()
         if bad == "no-variables":
             config = {"seed": 1, "clusters": {"C": 2, "n": 4}, "variables": [], "profile": [[], []]}
+        elif bad == "noise-with-profile":
+            config = {
+                "seed": 1,
+                "clusters": {"C": 2, "n": 4},
+                "variables": [{"name": "a", "levels": [0, 1]}],
+                "profile": [[[0.2, 0.8]], [[0.8, 0.2]]],
+                "noise": [{"name": "z", "levels": [0, 1], "probs": [0.5, 0.5]}],
+            }
         elif bad == "no-subjects":
             config["clusters"] = {"n": 0}
         elif bad == "negative-weight":
