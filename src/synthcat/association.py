@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, KindError, SpecError, VariableDomain
+from .model import Dataset, KindError, SpecError, VariableDomain, level_table
 from .moments import MomentMatrices
 
 MEASURES = ("v", "vcc", "tauc", "pearson")
@@ -48,17 +48,24 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-def _level_index(levels, x: np.ndarray, message: str) -> np.ndarray:
-    """Position of each value of ``x`` among the sorted ``levels``.
+def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
+    """Each cell's position among its column's levels, from a Dataset or a (codes, variables) pair.
 
-    Raises SpecError with ``message`` if any value is not a declared level.
+    A code that is not a declared level of its column raises SpecError.
     """
-    levels = np.asarray(levels)
-    index = np.searchsorted(levels, x)
-    bad = (index >= len(levels)) | (levels[np.minimum(index, len(levels) - 1)] != x)
-    if bad.any():
-        raise SpecError(message)
-    return index
+    if isinstance(data, Dataset):
+        return data.positions, data.profile.variables
+    codes, variables = np.asarray(data[0]), tuple(data[1])
+    positions = np.empty(codes.shape, np.min_scalar_type(max(v.size for v in variables) - 1))
+    for p, variable in enumerate(variables):
+        levels = np.asarray(variable.levels)
+        index = np.searchsorted(levels, codes[:, p])
+        if not (levels[np.minimum(index, len(levels) - 1)] == codes[:, p]).all():
+            raise SpecError(
+                f"association: column {variable.name!r} has values outside its declared levels"
+            )
+        positions[:, p] = index
+    return positions, variables
 
 
 def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> ContingencyTable:
@@ -72,8 +79,8 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> Cont
     y = np.asarray(y)
     if x.shape != y.shape:
         raise SpecError("crosstab: columns differ in length")
-    ix = _level_index(levels_x, x, "crosstab: values outside the declared x levels")
-    iy = _level_index(levels_y, y, "crosstab: values outside the declared y levels")
+    domains = (VariableDomain("x", tuple(levels_x)), VariableDomain("y", tuple(levels_y)))
+    ix, iy = _columns((np.column_stack([x, y]), domains))[0].T
     counts = np.zeros((len(levels_x), len(levels_y)), dtype=np.int64)
     np.add.at(counts, (ix, iy), 1)
     return ContingencyTable(counts)
@@ -180,23 +187,16 @@ class AssociationMatrix:
         return out
 
 
-def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
-    if isinstance(data, Dataset):
-        return data.values, data.profile.variables
-    values, variables = data
-    return np.asarray(values), tuple(variables)
-
-
 # Rows of the table copied to float at a time by ``sample_moments``.
 _MOMENT_ROWS = 4096
 
 
-def _shifted_sums(values: np.ndarray, shift) -> tuple[np.ndarray, np.ndarray]:
-    """Sum x and X^T X of ``shift(block)`` over row blocks, one float block at a time."""
-    sums = np.zeros(values.shape[1])
+def _shifted_sums(positions: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sum x and X^T X of x = ``shifted[p, position]``, one float block of rows at a time."""
+    sums = np.zeros(positions.shape[1])
     cross = np.zeros((len(sums), len(sums)))
-    for start in range(0, len(values), _MOMENT_ROWS):
-        x = shift(values[start : start + _MOMENT_ROWS])
+    for start in range(0, len(positions), _MOMENT_ROWS):
+        x = shifted[np.arange(len(sums)), positions[start : start + _MOMENT_ROWS]]
         sums += x.sum(axis=0)
         cross += x.T @ x
         del x  # free this block before the next one is made
@@ -213,19 +213,24 @@ def sample_moments(data) -> MomentMatrices:
     correlation S_pq / (sqrt S_pp sqrt S_qq) take elementwise IEEE operations only,
     so their bytes do not depend on the machine.  Beyond that bound a second pass
     centres on the float means.  Non-interval and constant columns get NaN
-    correlations, the diagonal 1; n = 1 gives NaN.
+    correlations, the diagonal 1; n = 1 gives NaN.  A code outside its column's
+    declared levels raises SpecError.
     """
-    values, variables = _columns(data)
-    n = len(values)
-    low = values.min(axis=0)
-    # x - min lies in [0, 2**64), so its uint64 difference never wraps.
-    sums, cross = _shifted_sums(
-        values, lambda x: np.subtract(x, low, dtype=np.uint64, casting="unsafe").astype(float)
-    )
+    return _sample_moments(*_columns(data))
+
+
+def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
+    n = len(positions)
+    table = level_table(variables)
+    # Levels ascend, so each column's smallest position holds its minimum code.
+    low = table[np.arange(len(table)), positions.min(axis=0)]
+    # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
+    shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
+    sums, cross = _shifted_sums(positions, shifted.astype(float))
     centre = low.astype(float)
     if not n * cross.diagonal().max() < 2**53:
         centre = low + sums / n
-        sums, cross = _shifted_sums(values, lambda x: x - centre)
+        sums, cross = _shifted_sums(positions, table - centre[:, None])
     scaled = n * cross - np.outer(sums, sums)
     interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -238,59 +243,40 @@ def sample_moments(data) -> MomentMatrices:
 
 def pearson_matrix(data) -> AssociationMatrix:
     """Sample Pearson correlations of the level codes: ``sample_moments(data).correlation``."""
-    names = tuple(v.name for v in _columns(data)[1])
-    return AssociationMatrix(sample_moments(data).correlation, names, "pearson")
+    positions, variables = _columns(data)
+    names = tuple(v.name for v in variables)
+    return AssociationMatrix(_sample_moments(positions, variables).correlation, names, "pearson")
 
 
 # Bytes of the float64 indicator block that ``_pair_tables`` reuses.
 _BLOCK_BYTES = 1 << 18
 
 
-def _level_columns(values: np.ndarray, columns: list[int], variables) -> np.ndarray:
-    """Each value's column in the one-hot indicator: level index plus offset.
+def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) -> np.ndarray:
+    """Contingency tables of every pair p < q of ``columns``, zero-padded to M x M.
 
-    ``columns`` picks the data columns and ``variables`` their domains;
-    column p's levels occupy indicator columns offset_p .. offset_p + M_p - 1.
-    Raises like ``crosstab`` on a value outside the declared levels.
+    ``sizes`` holds their level counts.  One indicator matrix Z (a row per
+    subject, a column per declared level of every picked column: its level
+    positions plus its offset) holds all tables at once: block (p, q) of
+    Z^T Z is the p-by-q crosstab.  Z^T Z is accumulated over row blocks of
+    one reused buffer; float64 sums of 0/1 products are exact below 2**53.
+    Returns an int64 array of shape (pairs, M, M), pairs in
+    ``np.triu_indices`` order, with M the largest level count.
     """
-    width = sum(v.size for v in variables)
-    out = np.empty((len(values), len(columns)), dtype=np.min_scalar_type(width))
-    offset = 0
-    for k, (p, variable) in enumerate(zip(columns, variables)):
-        index = _level_index(
-            variable.levels,
-            values[:, p],
-            f"association: column {variable.name!r} has values outside its declared levels",
-        )
-        out[:, k] = index + offset
-        offset += variable.size
-    return out
-
-
-def _pair_tables(columns: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Contingency tables of every column pair p < q, zero-padded to M x M.
-
-    One indicator matrix Z (a row per subject, a column per declared level
-    of every variable) holds all tables at once: block (p, q) of Z^T Z is
-    the p-by-q crosstab.  Z^T Z is accumulated over row blocks of one
-    reused buffer; float64 sums of 0/1 products are exact below 2**53.
-    Returns an int64 array of shape (pairs, M, M), pairs in ``np.triu_indices``
-    order, with M the largest level count.
-    """
-    n, count = columns.shape
+    n, count = len(positions), len(columns)
     width = sum(sizes)
+    offsets = np.cumsum([0] + sizes[:-1])
     # The extra last column of Z stays zero; padding cells index it.
     rows = max(1, _BLOCK_BYTES // (8 * (width + 1)))
     block = np.empty((min(rows, n), width + 1))
     gram = np.zeros((width + 1, width + 1))
     for start in range(0, n, rows):
-        part = columns[start : start + rows]
+        part = positions[start : start + rows, columns] + offsets
         z = block[: len(part)]
         z.fill(0.0)
         z[np.arange(len(part))[:, None], part] = 1.0
         gram += z.T @ z
     m = max(sizes)
-    offsets = np.cumsum([0] + sizes[:-1])
     index = np.full((count, m), width)
     for p, (offset, size) in enumerate(zip(offsets, sizes)):
         index[p, :size] = np.arange(offset, offset + size)
@@ -380,7 +366,7 @@ def association_matrix(
         raise KindError(f"unknown measure {measure!r}")
     if measure == "pearson":
         return pearson_matrix(data)
-    values, variables = _columns(data)
+    positions, variables = _columns(data)
     p_count = len(variables)
     out = np.full((p_count, p_count), np.nan)
     np.fill_diagonal(out, 1.0)
@@ -390,9 +376,9 @@ def association_matrix(
         return AssociationMatrix(out, names, measure)
     kept = tuple(variables[p] for p in keep)
     sizes = [v.size for v in kept]
-    n = len(values)
+    n = len(positions)
     _check_arguments(measure, n, sizes, variant)
-    tables = _pair_tables(_level_columns(values, keep, kept), sizes)
+    tables = _pair_tables(positions, keep, sizes)
     first, second = np.triu_indices(len(keep), 1)
     p, q = np.asarray(keep)[first], np.asarray(keep)[second]
     if measure == "v":

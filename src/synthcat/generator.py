@@ -4,7 +4,8 @@ The generative procedure is: fix the number of clusters C and per-cluster
 subject counts, allocate subjects to clusters in contiguous blocks, then
 draw every (subject, variable) cell independently from the cluster's
 categorical profile by direct inverse-CDF lookup in ``sampling``: a cell
-takes the first level whose cumulative probability exceeds its uniform.
+takes the first level whose cumulative probability exceeds its uniform,
+and the dataset keeps that level's position, not its code.
 Profiles come either from an explicit ProfileMatrix or from a
 PatternMatrix whose H/L labels are bound to concrete probability vectors,
 with any noise columns appended after the pattern's.
@@ -96,14 +97,13 @@ def bind_pattern(
 
 
 def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
-    """Fill ``out`` with column p in allocation order, one cluster block at a time."""
-    levels = np.asarray(spec.profile.variables[p].levels)
+    """Fill ``out`` with column p's level positions, one cluster block at a time."""
     uniforms = sampling.column_uniforms(spec.seed, p, len(out))
     start = 0
     for c, count in enumerate(spec.clusters.counts):
         edges = sampling.band_edges(spec.profile.cell(c, p).as_array())
         block = slice(start, start + count)
-        out[block] = levels[sampling.band_indices(edges, uniforms[block])]
+        out[block] = sampling.band_indices(edges, uniforms[block])
         start += count
 
 
@@ -132,22 +132,24 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     assignments = allocate_subjects(spec.clusters)
     n = len(assignments)
     p_count = spec.profile.variable_count
-    values = np.empty((n, p_count), dtype=np.int64)
+    # One byte per cell up to 256 levels, two above.
+    widest = max(domain.size for domain in spec.profile.variables)
+    positions = np.empty((n, p_count), dtype=np.min_scalar_type(widest - 1))
 
     # Workers write straight into the result: returned columns would queue
     # up in the pool faster than the caller copies them out.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda p: _generate_column(spec, p, values[:, p]), range(p_count)))
+        list(pool.map(lambda p: _generate_column(spec, p, positions[:, p]), range(p_count)))
 
     if shuffle:
         order = sampling.shuffle_order(spec.seed, n)
-        values = values[order]
+        positions = positions[order]
         assignments = assignments[order]
 
-    values.setflags(write=False)
+    positions.setflags(write=False)
     assignments.setflags(write=False)
     return Dataset(
-        values=values,
+        positions=positions,
         assignments=assignments,
         profile=spec.profile,
         clusters=spec.clusters,

@@ -69,7 +69,7 @@ class VariableDomain:
             out.append(f"variable {self.name!r}: needs at least 2 levels")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
             out.append(f"variable {self.name!r}: level codes must be strictly increasing")
-        # Datasets hold the codes as int64.
+        # Level tables, and so Dataset.values, hold the codes as int64.
         if not all(-(2**63) <= code < 2**63 for code in self.levels):
             out.append(f"variable {self.name!r}: level codes must lie in [-2**63, 2**63)")
         if self.kind not in KINDS:
@@ -338,15 +338,24 @@ def validate_spec(profile: ProfileMatrix, clusters: ClusterSpec) -> ValidationRe
     return ValidationReport(tuple(violations), tuple(warnings))
 
 
+def level_table(variables) -> np.ndarray:
+    """P x M int64 level codes: row p holds variable p's levels, zero-padded to the widest."""
+    table = np.zeros((len(variables), max(domain.size for domain in variables)), dtype=np.int64)
+    for p, domain in enumerate(variables):
+        table[p, : domain.size] = domain.levels
+    return table
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Generated values plus the true allocation and the generating spec.
+    """Generated cells plus the true allocation and the generating spec.
 
-    ``values`` is n x (P + noise) of level codes; ``assignments`` holds the
-    1-based true cluster of each subject.  Both arrays are read-only.
+    ``positions`` is n x (P + noise): each cell's 0-based position among its
+    column's levels.  ``assignments`` holds the 1-based true cluster of each
+    subject.  Both arrays are read-only.
     """
 
-    values: np.ndarray
+    positions: np.ndarray
     assignments: np.ndarray
     profile: ProfileMatrix
     clusters: ClusterSpec
@@ -354,8 +363,14 @@ class Dataset:
     shuffled: bool = False
 
     @property
+    def values(self) -> np.ndarray:
+        """The n x (P + noise) int64 level codes, gathered anew on every call."""
+        table = level_table(self.profile.variables)
+        return table[np.arange(len(table)), self.positions]
+
+    @property
     def subjects(self) -> int:
-        return self.values.shape[0]
+        return self.positions.shape[0]
 
     @property
     def variable_names(self) -> tuple[str, ...]:

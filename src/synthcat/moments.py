@@ -20,15 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import ClusterSpec, ProfileMatrix, SpecError
+from .model import ClusterSpec, ProfileMatrix, SpecError, level_table
 
 
 def _stacked(profile: ProfileMatrix) -> tuple[np.ndarray, np.ndarray]:
     """P x M level codes and C x P x M probabilities, zero-padded to the widest variable."""
+    levels = level_table(profile.variables)
     sizes = np.array([domain.size for domain in profile.variables])
-    declared = np.arange(sizes.max()) < sizes[:, None]
-    levels = np.zeros(declared.shape)
-    levels[declared] = [x for domain in profile.variables for x in domain.levels]
+    declared = np.arange(levels.shape[1]) < sizes[:, None]
     probs = np.zeros((profile.cluster_count, *declared.shape))
     probs[:, declared] = [[x for cell in row for x in cell.probs] for row in profile.rows]
     return levels, probs

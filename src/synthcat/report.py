@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import AssociationMatrix, _level_index, sample_moments
+from .association import AssociationMatrix, sample_moments
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
 from .model import (
@@ -239,28 +239,28 @@ _ROWS_PER_BLOCK = 4096
 
 
 def _write_codes(
-    path: Path, values: np.ndarray, columns: tuple[VariableDomain, ...], header: bool
+    path: Path, positions: np.ndarray, columns: tuple[VariableDomain, ...], header: bool
 ) -> None:
-    """Write an n x P array of level codes as comma-separated text lines.
+    """Write an n x P array of level positions as comma-separated level codes.
 
-    Each column's declared levels (sorted) become byte tokens once:
-    ``str(level)`` followed by a comma, or by a newline in the last column.
-    A block of rows is written by finding each cell's level position, then
-    gathering its token.  Tokens are padded to the widest one and the
-    padding is dropped by a mask, so mixed widths need no second path.
+    Each column's declared levels become byte tokens once: ``str(level)``
+    followed by a comma, or by a newline in the last column.  A block of
+    rows is written by gathering each cell's token at its column's offset
+    plus its position.  Tokens are padded to the widest one and the padding
+    is dropped by a mask, so mixed widths need no second path.
 
-    The bytes equal numpy's ``savetxt(path, values, fmt="%d", delimiter=",",
+    The bytes equal numpy's ``savetxt(path, codes, fmt="%d", delimiter=",",
     header=<column names> if header else "", comments="")`` (except that
-    savetxt leaves out an empty header line).  A value that is not a
-    declared level of its column raises SpecError, and the file is removed,
-    so no partial file is left behind.
+    savetxt leaves out an empty header line), with ``codes`` the levels at
+    ``positions``.  A position outside [0, size) of its column raises
+    SpecError, and the file is removed, so no partial file is left behind.
     """
     tokens: list[bytes] = []
-    offsets = []
     for p, column in enumerate(columns):
         end = b"\n" if p == len(columns) - 1 else b","
-        offsets.append(len(tokens))
         tokens.extend(str(level).encode() + end for level in column.levels)
+    sizes = np.array([column.size for column in columns])
+    offsets = np.cumsum(sizes) - sizes
     # One fixed-width item per token, NUL-padded to the widest.  No token
     # holds a NUL byte, so the nonzero bytes are exactly each token's own.
     table = np.array(tokens, dtype=np.bytes_)
@@ -271,17 +271,15 @@ def _write_codes(
         with f:
             if header:
                 f.write((",".join(c.name for c in columns) + "\n").encode())
-            for start in range(0, len(values), _ROWS_PER_BLOCK):
-                block = values[start : start + _ROWS_PER_BLOCK]
-                index = np.empty(block.shape, dtype=np.intp)
-                for p, column in enumerate(columns):
-                    index[:, p] = offsets[p] + _level_index(
-                        column.levels,
-                        block[:, p],
-                        f"{path.name}: column {column.name!r} has values outside its "
-                        "declared levels",
+            for start in range(0, len(positions), _ROWS_PER_BLOCK):
+                block = positions[start : start + _ROWS_PER_BLOCK]
+                bad = ((block < 0) | (block >= sizes)).any(axis=0)
+                if bad.any():
+                    raise SpecError(
+                        f"{path.name}: column {columns[bad.argmax()].name!r} has values "
+                        "outside its declared levels"
                     )
-                cells = table[index].view(np.uint8)
+                cells = table[block + offsets].view(np.uint8)
                 f.write(cells[cells != 0])
     except BaseException:
         path.unlink(missing_ok=True)
@@ -293,11 +291,11 @@ def write_dataset_csv(path: Path, dataset: Dataset) -> None:
 
     The first line holds the variable names; each further line holds one
     subject's level codes.  Fields are comma-separated and every line ends
-    with a newline: the bytes of numpy's ``savetxt(path, values, fmt="%d",
-    delimiter=",", header=<names>, comments="")``.  A value outside its
-    column's declared levels raises SpecError and leaves no file.
+    with a newline: the bytes of numpy's ``savetxt(path, dataset.values,
+    fmt="%d", delimiter=",", header=<names>, comments="")``.  A position
+    outside its column's declared levels raises SpecError and leaves no file.
     """
-    _write_codes(path, dataset.values, dataset.profile.variables, header=True)
+    _write_codes(path, dataset.positions, dataset.profile.variables, header=True)
 
 
 def write_allocation(path: Path, dataset: Dataset) -> None:
@@ -307,7 +305,7 @@ def write_allocation(path: Path, dataset: Dataset) -> None:
     A cluster outside 1..C raises SpecError and leaves no file.
     """
     clusters = VariableDomain("cluster", tuple(range(1, dataset.clusters.cluster_count + 1)))
-    _write_codes(path, dataset.assignments[:, None], (clusters,), header=False)
+    _write_codes(path, dataset.assignments[:, None] - 1, (clusters,), header=False)
 
 
 def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:

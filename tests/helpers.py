@@ -8,14 +8,14 @@ from synthcat.model import Dataset, SpecError
 def dataset_violations(dataset: Dataset) -> list[str]:
     """Every way a dataset disagrees with its own profile and clusters."""
     out = []
-    n, width = dataset.values.shape
+    n, width = dataset.positions.shape
     if width != dataset.profile.variable_count:
         out.append("dataset: column count does not match profile")
     if dataset.assignments.shape != (n,):
         out.append("dataset: allocation length does not match subject count")
         return out
     for p, domain in enumerate(dataset.profile.variables):
-        if not np.isin(dataset.values[:, p], domain.levels).all():
+        if not (dataset.positions[:, p] < domain.size).all():
             out.append(f"dataset: column {domain.name!r} contains illegal level codes")
     c_count = dataset.clusters.cluster_count
     if not ((dataset.assignments >= 1) & (dataset.assignments <= c_count)).all():

@@ -125,7 +125,7 @@ def test_tauc_matches_table_and_pair_scan(data):
         assert out[q, p] == expected
 
 
-@pytest.mark.parametrize("measure", ["v", "vcc"])
+@pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
 def test_value_outside_declared_levels(measure):
     values = np.array([[0, 1], [1, 0], [5, 1]])
     variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))

@@ -155,11 +155,11 @@ class TestValidateSpec:
 
 
 class TestDataset:
-    def make(self, values, assignments):
+    def make(self, positions, assignments):
         profile = two_cluster_profile()
         clusters = ClusterSpec.uniform(2, len(assignments))
         return Dataset(
-            values=np.asarray(values),
+            positions=np.asarray(positions, dtype=np.uint8),
             assignments=np.asarray(assignments),
             profile=profile,
             clusters=clusters,

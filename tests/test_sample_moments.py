@@ -19,8 +19,9 @@ from hypothesis import strategies as st
 
 from synthcat import association, report
 from synthcat.association import pearson_matrix, sample_moments
-from synthcat.model import VariableDomain
-from synthcat.report import build_run, write_artifacts
+from synthcat.generator import GeneratorSpec, generate
+from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, VariableDomain
+from synthcat.report import build_run, write_artifacts, write_dataset_csv
 
 KINDS = ("nominal", "ordinal", "interval")
 
@@ -188,6 +189,21 @@ def test_no_float_copy_of_the_whole_table():
     finally:
         tracemalloc.stop()
     assert peak < values.nbytes / 4
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_generate_and_write_hold_no_int64_table(tmp_path, shuffle):
+    """Cells stay one-byte level positions from the draw to the CSV bytes."""
+    variables = tuple(VariableDomain(f"x{p}", (0, 1, 2)) for p in range(30))
+    rows = tuple((ProbabilityVector((0.2, 0.3, 0.5)),) * 30 for _ in range(2))
+    spec = GeneratorSpec(ClusterSpec.uniform(2, 40000), ProfileMatrix(variables, rows), 3)
+    tracemalloc.start()
+    try:
+        write_dataset_csv(tmp_path / "dataset.csv", generate(spec, shuffle=shuffle))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40000 * 30 * np.dtype(np.int64).itemsize / 2
 
 
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):

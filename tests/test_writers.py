@@ -10,18 +10,37 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthcat import report
-from synthcat.model import ClusterSpec, Dataset, ProfileMatrix, SpecError, VariableDomain
+from synthcat.association import association_matrix
+from synthcat.generator import GeneratorSpec, generate
+from synthcat.model import (
+    ClusterSpec,
+    Dataset,
+    ProbabilityVector,
+    ProfileMatrix,
+    SpecError,
+    VariableDomain,
+)
 from synthcat.report import write_allocation, write_dataset_csv
 
 
 def make_dataset(values, levels, assignments, cluster_count, names=None):
-    """A hand-built Dataset: only what the writers read is meaningful."""
+    """A hand-built Dataset: only what the writers read is meaningful.
+
+    Each code becomes its position among its column's levels; a code that
+    is not a level becomes position ``size``, one past the last.
+    """
     values = np.asarray(values, dtype=np.int64).reshape(len(assignments), len(levels))
+    levels = [list(lv) for lv in levels]
+    positions = np.array(
+        [[lv.index(x) if x in lv else len(lv) for x, lv in zip(row, levels)]
+         for row in values.tolist()],
+        dtype=np.uint8,
+    ).reshape(values.shape)
     names = names or [f"v{p}" for p in range(len(levels))]
     variables = tuple(VariableDomain(n, tuple(lv)) for n, lv in zip(names, levels))
     clusters = ClusterSpec((1.0 / cluster_count,) * cluster_count, (0,) * cluster_count)
     return Dataset(
-        values=values,
+        positions=positions,
         assignments=np.asarray(assignments, dtype=np.int64),
         profile=ProfileMatrix(variables, ()),
         clusters=clusters,
@@ -87,6 +106,27 @@ def test_default_block_size_boundaries(tmp_path, offset):
     assert_writers_match_savetxt(dataset, tmp_path)
 
 
+def test_more_than_256_levels_are_held_as_uint16(tmp_path):
+    """A 300-level column widens the positions; codes, bytes and tables are unchanged."""
+    wide = tuple(range(-600, 600, 4))
+    snp = (VariableDomain("snp1", (0, 1, 2)), VariableDomain("snp2", (0, 1, 2)))
+    variables = (VariableDomain("wide", wide), *snp)
+    rising = np.arange(1, 301) / np.arange(1, 301).sum()
+    rows = (
+        (ProbabilityVector(tuple(rising)), *(ProbabilityVector((0.7, 0.2, 0.1)),) * 2),
+        (ProbabilityVector(tuple(rising[::-1])), *(ProbabilityVector((0.1, 0.2, 0.7)),) * 2),
+    )
+    spec = GeneratorSpec(ClusterSpec.uniform(2, 3000), ProfileMatrix(variables, rows), 11)
+    dataset = generate(spec, shuffle=True)
+    assert dataset.positions.dtype == np.uint16
+    assert set(np.unique(dataset.values[:, 0])) <= set(wide)
+    assert len(np.unique(dataset.values[:, 0])) > 256
+    assert_writers_match_savetxt(dataset, tmp_path)
+    direct = association_matrix(dataset, "v").values
+    from_codes = association_matrix((dataset.values, variables), "v").values
+    assert np.array_equal(direct, from_codes)
+
+
 class TestUndeclaredValues:
     def test_dataset_value_outside_levels_raises_and_leaves_no_file(self, tmp_path):
         path = tmp_path / "dataset.csv"
@@ -102,7 +142,9 @@ class TestUndeclaredValues:
 
     def test_allocation_outside_clusters_raises_and_leaves_no_file(self, tmp_path):
         path = tmp_path / "allocation.txt"
-        dataset = make_dataset([[0], [1], [0]], [(0, 1)], [1, 2, 3], 2)
-        with pytest.raises(SpecError, match="allocation.txt"):
-            write_allocation(path, dataset)
-        assert not path.exists()
+        # Cluster 0 is position -1, which must not index the last token.
+        for cluster in (3, 0):
+            dataset = make_dataset([[0], [1], [0]], [(0, 1)], [1, 2, cluster], 2)
+            with pytest.raises(SpecError, match="allocation.txt"):
+                write_allocation(path, dataset)
+            assert not path.exists()
