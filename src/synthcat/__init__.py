@@ -19,7 +19,6 @@ from .association import (
     concentration_coefficient,
     cramers_v,
     crosstab,
-    pearson_matrix,
     stuart_kendall_tau_c,
 )
 from .calibration import (
@@ -57,7 +56,6 @@ from .model import (
 from .moments import (
     MomentMatrices,
     brute_force_moments,
-    cluster_means,
     moment_matrices,
 )
 from .patterns import PatternMatrix, balanced_pattern, grouped_pattern
@@ -65,7 +63,6 @@ from .report import (
     ComparisonReport,
     GroupSummary,
     RunResult,
-    build_run,
     compare_matrices,
     run_from_manifest,
     run_pipeline,
@@ -103,11 +100,9 @@ __all__ = [
     "balanced_pattern",
     "bind_pattern",
     "brute_force_moments",
-    "build_run",
     "build_spec",
     "calibrate_group",
     "chi_square",
-    "cluster_means",
     "compare_matrices",
     "concentration_coefficient",
     "cramers_v",
@@ -119,7 +114,6 @@ __all__ = [
     "load_config",
     "moment_matrices",
     "pair_dependence",
-    "pearson_matrix",
     "run_from_manifest",
     "run_pipeline",
     "stuart_kendall_tau_c",

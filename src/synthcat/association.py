@@ -73,17 +73,17 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> Cont
 
     The table has one row per declared x level and one column per declared
     y level, in declared order, so levels never observed still appear as
-    zero margins.
+    zero margins.  It is the batched build of ``association_matrix`` on one
+    pair.
     """
     x = np.asarray(x)
     y = np.asarray(y)
     if x.shape != y.shape:
         raise SpecError("crosstab: columns differ in length")
     domains = (VariableDomain("x", tuple(levels_x)), VariableDomain("y", tuple(levels_y)))
-    ix, iy = _columns((np.column_stack([x, y]), domains))[0].T
-    counts = np.zeros((len(levels_x), len(levels_y)), dtype=np.int64)
-    np.add.at(counts, (ix, iy), 1)
-    return ContingencyTable(counts)
+    positions = _columns((np.column_stack([x, y]), domains))[0]
+    rows, cols = len(levels_x), len(levels_y)
+    return ContingencyTable(_pair_tables(positions, [0, 1], [rows, cols])[0, :rows, :cols])
 
 
 def _check_arguments(measure: str, n: int, sizes=(), variant: str = "paper") -> None:
@@ -241,13 +241,6 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
         return MomentMatrices((sums + n * centre) / n, np.diag(cov).copy(), cov, cor)
 
 
-def pearson_matrix(data) -> AssociationMatrix:
-    """Sample Pearson correlations of the level codes: ``sample_moments(data).correlation``."""
-    positions, variables = _columns(data)
-    names = tuple(v.name for v in variables)
-    return AssociationMatrix(_sample_moments(positions, variables).correlation, names, "pearson")
-
-
 # Bytes of the float64 indicator block that ``_pair_tables`` reuses.
 _BLOCK_BYTES = 1 << 18
 
@@ -360,17 +353,17 @@ def association_matrix(
     and goes through the same kernels that the per-pair functions
     ``cramers_v``, ``concentration_coefficient`` and ``stuart_kendall_tau_c``
     wrap; the reference arithmetic the kernels are tested against lives in
-    ``tests/``.
+    ``tests/``.  Pearson is the correlation of ``sample_moments``.
     """
     if measure not in MEASURES:
         raise KindError(f"unknown measure {measure!r}")
-    if measure == "pearson":
-        return pearson_matrix(data)
     positions, variables = _columns(data)
+    names = tuple(v.name for v in variables)
+    if measure == "pearson":
+        return AssociationMatrix(_sample_moments(positions, variables).correlation, names, measure)
     p_count = len(variables)
     out = np.full((p_count, p_count), np.nan)
     np.fill_diagonal(out, 1.0)
-    names = tuple(v.name for v in variables)
     keep = [p for p, v in enumerate(variables) if v.kind in _COMPATIBLE[measure]]
     if len(keep) < 2:
         return AssociationMatrix(out, names, measure)

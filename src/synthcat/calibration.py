@@ -140,13 +140,15 @@ def calibrate_group(
     ``high_prob`` (the high mean, or the high allele probability);
     'explicit' takes literal ``high`` and ``low`` vectors, accepts no
     targets, and reports the dependence they imply on level codes
-    0, 1, ...
+    0, 1, ...  A parameter the family does not use is a SpecError.
     """
     if len(high_weights) != groups.group_count:
         raise SpecError(
             f"calibration: {len(high_weights)} high weights for {groups.group_count} groups"
         )
     if family == "explicit":
+        if high_prob is not None:
+            raise SpecError("explicit family: H and L are literal, so pH does not apply")
         if groups.targets is not None:
             raise SpecError("explicit family: profiles are fixed, targets cannot be solved")
         if high is None or low is None:
@@ -166,6 +168,8 @@ def calibrate_group(
 
     if family not in PARAMETRIC_FAMILIES:
         raise SpecError(f"unknown family {family!r}")
+    if high is not None or low is not None:
+        raise SpecError(f"{family} family: H and L are solved from pH and the targets, not given")
     if high_prob is None:
         raise SpecError(f"{family} family: the shared high parameter is required")
     if not 0.0 < high_prob < 1.0:

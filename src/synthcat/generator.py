@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,11 +42,22 @@ from .patterns import HIGH, LOW, PatternMatrix, grouped_pattern
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Everything generate() needs: clusters, profiles, and the seed."""
+    """Everything generate() needs: clusters, profiles, and the seed.
+
+    Construction raises SpecError on any ``validate_spec`` violation;
+    ``warnings`` keeps the report's warnings for ``generate``.
+    """
 
     clusters: ClusterSpec
     profile: ProfileMatrix
     seed: int
+    warnings: tuple[str, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        report = validate_spec(self.profile, self.clusters)
+        if not report.ok:
+            raise SpecError("; ".join(report.violations))
+        object.__setattr__(self, "warnings", report.warnings)
 
 
 def allocate_subjects(clusters: ClusterSpec) -> np.ndarray:
@@ -107,14 +118,6 @@ def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
         start += count
 
 
-def _validated(spec: GeneratorSpec):
-    """The spec's validation report; raises SpecError on any hard violation."""
-    report = validate_spec(spec.profile, spec.clusters)
-    if not report.ok:
-        raise SpecError("; ".join(report.violations))
-    return report
-
-
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     """Draw the full dataset, one column per task on ``threads`` (>= 1) workers.
 
@@ -126,7 +129,7 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     """
     if threads < 1:
         raise SpecError(f"generate: threads must be at least 1, got {threads}")
-    for message in _validated(spec).warnings:
+    for message in spec.warnings:
         warnings.warn(message)
 
     assignments = allocate_subjects(spec.clusters)
@@ -186,16 +189,10 @@ def build_spec(config: RunConfig) -> BuiltSpec:
     group with noise last, and derive the cluster count from the group
     count.
 
-    The spec is validated here, so every subcommand refuses a config that
+    The spec validates itself, so every subcommand refuses a config that
     ``validate_spec`` finds a hard violation in (SpecError).  Identifiability
     warnings are left to ``generate``.
     """
-    built = _assemble(config)
-    _validated(built.spec)
-    return built
-
-
-def _assemble(config: RunConfig) -> BuiltSpec:
     if config.profile is not None:
         assert config.variables is not None  # load_config enforces this
         rows = tuple(
@@ -233,13 +230,10 @@ def _assemble(config: RunConfig) -> BuiltSpec:
     lows = [group.low for group in solved]
     noise_vectors = [ProbabilityVector(cfg.probs) for cfg in config.noise]
 
-    if config.variables is not None:
-        variables = config.variables
-    else:
-        variables = tuple(
-            VariableDomain(f"x{p}", calibration.levels, "interval")
-            for p in range(1, structure.variable_count + 1)
-        ) + tuple(VariableDomain(cfg.name, cfg.levels, "interval") for cfg in config.noise)
+    variables = tuple(
+        VariableDomain(f"x{p}", calibration.levels, "interval")
+        for p in range(1, structure.variable_count + 1)
+    ) + tuple(VariableDomain(cfg.name, cfg.levels, "interval") for cfg in config.noise)
     profile = bind_pattern(pattern, variables, highs, lows, noise_vectors)
     spec = GeneratorSpec(clusters, profile, config.seed)
     return BuiltSpec(spec, structure, calibration)

@@ -8,10 +8,11 @@ counts) plus a ProfileMatrix (the C x P grid of probability vectors).  Group
 structure and dependence targets enter through GroupStructure, consumed by
 the patterns and calibration modules.
 
-Validation is report-style: types are plain immutable holders and expose a
-``violations()`` method instead of raising in ``__init__``, so a caller can
-collect every problem in a spec at once.  ``validate_spec`` aggregates the
-reports; the generator refuses to run unless the report is clean.
+Validation is report-style: component types are plain immutable holders
+that report through ``violations()`` instead of raising in ``__init__``, so
+a caller can collect every problem at once; ``validate_spec`` aggregates
+them.  An assembled ``GeneratorSpec`` cannot exist in an invalid state: it
+runs ``validate_spec`` on construction and raises on any violation.
 """
 
 from __future__ import annotations
@@ -352,7 +353,9 @@ class Dataset:
 
     ``positions`` is n x (P + noise): each cell's 0-based position among its
     column's levels.  ``assignments`` holds the 1-based true cluster of each
-    subject.  Both arrays are read-only.
+    subject.  Both arrays are read-only.  Construction raises SpecError unless
+    positions is n x P, each column's positions lie in [0, size) and each
+    assignment in 1..C, so every consumer can trust them.
     """
 
     positions: np.ndarray
@@ -361,6 +364,22 @@ class Dataset:
     clusters: ClusterSpec
     seed: int
     shuffled: bool = False
+
+    def __post_init__(self) -> None:
+        variables, n = self.profile.variables, len(self.assignments)
+        expected = (n, len(variables))
+        if self.assignments.shape != (n,) or self.positions.shape != expected:
+            raise SpecError(f"dataset: positions are {self.positions.shape}, expected {expected}")
+        if n == 0:
+            return
+        # Per-column reductions, so no n x P temporary is made.
+        lows, highs = self.positions.min(axis=0), self.positions.max(axis=0)
+        for domain, low, high in zip(variables, lows, highs):
+            if low < 0 or high >= domain.size:
+                raise SpecError(f"dataset: column {domain.name!r} has values outside its levels")
+        c_count = self.clusters.cluster_count
+        if not 1 <= self.assignments.min() <= self.assignments.max() <= c_count:
+            raise SpecError(f"dataset: assignments outside the clusters 1..{c_count}")
 
     @property
     def values(self) -> np.ndarray:
@@ -384,12 +403,13 @@ class Dataset:
 # JSON schema, top level keys:
 #   seed      required integer
 #   clusters  {"C"?: int, "n"?: int, "weights"?: [...] | "counts"?: [...]}
-#   variables [{"name": str, "levels": [...], "kind"?: str}]   (optional with groups)
+#   variables [{"name": str, "levels": [...], "kind"?: str}]   (profile only)
 #   profile   C x P x M nested lists of probabilities            } exactly one of
 #   groups    {"k", "sizes", "family", "targets"?, "pH"?, "H"?, "L"?}  } these two
 #   noise     [{"name": str, "levels": [...], "probs": [...]}]   (groups only)
 #
 # Targets are single-key objects, {"covariance": 0.45} or {"correlation": 0.4}.
+# Families binary and snp take pH and targets, explicit takes H and L only.
 # Column names (generated x1, x2, ... included) are unique, and level codes
 # lie in [-2**63, 2**63).
 
@@ -506,7 +526,7 @@ def _target(obj: object, context: str) -> DependenceTarget:
 
 
 def _variable(obj: object, context: str) -> VariableDomain:
-    obj = _object(obj, context)
+    obj = _require_keys(obj, {"name", "levels", "kind"}, context)
     return VariableDomain(
         name=_required(obj, "name", context, _text),
         levels=_required(obj, "levels", context, _integers),
@@ -515,7 +535,7 @@ def _variable(obj: object, context: str) -> VariableDomain:
 
 
 def _noise(obj: object, context: str) -> NoiseConfig:
-    obj = _object(obj, context)
+    obj = _require_keys(obj, {"name", "levels", "probs"}, context)
     return NoiseConfig(
         name=_required(obj, "name", context, _text),
         levels=_required(obj, "levels", context, _integers),
@@ -523,19 +543,21 @@ def _noise(obj: object, context: str) -> NoiseConfig:
     )
 
 
-def _require_keys(obj: object, allowed: set[str], context: str) -> None:
+def _require_keys(obj: object, allowed: set[str], context: str) -> dict:
+    """``obj`` itself, once it is an object with no key outside ``allowed``."""
     unknown = set(_object(obj, context)) - allowed
     if unknown:
         raise SpecError(f"{context}: unknown keys {sorted(unknown)}")
+    return obj
 
 
 def load_config(source: str | Path | dict) -> RunConfig:
     """Parse a config dict or JSON file into a RunConfig.
 
     Structural problems (unknown or missing keys, values of the wrong type,
-    both or neither of profile/groups, noise with a profile) raise a
-    SpecError naming the key; semantic problems such as bad probability
-    sums surface later through validate_spec.
+    both or neither of profile/groups, noise with a profile, variables with
+    groups) raise a SpecError naming the key; semantic problems such as bad
+    probability sums surface later through validate_spec.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -568,6 +590,10 @@ def load_config(source: str | Path | dict) -> RunConfig:
         raise SpecError("config: 'profile' requires 'variables'")
     if "profile" in raw and "noise" in raw:
         raise SpecError("config: 'noise' needs 'groups'; list a profile's columns in 'variables'")
+    if "groups" in raw and variables is not None:
+        raise SpecError(
+            "config: 'variables' needs 'profile'; a grouped config adds columns through 'noise'"
+        )
     profile = _optional(raw, "profile", "config", _each(_each(_numbers)))
 
     groups = None

@@ -41,11 +41,6 @@ def _expect(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return out
 
 
-def cluster_means(profile: ProfileMatrix) -> np.ndarray:
-    """C x P matrix of within-cluster means f_{p,c} = sum_x x * phi(x)."""
-    return _expect(*_stacked(profile))
-
-
 @dataclass(frozen=True)
 class MomentMatrices:
     """Exact mixture moments for a full spec."""

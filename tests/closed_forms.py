@@ -61,6 +61,15 @@ def snp_pair_dependence(high_allele: float, low_allele: float) -> tuple[float, f
     return cov, cov / snp_mixture_variance(high_allele, low_allele)
 
 
+def cluster_means(profile) -> np.ndarray:
+    """C x P within-cluster means f_{p,c} = sum_x x phi(x), as plain Python sums."""
+    return np.array([
+        [sum(x * p for x, p in zip(domain.levels, cell.probs))
+         for domain, cell in zip(profile.variables, row)]
+        for row in profile.rows
+    ])
+
+
 def marginal_mean(weights: np.ndarray, means_p: np.ndarray) -> float:
     """Mixture mean of one variable from its per-cluster means."""
     return float(weights @ means_p)

@@ -1,4 +1,4 @@
-"""Helpers that only the tests use: a dataset checker and group padding."""
+"""Helpers that only the tests use: a dataset tally check and group padding."""
 
 import numpy as np
 
@@ -6,20 +6,13 @@ from synthcat.model import Dataset, SpecError
 
 
 def dataset_violations(dataset: Dataset) -> list[str]:
-    """Every way a dataset disagrees with its own profile and clusters."""
+    """Every way a dataset disagrees with its clusters that construction does not check.
+
+    A Dataset refuses bad shapes, positions and assignments itself; what is
+    left is whether each cluster holds its declared number of subjects.
+    """
     out = []
-    n, width = dataset.positions.shape
-    if width != dataset.profile.variable_count:
-        out.append("dataset: column count does not match profile")
-    if dataset.assignments.shape != (n,):
-        out.append("dataset: allocation length does not match subject count")
-        return out
-    for p, domain in enumerate(dataset.profile.variables):
-        if not (dataset.positions[:, p] < domain.size).all():
-            out.append(f"dataset: column {domain.name!r} contains illegal level codes")
     c_count = dataset.clusters.cluster_count
-    if not ((dataset.assignments >= 1) & (dataset.assignments <= c_count)).all():
-        out.append("dataset: allocation outside 1..C")
     tallies = np.bincount(dataset.assignments, minlength=c_count + 1)[1:]
     if tuple(int(t) for t in tallies) != dataset.clusters.counts:
         out.append("dataset: per-cluster tallies do not match declared counts")

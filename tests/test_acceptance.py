@@ -19,15 +19,15 @@ from synthcat.association import (
     stuart_kendall_tau_c,
     tau_c_pair_scan,
 )
-from closed_forms import balanced_low_parameter
+from closed_forms import balanced_low_parameter, cluster_means
 from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import GeneratorSpec, bind_pattern, build_spec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, VariableDomain, load_config
-from synthcat.moments import brute_force_moments, cluster_means, moment_matrices
+from synthcat.moments import brute_force_moments, moment_matrices
 from helpers import pad_groups
 from synthcat.patterns import HIGH, balanced_pattern, grouped_pattern
 from synthcat.model import GroupStructure
-from synthcat.report import build_run, run_pipeline, within_group_averages
+from synthcat.report import RunResult, run_pipeline, within_group_averages
 
 H_PROBS = hardy_weinberg_probs(0.95)
 L_PROBS = hardy_weinberg_probs(0.25)
@@ -293,7 +293,7 @@ def test_criterion_4_sample_reproduction():
 def test_criterion_5_linkage_group_workflow():
     start = time.perf_counter()
     assert len(LINKAGE_PADDED) == 32
-    result = build_run(load_config(LINKAGE_CONFIG))
+    result = RunResult(load_config(LINKAGE_CONFIG))
     assert result.dataset.values.shape == (6000, 200)
     assert np.bincount(result.dataset.assignments)[1:].tolist() == [500] * 12
     averages = within_group_averages(result.sample_pearson, result.built.groups)

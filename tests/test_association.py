@@ -15,7 +15,6 @@ from synthcat.association import (
     concentration_coefficient,
     cramers_v,
     crosstab,
-    pearson_matrix,
     stuart_kendall_tau_c,
     tau_c_pair_scan,
 )
@@ -267,7 +266,7 @@ class TestAssociationMatrix:
 class TestPearsonMatrix:
     def test_matches_corrcoef(self):
         data = mixed_dataset()
-        ours = pearson_matrix(data).values
+        ours = association_matrix(data, "pearson").values
         reference = np.corrcoef(data.values[:, [0, 1, 3]].astype(float).T)
         picked = ours[np.ix_([0, 1, 3], [0, 1, 3])]
         # Column d is ordinal, so its cells are NaN in ours; compare a,b only.
@@ -276,7 +275,7 @@ class TestPearsonMatrix:
     def test_zero_variance_column(self):
         values = np.array([[0, 1], [0, 2], [0, 1]])
         variables = (VariableDomain("k", (0, 1)), VariableDomain("m", (1, 2)))
-        out = pearson_matrix((values, variables)).values
+        out = association_matrix((values, variables), "pearson").values
         assert math.isnan(out[0, 1])
         assert out[0, 0] == 1.0
 
@@ -285,6 +284,6 @@ class TestPearsonMatrix:
         variables = tuple(VariableDomain(f"x{p}", (0, 1, 2)) for p in range(6))
         profile = ProfileMatrix(variables, ((cell,) * 6,))
         data = generate(GeneratorSpec(ClusterSpec.uniform(1, 2000), profile, 77))
-        out = pearson_matrix(data).values
+        out = association_matrix(data, "pearson").values
         off = out[~np.eye(6, dtype=bool)]
         assert np.nanmax(np.abs(off)) < 4.0 / math.sqrt(2000)

@@ -228,6 +228,22 @@ class TestCalibrateGroup:
                 high=(0.5, 0.5), low=(0.9, 0.1),
             )
 
+    @pytest.mark.parametrize("family", ["binary", "snp"])
+    @pytest.mark.parametrize("vector", ["high", "low"])
+    def test_parametric_family_refuses_literal_vectors(self, family, vector):
+        with pytest.raises(SpecError, match=f"{family} family: H and L are solved"):
+            calibrate_group(
+                self.structure("correlation", [0.2] * 4), family, BALANCED,
+                high_prob=0.8, **{vector: (0.5, 0.5)},
+            )
+
+    def test_explicit_family_refuses_a_high_parameter(self):
+        with pytest.raises(SpecError, match="explicit family: .* pH does not apply"):
+            calibrate_group(
+                GroupStructure(sizes=(3, 3, 3, 3)), "explicit", BALANCED,
+                high_prob=0.95, high=(0.5, 0.5), low=(0.9, 0.1),
+            )
+
     def test_missing_requirements(self):
         with pytest.raises(SpecError, match="high parameter"):
             calibrate_group(self.structure("covariance", [0.1] * 4), "snp", BALANCED)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from synthcat.report import build_run, run_pipeline, write_artifacts
+from synthcat.report import RunResult, run_pipeline, write_artifacts
 from test_acceptance import EXPLICIT_CONFIG, LADDER_CONFIG, LINKAGE_CONFIG
 
 GOLDEN = {
@@ -141,7 +141,7 @@ def pinned_digests(name):
 def test_theoretical_digests_match_golden(name, tmp_path):
     config, shuffle, _, _ = GOLDEN[name]
     paths = run_pipeline(config, tmp_path, shuffle=shuffle)
-    paths.update(write_artifacts(build_run(config, shuffle=shuffle), tmp_path, ["comparison.json"]))
+    paths.update(write_artifacts(RunResult(config, shuffle=shuffle), tmp_path, ["comparison.json"]))
     assert {artifact: sha256(paths[artifact]) for artifact in THEORETICAL[name]} == THEORETICAL[name]
 
 
@@ -150,10 +150,10 @@ def test_theoretical_digests_match_golden(name, tmp_path):
 _LADDER_RERUN = """
 import hashlib, json, sys
 from pathlib import Path
-from synthcat.report import build_run, run_from_manifest, write_artifacts
+from synthcat.report import RunResult, run_from_manifest, write_artifacts
 from test_acceptance import LADDER_CONFIG
 paths = run_from_manifest(sys.argv[1], sys.argv[2])
-paths.update(write_artifacts(build_run(LADDER_CONFIG), sys.argv[2], ["comparison.json"]))
+paths.update(write_artifacts(RunResult(LADDER_CONFIG), sys.argv[2], ["comparison.json"]))
 del paths["manifest.json"]
 print(json.dumps({k: hashlib.sha256(p.read_bytes()).hexdigest() for k, p in paths.items()}))
 """

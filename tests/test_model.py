@@ -155,11 +155,11 @@ class TestValidateSpec:
 
 
 class TestDataset:
-    def make(self, positions, assignments):
+    def make(self, positions, assignments, dtype=np.uint8):
         profile = two_cluster_profile()
         clusters = ClusterSpec.uniform(2, len(assignments))
         return Dataset(
-            positions=np.asarray(positions, dtype=np.uint8),
+            positions=np.asarray(positions, dtype=dtype),
             assignments=np.asarray(assignments),
             profile=profile,
             clusters=clusters,
@@ -171,8 +171,21 @@ class TestDataset:
         assert dataset_violations(data) == []
 
     def test_illegal_codes_flagged(self):
-        data = self.make([[0, 1, 5], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 2, 2])
-        assert any("illegal level codes" in v for v in dataset_violations(data))
+        with pytest.raises(SpecError, match="column 'x3' has values outside"):
+            self.make([[0, 1, 5], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 2, 2])
+
+    def test_negative_position_refused(self):
+        with pytest.raises(SpecError, match="column 'x2' has values outside"):
+            self.make([[0, -1, 0], [1, 1, 1]], [1, 2], dtype=np.int8)
+
+    @pytest.mark.parametrize(
+        "positions, assignments",
+        [([[0, 1], [1, 1]], [1, 2]), ([[0, 1, 0], [1, 1, 1]], [1, 2, 2]), ([0, 1, 0], [1])],
+        ids=["too-few-columns", "too-many-assignments", "one-dimensional"],
+    )
+    def test_shape_mismatch_refused(self, positions, assignments):
+        with pytest.raises(SpecError, match="positions are"):
+            self.make(positions, assignments)
 
     def test_tally_mismatch_flagged(self):
         data = self.make([[0, 1, 0], [1, 1, 1], [0, 0, 0], [1, 0, 1]], [1, 1, 1, 2])

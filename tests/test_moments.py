@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from closed_forms import (
+    cluster_means,
     equal_weight_covariance,
     marginal_covariance,
     marginal_mean,
@@ -23,7 +24,7 @@ from synthcat.model import (
     VariableDomain,
     load_config,
 )
-from synthcat.moments import brute_force_moments, cluster_means, moment_matrices
+from synthcat.moments import brute_force_moments, moment_matrices
 from synthcat.patterns import balanced_pattern
 
 
@@ -46,15 +47,15 @@ class TestClusterMeans:
         variables = (VariableDomain("a", (1, 2, 3)),)
         cell = ProbabilityVector((0.2, 0.3, 0.5))
         profile = ProfileMatrix(variables, ((cell,),))
-        assert cluster_means(profile)[0, 0] == pytest.approx(2.3)
+        assert moment_matrices(profile, ClusterSpec.uniform(1, 10)).means[0] == pytest.approx(2.3)
 
     def test_genotype_mean_and_variance(self):
         probs = hardy_weinberg_probs(0.25)
         variables = (VariableDomain("snp", (0, 1, 2)),)
         profile = ProfileMatrix(variables, ((ProbabilityVector(probs),),))
-        assert cluster_means(profile)[0, 0] == pytest.approx(1.5)
-        variances = moment_matrices(profile, ClusterSpec.uniform(1, 10)).variances
-        assert variances[0] == pytest.approx(0.375)
+        matrices = moment_matrices(profile, ClusterSpec.uniform(1, 10))
+        assert matrices.means[0] == pytest.approx(1.5)
+        assert matrices.variances[0] == pytest.approx(0.375)
 
 
 class TestMarginalFormulas:

@@ -1,10 +1,12 @@
 """Pipeline, artifact writers, manifests, and the CLI surface."""
 
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +20,7 @@ from synthcat.model import GroupStructure, SpecError, VariableDomain, load_confi
 from synthcat.moments import moment_matrices
 from synthcat.generator import build_spec, generate
 from synthcat.report import (
-    build_run,
+    RunResult,
     compare_matrices,
     run_from_manifest,
     run_pipeline,
@@ -112,7 +114,7 @@ class TestSummaries:
             assert s.gap == 0.0
 
     def test_explicit_groups_have_no_target(self):
-        result = build_run(load_config(explicit_config()))
+        result = RunResult(load_config(explicit_config()))
         assert result.summaries is not None
         assert all(s.target_kind is None for s in result.summaries)
 
@@ -153,7 +155,7 @@ class TestCompareMatrices:
             compare_matrices(a, b)
 
     def test_sample_tracks_theory(self):
-        result = build_run(load_config(snp_config(seed=31)))
+        result = RunResult(load_config(snp_config(seed=31)))
         names = tuple(v.name for v in result.built.spec.profile.variables)
         theoretical = AssociationMatrix(result.moments.correlation, names, "pearson")
         report = compare_matrices(theoretical, result.sample_pearson)
@@ -172,18 +174,18 @@ class TestBuildRun:
                 "profile": [[[0.2, 0.8]], [[0.8, 0.2]]],
             }
         )
-        result = build_run(config)
+        result = RunResult(config)
         assert result.summaries is None
         assert result.dataset.subjects == 40
 
     def test_covariance_targets_compare_on_covariance_scale(self):
-        result = build_run(load_config(snp_config(kind="covariance", values=(0.3,) * 4)))
+        result = RunResult(load_config(snp_config(kind="covariance", values=(0.3,) * 4)))
         for s in result.summaries:
             assert s.theoretical == pytest.approx(0.3, abs=1e-12)
             assert abs(s.sample - 0.3) < 0.15
 
     def test_correlation_targets_compare_on_correlation_scale(self):
-        result = build_run(load_config(snp_config(seed=12)))
+        result = RunResult(load_config(snp_config(seed=12)))
         for s, target in zip(result.summaries, (0.4, 0.5, 0.6, 0.7)):
             assert s.theoretical == pytest.approx(target, abs=1e-9)
             assert abs(s.sample - target) < 0.15
@@ -193,7 +195,7 @@ class TestBuildRun:
         config["noise"] = [
             {"name": "a1", "levels": [0, 1, 2], "probs": [0.25, 0.5, 0.25]}
         ]
-        result = build_run(load_config(config))
+        result = RunResult(load_config(config))
         assert result.dataset.values.shape == (400, 9)
         assert len(result.summaries) == 4
 
@@ -303,6 +305,19 @@ class TestPipeline:
         for name, recorded in manifest["artifacts"].items():
             assert hashlib.sha256(paths[name].read_bytes()).hexdigest() == recorded
 
+    def test_manifest_hash_streams_the_file(self, tmp_path):
+        path = tmp_path / "large.bin"
+        path.write_bytes(bytes(range(256)) * (1 << 15))  # 8 MiB
+        expected = hashlib.sha256(path.read_bytes()).hexdigest()
+        tracemalloc.start()
+        try:
+            digest = report._sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == expected
+        assert peak < 2 << 20
+
     def test_rerun_from_manifest(self, tmp_path):
         paths = run_pipeline(snp_config(), tmp_path / "a", shuffle=True)
         rerun = run_from_manifest(paths["manifest.json"], tmp_path / "b")
@@ -348,6 +363,16 @@ MALFORMED = {
         [{"name": "z", "levels": [0, 1], "probs": [math.nan, 1.0]}],
         "config.noise[0].probs[0]",
     ),
+    "unknown-variable-key": (
+        ("variables",),
+        [{"name": "a", "levels": [0, 1], "knid": "nominal"}],
+        "config.variables[0]: unknown keys ['knid']",
+    ),
+    "unknown-noise-key": (
+        ("noise",),
+        [{"name": "z", "levels": [0, 1], "probs": [0.5, 0.5], "kind": "nominal"}],
+        "config.noise[0]: unknown keys ['kind']",
+    ),
     "pH-infinite": (("groups", "pH"), math.inf, "config.groups.pH"),
 }
 
@@ -364,6 +389,7 @@ INVALID_SPECS = {
     "duplicate-name": "'x1' is used 2 times",
     "weights-and-counts": "give weights or counts, not both",
     "noise-with-profile": "'noise' needs 'groups'",
+    "variables-with-groups": "'variables' needs 'profile'",
 }
 
 
@@ -526,6 +552,18 @@ class TestCli:
         assert main(argv) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, key, value",
+        [("binary", "H", [0.2, 0.8]), ("snp", "L", L_PROBS), ("explicit", "pH", 0.95)],
+    )
+    def test_key_the_family_does_not_use_exits_two(self, tmp_path, capsys, family, key, value):
+        config = explicit_config() if family == "explicit" else snp_config(values=(0.2,) * 4)
+        config["groups"].update({"family": family, key: value})
+        argv = ["pipeline", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        assert f"{family} family:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
     def test_csv_unsafe_variable_name_exits_two(self, tmp_path, capsys, name):
         config = snp_config()
@@ -551,6 +589,8 @@ class TestCli:
                 "profile": [[[0.2, 0.8]], [[0.8, 0.2]]],
                 "noise": [{"name": "z", "levels": [0, 1], "probs": [0.5, 0.5]}],
             }
+        elif bad == "variables-with-groups":
+            config["variables"] = [{"name": f"x{p}", "levels": [0, 1, 5]} for p in range(1, 9)]
         elif bad == "no-subjects":
             config["clusters"] = {"n": 0}
         elif bad == "negative-weight":
@@ -684,7 +724,7 @@ class TestStagedRun:
         config = snp_config(seed=31)
         out = tmp_path / "o"
         assert main(["report", "--config", write_config(tmp_path, config), "--out", str(out)]) == 0
-        run = build_run(load_config(config))
+        run = RunResult(load_config(config))
         theoretical = AssociationMatrix(run.moments.correlation, run.names, "pearson")
         expected = compare_matrices(theoretical, run.sample_pearson)
         assert json.loads((out / "comparison.json").read_text()) == {
@@ -703,12 +743,21 @@ class TestStagedRun:
         assert main([command, "--config", config, "--out", str(tmp_path / "o")]) == 0
         capsys.readouterr()
 
+    def test_spec_is_validated_once_per_pipeline(self, tmp_path, monkeypatch):
+        calls = []
+        validate = generator.validate_spec
+        monkeypatch.setattr(
+            generator, "validate_spec", lambda *args: calls.append(1) or validate(*args)
+        )
+        run_pipeline(snp_config(), tmp_path / "run")
+        assert len(calls) == 1
+
     def test_stages_are_computed_once(self, monkeypatch):
         calls = []
         monkeypatch.setattr(
             report, "generate", lambda *args, **kwargs: calls.append(1) or generate(*args, **kwargs)
         )
-        run = build_run(load_config(snp_config()))
+        run = RunResult(load_config(snp_config()))
         assert run.summaries is run.summaries
         assert run.sample_pearson is run.sample_pearson
         assert run.dataset is run.dataset

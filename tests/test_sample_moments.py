@@ -18,10 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthcat import association, report
-from synthcat.association import pearson_matrix, sample_moments
+from synthcat.association import association_matrix, sample_moments
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, VariableDomain
-from synthcat.report import build_run, write_artifacts, write_dataset_csv
+from synthcat.report import RunResult, write_artifacts, write_dataset_csv
 
 KINDS = ("nominal", "ordinal", "interval")
 
@@ -174,7 +174,7 @@ def test_pearson_matrix_is_the_sample_correlation():
     rng = np.random.default_rng(3)
     values = rng.integers(0, 3, (200, 4))
     variables = tuple(VariableDomain(f"x{p}", (0, 1, 2)) for p in range(4))
-    matrix = pearson_matrix((values, variables))
+    matrix = association_matrix((values, variables), "pearson")
     assert matrix.names == ("x0", "x1", "x2", "x3")
     assert reprs(matrix.values) == reprs(sample_moments((values, variables)).correlation)
 
@@ -226,7 +226,7 @@ def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
             "targets": [{"correlation": 0.5}, {"covariance": 0.3}],
         },
     }
-    run = build_run(config)
+    run = RunResult(config)
     write_artifacts(run, tmp_path, list(report.ARTIFACTS))
     assert [s.target_kind for s in run.summaries] == ["correlation", "covariance"]
     assert len(calls) == 1

@@ -1,5 +1,7 @@
 """The dataset and allocation writers against ``np.savetxt`` as oracle."""
 
+import errno
+import io
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -128,23 +130,40 @@ def test_more_than_256_levels_are_held_as_uint16(tmp_path):
 
 
 class TestUndeclaredValues:
-    def test_dataset_value_outside_levels_raises_and_leaves_no_file(self, tmp_path):
-        path = tmp_path / "dataset.csv"
-        path.write_text("a stale file from an earlier run\n")
+    def test_dataset_value_outside_levels_is_refused_at_construction(self):
         levels = [(0, 1, 2), (0, 1)]
         values = [[0, 1], [2, 0], [1, 1], [2, 3]]  # 3 is not a level of "b"
-        dataset = make_dataset(values, levels, [1, 1, 2, 2], 2, names=["a", "b"])
-        # Blocks of one row: the error comes after three rows were written.
-        with mock.patch.object(report, "_ROWS_PER_BLOCK", 1):
-            with pytest.raises(SpecError, match="column 'b' has values outside"):
-                write_dataset_csv(path, dataset)
-        assert not path.exists()
+        with pytest.raises(SpecError, match="column 'b' has values outside"):
+            make_dataset(values, levels, [1, 1, 2, 2], 2, names=["a", "b"])
 
-    def test_allocation_outside_clusters_raises_and_leaves_no_file(self, tmp_path):
-        path = tmp_path / "allocation.txt"
-        # Cluster 0 is position -1, which must not index the last token.
+    def test_allocation_outside_clusters_is_refused_at_construction(self):
         for cluster in (3, 0):
-            dataset = make_dataset([[0], [1], [0]], [(0, 1)], [1, 2, cluster], 2)
-            with pytest.raises(SpecError, match="allocation.txt"):
-                write_allocation(path, dataset)
-            assert not path.exists()
+            with pytest.raises(SpecError, match="assignments outside the clusters 1..2"):
+                make_dataset([[0], [1], [0]], [(0, 1)], [1, 2, cluster], 2)
+
+
+class _FullDisk(io.FileIO):
+    """A file that takes two writes, then fails as a full disk does."""
+
+    writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return super().write(data)
+
+
+@pytest.mark.parametrize("writer", [write_dataset_csv, write_allocation], ids=["dataset", "allocation"])
+def test_failed_write_leaves_no_file(tmp_path, writer):
+    """A write that fails partway removes its partial file, and the stale one it replaced."""
+    path = tmp_path / "out"
+    path.write_text("a stale file from an earlier run\n")
+    dataset = make_dataset([[0, 1], [2, 0], [1, 1], [2, 1]], [(0, 1, 2), (0, 1)], [1, 1, 2, 2], 2)
+    # Blocks of one row: the error comes after one or two rows were written.
+    with mock.patch.object(report, "_ROWS_PER_BLOCK", 1), mock.patch.object(
+        Path, "open", lambda self, mode: _FullDisk(self, mode)
+    ):
+        with pytest.raises(OSError, match="No space left"):
+            writer(path, dataset)
+    assert not path.exists()
