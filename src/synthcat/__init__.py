@@ -45,19 +45,13 @@ from .model import (
     KindError,
     ProbabilityVector,
     ProfileMatrix,
-    RunConfig,
     SpecError,
     ValidationReport,
     VariableDomain,
-    dump_config,
     load_config,
     validate_spec,
 )
-from .moments import (
-    MomentMatrices,
-    brute_force_moments,
-    moment_matrices,
-)
+from .moments import MomentMatrices, moment_matrices
 from .patterns import PatternMatrix, balanced_pattern, grouped_pattern
 from .report import (
     ComparisonReport,
@@ -90,7 +84,6 @@ __all__ = [
     "PatternMatrix",
     "ProbabilityVector",
     "ProfileMatrix",
-    "RunConfig",
     "RunResult",
     "SpecError",
     "ValidationReport",
@@ -99,7 +92,6 @@ __all__ = [
     "association_matrix",
     "balanced_pattern",
     "bind_pattern",
-    "brute_force_moments",
     "build_spec",
     "calibrate_group",
     "chi_square",
@@ -107,7 +99,6 @@ __all__ = [
     "concentration_coefficient",
     "cramers_v",
     "crosstab",
-    "dump_config",
     "generate",
     "grouped_pattern",
     "hardy_weinberg_probs",

@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 
@@ -47,7 +48,10 @@ def _cmd_run(args) -> int:
 
 
 def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
-    """Headered integer CSV to values + interval domains over observed levels."""
+    """Headered integer CSV to values + interval domains over observed levels.
+
+    Column names must be unique, as in a config.
+    """
     try:
         with open(path, encoding="utf-8") as f:
             header = f.readline().strip()
@@ -62,6 +66,9 @@ def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     if not header:
         raise SpecError(f"associate: {path} is empty")
     names = header.split(",")
+    for name, count in Counter(names).items():
+        if count > 1:
+            raise SpecError(f"associate: {path}: column name {name!r} is used {count} times")
     try:
         with warnings.catch_warnings():
             # A header-only file is reported below, not as a numpy warning.

@@ -28,10 +28,10 @@ from .calibration import CalibrationResult, calibrate_group
 from .model import (
     ClusterSpec,
     Dataset,
+    DependenceTarget,
     GroupStructure,
     ProbabilityVector,
     ProfileMatrix,
-    RunConfig,
     SpecError,
     VariableDomain,
     resolve_clusters,
@@ -181,35 +181,35 @@ class BuiltSpec:
     calibration: CalibrationResult | None = None
 
 
-def build_spec(config: RunConfig) -> BuiltSpec:
-    """Assemble a generatable spec from a parsed config.
+def build_spec(config: dict) -> BuiltSpec:
+    """Assemble a generatable spec from a canonical config (``load_config``).
 
-    Explicit-profile configs translate directly.  Grouped configs run the
-    calibration (or take literal H/L vectors), lay columns out group by
-    group with noise last, and derive the cluster count from the group
-    count.
+    Explicit-profile configs translate directly, taking C from the profile's
+    rows unless the config gives it.  Grouped configs run the calibration (or
+    take literal H/L vectors), lay columns out group by group with noise
+    last, and derive the cluster count from the group count.
 
     The spec validates itself, so every subcommand refuses a config that
     ``validate_spec`` finds a hard violation in (SpecError).  Identifiability
     warnings are left to ``generate``.
     """
-    if config.profile is not None:
-        assert config.variables is not None  # load_config enforces this
-        rows = tuple(
-            tuple(ProbabilityVector(cell) for cell in row) for row in config.profile
-        )
-        profile = ProfileMatrix(config.variables, rows)
-        clusters = resolve_clusters(config.clusters)
-        return BuiltSpec(GeneratorSpec(clusters, profile, config.seed))
+    if "profile" in config:
+        variables = tuple(VariableDomain(**variable) for variable in config["variables"])
+        rows = tuple(tuple(ProbabilityVector(cell) for cell in row) for row in config["profile"])
+        clusters = resolve_clusters({"C": len(rows), **config["clusters"]})
+        return BuiltSpec(GeneratorSpec(clusters, ProfileMatrix(variables, rows), config["seed"]))
 
-    assert config.groups is not None
+    groups, noise = config["groups"], config.get("noise", ())
+    targets = groups.get("targets")
     structure = GroupStructure(
-        sizes=config.groups.sizes,
-        targets=config.groups.targets,
-        noise_count=len(config.noise),
+        sizes=groups["sizes"],
+        targets=None if targets is None else tuple(
+            DependenceTarget(kind, value) for target in targets for kind, value in target.items()
+        ),
+        noise_count=len(noise),
     )
     pattern, cluster_count = grouped_pattern(structure)
-    clusters = resolve_clusters(config.clusters, derived_count=cluster_count)
+    clusters = resolve_clusters(config["clusters"], derived_count=cluster_count)
     # The calibration solves against the cluster weights, so bad weights are
     # reported as such, not as an infeasible target.
     problems = clusters.violations()
@@ -217,23 +217,23 @@ def build_spec(config: RunConfig) -> BuiltSpec:
         raise SpecError("; ".join(problems))
     calibration = calibrate_group(
         structure,
-        config.groups.family,
+        groups["family"],
         _high_weights(pattern, clusters, structure.group_count),
-        high_prob=config.groups.high_prob,
-        high=config.groups.high,
-        low=config.groups.low,
+        high_prob=groups.get("pH"),
+        high=groups.get("H"),
+        low=groups.get("L"),
     )
 
     # calibration.groups holds group v at position v - 1.
     solved = [calibration.groups[v - 1] for v in structure.column_groups()]
     highs = [group.high for group in solved]
     lows = [group.low for group in solved]
-    noise_vectors = [ProbabilityVector(cfg.probs) for cfg in config.noise]
+    noise_vectors = [ProbabilityVector(column["probs"]) for column in noise]
 
     variables = tuple(
         VariableDomain(f"x{p}", calibration.levels, "interval")
         for p in range(1, structure.variable_count + 1)
-    ) + tuple(VariableDomain(cfg.name, cfg.levels, "interval") for cfg in config.noise)
+    ) + tuple(VariableDomain(column["name"], column["levels"], "interval") for column in noise)
     profile = bind_pattern(pattern, variables, highs, lows, noise_vectors)
-    spec = GeneratorSpec(clusters, profile, config.seed)
+    spec = GeneratorSpec(clusters, profile, config["seed"])
     return BuiltSpec(spec, structure, calibration)

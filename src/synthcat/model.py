@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +125,8 @@ class ClusterSpec:
 
     @classmethod
     def uniform(cls, clusters: int, subjects: int) -> "ClusterSpec":
-        return cls.from_weights((1.0 / clusters,) * clusters, subjects)
+        # C < 1 gives no clusters, which violations() reports, not a division by zero.
+        return cls.from_weights((1.0 / max(clusters, 1),) * clusters, subjects)
 
     @classmethod
     def from_weights(cls, weights: tuple[float, ...], subjects: int) -> "ClusterSpec":
@@ -405,48 +406,20 @@ class Dataset:
 #   clusters  {"C"?: int, "n"?: int, "weights"?: [...] | "counts"?: [...]}
 #   variables [{"name": str, "levels": [...], "kind"?: str}]   (profile only)
 #   profile   C x P x M nested lists of probabilities            } exactly one of
-#   groups    {"k", "sizes", "family", "targets"?, "pH"?, "H"?, "L"?}  } these two
+#   groups    {"k"?, "sizes", "family", "targets"?, "pH"?, "H"?, "L"?}  } these two
 #   noise     [{"name": str, "levels": [...], "probs": [...]}]   (groups only)
 #
 # Targets are single-key objects, {"covariance": 0.45} or {"correlation": 0.4}.
 # Families binary and snp take pH and targets, explicit takes H and L only.
+# A profile config without C takes it from the profile's row count.
 # Column names (generated x1, x2, ... included) are unique, and level codes
 # lie in [-2**63, 2**63).
-
-
-@dataclass(frozen=True)
-class ClustersConfig:
-    count: int | None = None
-    subjects: int | None = None
-    weights: tuple[float, ...] | None = None
-    counts: tuple[int, ...] | None = None
-
-
-@dataclass(frozen=True)
-class GroupsConfig:
-    sizes: tuple[int, ...]
-    family: str
-    targets: tuple[DependenceTarget, ...] | None = None
-    high_prob: float | None = None
-    high: tuple[float, ...] | None = None
-    low: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class NoiseConfig:
-    name: str
-    levels: tuple[int, ...]
-    probs: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    clusters: ClustersConfig
-    variables: tuple[VariableDomain, ...] | None = None
-    profile: tuple[tuple[tuple[float, ...], ...], ...] | None = None
-    groups: GroupsConfig | None = None
-    noise: tuple[NoiseConfig, ...] = field(default=())
+#
+# load_config returns a config in canonical form, which is what manifest.json
+# embeds: the keys given and no others, integers as int, other numbers as
+# float, lists as tuples.  "clusters" (possibly empty), groups.k and each
+# variable's kind are filled in, and an empty noise list is dropped.  The
+# canonical form loads to itself.
 
 
 def _object(obj: object, context: str) -> dict:
@@ -506,43 +479,6 @@ _numbers = _each(_number)
 _integers = _each(_integer)
 
 
-def _required(obj: dict, key: str, context: str, convert):
-    if key not in obj:
-        raise SpecError(f"{context}.{key} is required")
-    return convert(obj[key], f"{context}.{key}")
-
-
-def _optional(obj: dict, key: str, context: str, convert):
-    return None if key not in obj else convert(obj[key], f"{context}.{key}")
-
-
-def _target(obj: object, context: str) -> DependenceTarget:
-    if not isinstance(obj, dict) or len(obj) != 1:
-        raise SpecError(f"{context}: targets must be single-key objects like {{'correlation': 0.4}}")
-    kind, value = next(iter(obj.items()))
-    if kind not in TARGET_KINDS:
-        raise SpecError(f"{context}: unknown target kind {kind!r}")
-    return DependenceTarget(kind, _number(value, f"{context}.{kind}"))
-
-
-def _variable(obj: object, context: str) -> VariableDomain:
-    obj = _require_keys(obj, {"name", "levels", "kind"}, context)
-    return VariableDomain(
-        name=_required(obj, "name", context, _text),
-        levels=_required(obj, "levels", context, _integers),
-        kind=str(obj.get("kind", "interval")),
-    )
-
-
-def _noise(obj: object, context: str) -> NoiseConfig:
-    obj = _require_keys(obj, {"name", "levels", "probs"}, context)
-    return NoiseConfig(
-        name=_required(obj, "name", context, _text),
-        levels=_required(obj, "levels", context, _integers),
-        probs=_required(obj, "probs", context, _numbers),
-    )
-
-
 def _require_keys(obj: object, allowed: set[str], context: str) -> dict:
     """``obj`` itself, once it is an object with no key outside ``allowed``."""
     unknown = set(_object(obj, context)) - allowed
@@ -551,8 +487,65 @@ def _require_keys(obj: object, allowed: set[str], context: str) -> dict:
     return obj
 
 
-def load_config(source: str | Path | dict) -> RunConfig:
-    """Parse a config dict or JSON file into a RunConfig.
+def _fields(obj: object, context: str, required: tuple[str, ...] = (), **fields) -> dict:
+    """The keys ``obj`` gives, each read by its parser in ``fields``, in ``fields`` order.
+
+    A key outside ``fields``, or a missing ``required`` one, is a SpecError.
+    """
+    obj = _require_keys(obj, set(fields), context)
+    out = {}
+    for key, convert in fields.items():
+        if key in obj:
+            out[key] = convert(obj[key], f"{context}.{key}")
+        elif key in required:
+            raise SpecError(f"{context}.{key} is required")
+    return out
+
+
+def _target(obj: object, context: str) -> dict:
+    if not isinstance(obj, dict) or len(obj) != 1:
+        raise SpecError(f"{context}: targets must be single-key objects like {{'correlation': 0.4}}")
+    kind, value = next(iter(obj.items()))
+    if kind not in TARGET_KINDS:
+        raise SpecError(f"{context}: unknown target kind {kind!r}")
+    return {kind: _number(value, f"{context}.{kind}")}
+
+
+def _variable(obj: object, context: str) -> dict:
+    variable = _fields(
+        obj, context, ("name", "levels"), name=_text, levels=_integers, kind=lambda kind, _: str(kind)
+    )
+    return {"kind": "interval", **variable}
+
+
+def _noise(obj: object, context: str) -> dict:
+    return _fields(
+        obj, context, ("name", "levels", "probs"), name=_text, levels=_integers, probs=_numbers
+    )
+
+
+def _groups(obj: object, context: str) -> dict:
+    def count(k: object, key: str) -> int:
+        # Read after the required sizes, so obj["sizes"] is a checked list here.
+        if _integer(k, key) != len(obj["sizes"]):
+            raise SpecError(f"{context}: k does not match the number of sizes")
+        return len(obj["sizes"])
+
+    def family(name: object, key: str) -> str:
+        if _text(name, key) not in FAMILIES:
+            raise SpecError(f"{context}: unknown family {name!r}")
+        return name
+
+    groups = _fields(
+        obj, context, ("sizes", "family"), sizes=_integers, k=count, family=family,
+        targets=_each(_target), pH=_number, H=_numbers, L=_numbers,
+    )
+    groups["k"] = len(groups["sizes"])
+    return groups
+
+
+def load_config(source: str | Path | dict) -> dict:
+    """Read a config dict or JSON file into its canonical form (see the schema above).
 
     Structural problems (unknown or missing keys, values of the wrong type,
     both or neither of profile/groups, noise with a profile, variables with
@@ -571,105 +564,44 @@ def load_config(source: str | Path | dict) -> RunConfig:
     _require_keys(raw, {"seed", "clusters", "variables", "profile", "groups", "noise"}, "config")
     if "seed" not in raw:
         raise SpecError("config: seed is required")
-    seed = checked_seed(raw["seed"], "config.seed")
-
-    cl_raw = raw.get("clusters", {})
-    _require_keys(cl_raw, {"C", "n", "weights", "counts"}, "config.clusters")
-    clusters = ClustersConfig(
-        count=_optional(cl_raw, "C", "config.clusters", _integer),
-        subjects=_optional(cl_raw, "n", "config.clusters", _integer),
-        weights=_optional(cl_raw, "weights", "config.clusters", _numbers),
-        counts=_optional(cl_raw, "counts", "config.clusters", _integers),
-    )
-
-    variables = _optional(raw, "variables", "config", _each(_variable))
+    config = {
+        "seed": checked_seed(raw["seed"], "config.seed"),
+        "clusters": _fields(
+            raw.get("clusters", {}), "config.clusters",
+            C=_integer, n=_integer, weights=_numbers, counts=_integers,
+        ),
+    }
+    if "variables" in raw:
+        config["variables"] = _each(_variable)(raw["variables"], "config.variables")
 
     if ("profile" in raw) == ("groups" in raw):
         raise SpecError("config: exactly one of 'profile' or 'groups' is required")
-    if "profile" in raw and variables is None:
+    if "profile" in raw and "variables" not in raw:
         raise SpecError("config: 'profile' requires 'variables'")
     if "profile" in raw and "noise" in raw:
         raise SpecError("config: 'noise' needs 'groups'; list a profile's columns in 'variables'")
-    if "groups" in raw and variables is not None:
+    if "groups" in raw and "variables" in raw:
         raise SpecError(
             "config: 'variables' needs 'profile'; a grouped config adds columns through 'noise'"
         )
-    profile = _optional(raw, "profile", "config", _each(_each(_numbers)))
-
-    groups = None
-    if "groups" in raw:
-        g_raw = raw["groups"]
-        _require_keys(g_raw, {"k", "sizes", "family", "targets", "pH", "H", "L"}, "config.groups")
-        sizes = _required(g_raw, "sizes", "config.groups", _integers)
-        if _optional(g_raw, "k", "config.groups", _integer) not in (None, len(sizes)):
-            raise SpecError("config.groups: k does not match the number of sizes")
-        family = _required(g_raw, "family", "config.groups", _text)
-        if family not in FAMILIES:
-            raise SpecError(f"config.groups: unknown family {family!r}")
-        groups = GroupsConfig(
-            sizes=sizes,
-            family=family,
-            targets=_optional(g_raw, "targets", "config.groups", _each(_target)),
-            high_prob=_optional(g_raw, "pH", "config.groups", _number),
-            high=_optional(g_raw, "H", "config.groups", _numbers),
-            low=_optional(g_raw, "L", "config.groups", _numbers),
-        )
-
-    return RunConfig(
-        seed=seed,
-        clusters=clusters,
-        variables=variables,
-        profile=profile,
-        groups=groups,
-        noise=_optional(raw, "noise", "config", _each(_noise)) or (),
-    )
+    if "profile" in raw:
+        config["profile"] = _each(_each(_numbers))(raw["profile"], "config.profile")
+    else:
+        config["groups"] = _groups(raw["groups"], "config.groups")
+        noise = _each(_noise)(raw.get("noise", ()), "config.noise")
+        if noise:
+            config["noise"] = noise
+    return config
 
 
-def dump_config(config: RunConfig) -> dict:
-    """Inverse of load_config; load_config(dump_config(c)) == c."""
-    out: dict = {"seed": config.seed}
-    cl: dict = {}
-    if config.clusters.count is not None:
-        cl["C"] = config.clusters.count
-    if config.clusters.subjects is not None:
-        cl["n"] = config.clusters.subjects
-    if config.clusters.weights is not None:
-        cl["weights"] = list(config.clusters.weights)
-    if config.clusters.counts is not None:
-        cl["counts"] = list(config.clusters.counts)
-    out["clusters"] = cl
-    if config.variables is not None:
-        out["variables"] = [
-            {"name": v.name, "levels": list(v.levels), "kind": v.kind} for v in config.variables
-        ]
-    if config.profile is not None:
-        out["profile"] = [[list(cell) for cell in row] for row in config.profile]
-    if config.groups is not None:
-        g: dict = {"k": len(config.groups.sizes), "sizes": list(config.groups.sizes)}
-        if config.groups.targets is not None:
-            g["targets"] = [{t.kind: t.value} for t in config.groups.targets]
-        if config.groups.high_prob is not None:
-            g["pH"] = config.groups.high_prob
-        if config.groups.high is not None:
-            g["H"] = list(config.groups.high)
-        if config.groups.low is not None:
-            g["L"] = list(config.groups.low)
-        g["family"] = config.groups.family
-        out["groups"] = g
-    if config.noise:
-        out["noise"] = [
-            {"name": v.name, "levels": list(v.levels), "probs": list(v.probs)} for v in config.noise
-        ]
-    return out
-
-
-def resolve_clusters(config: ClustersConfig, derived_count: int | None = None) -> ClusterSpec:
-    """Build a ClusterSpec from the config block, deriving what is absent.
+def resolve_clusters(block: dict, derived_count: int | None = None) -> ClusterSpec:
+    """Build a ClusterSpec from a canonical clusters object, deriving what is absent.
 
     ``derived_count`` is the cluster count implied by a group structure; an
     explicit C must agree with it.
     """
-    count = config.count
+    count, subjects = block.get("C"), block.get("n")
+    weights, counts = block.get("weights"), block.get("counts")
     if derived_count is not None:
         if count is not None and count != derived_count:
             raise SpecError(
@@ -677,21 +609,21 @@ def resolve_clusters(config: ClustersConfig, derived_count: int | None = None) -
             )
         count = derived_count
 
-    if config.counts is not None:
-        if config.weights is not None:
+    if counts is not None:
+        if weights is not None:
             raise SpecError("clusters: give weights or counts, not both")
-        if count is not None and len(config.counts) != count:
-            raise SpecError(f"clusters: {len(config.counts)} counts given for C={count}")
-        if config.subjects is not None and sum(config.counts) != config.subjects:
+        if count is not None and len(counts) != count:
+            raise SpecError(f"clusters: {len(counts)} counts given for C={count}")
+        if subjects is not None and sum(counts) != subjects:
             raise SpecError("clusters: counts do not sum to n")
-        return ClusterSpec.from_counts(config.counts)
+        return ClusterSpec.from_counts(counts)
 
-    if config.subjects is None:
+    if subjects is None:
         raise SpecError("clusters: need either counts or n")
-    if config.weights is not None:
-        if count is not None and len(config.weights) != count:
-            raise SpecError(f"clusters: {len(config.weights)} weights given for C={count}")
-        return ClusterSpec.from_weights(config.weights, config.subjects)
+    if weights is not None:
+        if count is not None and len(weights) != count:
+            raise SpecError(f"clusters: {len(weights)} weights given for C={count}")
+        return ClusterSpec.from_weights(weights, subjects)
     if count is None:
         raise SpecError("clusters: cluster count is neither given nor derivable")
-    return ClusterSpec.uniform(count, config.subjects)
+    return ClusterSpec.uniform(count, subjects)

@@ -11,8 +11,9 @@ every cross moment reduces to sums over cluster means:
 with f_{p,c} the mean of variable p inside cluster c.  These formulas are
 exact, not sample estimates.  Each sum is added term by term in a fixed
 order, with no BLAS product, so its bits are the same on every machine.
-``brute_force_moments`` recomputes everything by full enumeration of the
-joint support as an independent check for small specs.
+The tests check them against ``brute_force_moments`` in
+``tests/moment_oracles.py``, which enumerates the joint support of small
+specs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import ClusterSpec, ProfileMatrix, SpecError, level_table
+from .model import ClusterSpec, ProfileMatrix, level_table
 
 
 def _stacked(profile: ProfileMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -78,48 +79,6 @@ def moment_matrices(profile: ProfileMatrix, clusters: ClusterSpec) -> MomentMatr
     # Within plus between: exactly 0 for a column degenerate at one level.
     variances = spread + np.diag(cov)
     np.fill_diagonal(cov, variances)
-    sd = np.sqrt(variances)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cor = cov / np.outer(sd, sd)
-    cor[np.isinf(cor)] = np.nan
-    np.fill_diagonal(cor, np.where(sd > 0.0, 1.0, np.nan))
-    return MomentMatrices(means, variances, cov, cor)
-
-
-# Enumeration ceiling for the brute-force check; beyond this the joint
-# support is too large to visit.
-_MAX_ENUMERATION = 10**6
-
-
-def brute_force_moments(profile: ProfileMatrix, clusters: ClusterSpec) -> MomentMatrices:
-    """Moments by full enumeration of the joint support.
-
-    Visits every point of the product support of all variables, accumulates
-    its mixture probability, and forms moments directly.  Exponential in P;
-    guarded at 10**6 support points.  Exists to cross-check the closed
-    forms, not for production use.
-    """
-    sizes = [domain.size for domain in profile.variables]
-    total = int(np.prod(sizes, dtype=object))
-    if total > _MAX_ENUMERATION:
-        raise SpecError(f"brute force enumeration needs {total} points, limit is {_MAX_ENUMERATION}")
-    weights = clusters.weight_array()
-    p_count = profile.variable_count
-    grids = np.indices(sizes).reshape(p_count, total)
-    # values[j, p]: level code of variable p at support point j
-    values = np.empty((total, p_count))
-    for p, domain in enumerate(profile.variables):
-        values[:, p] = np.asarray(domain.levels, dtype=float)[grids[p]]
-    prob = np.zeros(total)
-    for c in range(clusters.cluster_count):
-        cell_prob = np.ones(total)
-        for p in range(p_count):
-            cell_prob *= profile.cell(c, p).as_array()[grids[p]]
-        prob += weights[c] * cell_prob
-    means = prob @ values
-    centered = values - means
-    cov = (centered * prob[:, None]).T @ centered
-    variances = np.diag(cov).copy()
     sd = np.sqrt(variances)
     with np.errstate(divide="ignore", invalid="ignore"):
         cor = cov / np.outer(sd, sd)

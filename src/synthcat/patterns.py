@@ -49,19 +49,10 @@ class PatternMatrix:
 def _run_length(cluster: int, variables: int) -> tuple[int, str]:
     """Run length and starting symbol for 1-based cluster row ``cluster``.
 
-    Odd rows start at L, even rows at H; the run length halves every time
-    the row index advances past a pair, so rows 2j-1 and 2j are mirror
-    images of each other.
+    Odd rows start at L, even rows at H; the run length halves every two
+    rows, so rows 2j-1 and 2j are mirror images of each other.
     """
-    if cluster % 2 == 1:
-        return variables >> ((cluster - 1) // 2), LOW
-    return variables >> (cluster // 2 - 1), HIGH
-
-
-def _pattern_depth(cluster_count: int) -> int:
-    """Number of halvings the deepest row performs."""
-    half = (cluster_count + 1) // 2 if cluster_count % 2 else cluster_count // 2
-    return half - 1
+    return variables >> ((cluster - 1) // 2), LOW if cluster % 2 else HIGH
 
 
 def balanced_pattern(cluster_count: int, variable_count: int) -> PatternMatrix:
@@ -76,7 +67,8 @@ def balanced_pattern(cluster_count: int, variable_count: int) -> PatternMatrix:
         raise SpecError("pattern: need at least 2 clusters")
     if variable_count < 1:
         raise SpecError("pattern: need at least 1 column")
-    depth = _pattern_depth(cluster_count)
+    # The number of halvings the deepest row performs.
+    depth = (cluster_count - 1) // 2
     divisor = 1 << depth
     if variable_count % divisor:
         raise SpecError(
@@ -87,11 +79,7 @@ def balanced_pattern(cluster_count: int, variable_count: int) -> PatternMatrix:
     for c in range(1, cluster_count + 1):
         run, start = _run_length(c, variable_count)
         other = HIGH if start == LOW else LOW
-        row = []
-        while len(row) < variable_count:
-            row.extend([start] * run)
-            row.extend([other] * run)
-        rows.append(tuple(row[:variable_count]))
+        rows.append(tuple(start if (p // run) % 2 == 0 else other for p in range(variable_count)))
     block = variable_count >> depth
     groups = tuple(p // block + 1 for p in range(variable_count))
     return PatternMatrix(tuple(rows), groups)

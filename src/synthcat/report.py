@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -28,11 +28,9 @@ from .generator import BuiltSpec, build_spec, generate
 from .model import (
     Dataset,
     GroupStructure,
-    RunConfig,
     SpecError,
     VariableDomain,
     checked_seed,
-    dump_config,
     load_config,
 )
 from .moments import MomentMatrices, moment_matrices
@@ -137,22 +135,23 @@ def compare_matrices(theoretical: AssociationMatrix, sample: AssociationMatrix) 
 class RunResult:
     """The stages of one run, each computed on first use and then kept.
 
-    ``source`` is a RunConfig, a config dict or a JSON path; ``seed``, when
-    given, replaces the config's seed and is checked like it.  Stages:
+    ``source`` is a config dict or a JSON path; ``config`` is its canonical
+    form (``load_config``).  ``seed``, when given, replaces the config's seed
+    and is checked like it.  Stages:
     config -> built (validated) -> dataset and moments -> sample -> sample_pearson,
     summaries, comparison.  Asking for moments never generates the dataset.
     """
 
-    source: RunConfig | str | Path | dict
+    source: str | Path | dict
     threads: int = 1
     shuffle: bool = False
     seed: int | None = None
 
     @cached_property
-    def config(self) -> RunConfig:
-        config = self.source if isinstance(self.source, RunConfig) else load_config(self.source)
+    def config(self) -> dict:
+        config = load_config(self.source)
         if self.seed is not None:
-            config = replace(config, seed=checked_seed(self.seed, "seed"))
+            config["seed"] = checked_seed(self.seed, "seed")
         return config
 
     @cached_property
@@ -195,7 +194,7 @@ class RunResult:
 
     @cached_property
     def calibration(self) -> CalibrationResult:
-        if self.config.groups is None:
+        if "groups" not in self.config:
             raise SpecError("calibrate: config must declare groups")
         return self.built.calibration
 
@@ -398,15 +397,15 @@ def run_pipeline(
     run = RunResult(config_source, threads, shuffle, seed)
     names = ["dataset.csv", "allocation.txt", "theoretical_covariance.csv",
              "theoretical_correlation.csv", "sample_pearson.csv", "group_summary.csv"]
-    if run.config.groups is not None and run.config.groups.targets is not None:
+    if "targets" in run.config.get("groups", {}):
         names.append("calibration_report.csv")
     paths = write_artifacts(run, out_dir, names)
 
-    config = dump_config(run.config)
+    config = run.config
     manifest = {
         "config": config,
         "config_sha256": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
-        "seed": run.config.seed,
+        "seed": config["seed"],
         "options": {"shuffle": shuffle},
         "versions": {
             "package": __version__,

@@ -20,10 +20,11 @@ from synthcat.association import (
     tau_c_pair_scan,
 )
 from closed_forms import balanced_low_parameter, cluster_means
+from moment_oracles import brute_force_moments
 from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import GeneratorSpec, bind_pattern, build_spec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, VariableDomain, load_config
-from synthcat.moments import brute_force_moments, moment_matrices
+from synthcat.moments import moment_matrices
 from helpers import pad_groups
 from synthcat.patterns import HIGH, balanced_pattern, grouped_pattern
 from synthcat.model import GroupStructure

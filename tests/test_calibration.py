@@ -19,6 +19,7 @@ from closed_forms import (
     snp_mixture_variance,
     snp_pair_dependence,
 )
+from moment_oracles import brute_force_moments
 from synthcat.calibration import (
     PARAMETRIC_FAMILIES,
     RESIDUAL_TOLERANCE,
@@ -36,7 +37,7 @@ from synthcat.model import (
     SpecError,
     VariableDomain,
 )
-from synthcat.moments import brute_force_moments, moment_matrices
+from synthcat.moments import moment_matrices
 
 
 class TestHardyWeinberg:

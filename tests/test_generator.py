@@ -252,6 +252,33 @@ class TestBuildSpec:
         assert built.spec.clusters.counts == (5, 5)
         assert built.spec.profile.cell(1, 0).probs == (0.9, 0.1)
 
+    PROFILE_CONFIG = {
+        "seed": 4,
+        "clusters": {"n": 10},
+        "variables": [
+            {"name": "a", "levels": [0, 1]},
+            {"name": "b", "levels": [1, 2, 3]},
+            {"name": "c", "levels": [0, 1]},
+        ],
+        "profile": [
+            [[0.2, 0.8], [0.1, 0.4, 0.5], [0.5, 0.5]],
+            [[0.9, 0.1], [0.6, 0.3, 0.1], [0.3, 0.7]],
+        ],
+    }
+
+    def test_profile_rows_give_the_cluster_count(self):
+        derived = build_spec(load_config(self.PROFILE_CONFIG))
+        given = build_spec(load_config({**self.PROFILE_CONFIG, "clusters": {"C": 2, "n": 10}}))
+        assert derived.spec.clusters == given.spec.clusters
+        assert np.array_equal(generate(derived.spec).positions, generate(given.spec).positions)
+        # The canonical config, and so the manifest, holds only what was given.
+        assert load_config(self.PROFILE_CONFIG)["clusters"] == {"n": 10}
+
+    def test_a_given_cluster_count_wins_over_the_profile_rows(self):
+        config = load_config({**self.PROFILE_CONFIG, "clusters": {"C": 3, "n": 10}})
+        with pytest.raises(SpecError, match="profile has 2 cluster rows but clusters declare 3"):
+            build_spec(config)
+
     def test_grouped_explicit_branch(self):
         config = load_config(
             {

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from synthcat.model import load_config
 from synthcat.report import RunResult, run_pipeline, write_artifacts
 from test_acceptance import EXPLICIT_CONFIG, LADDER_CONFIG, LINKAGE_CONFIG
 
@@ -143,6 +144,103 @@ def test_theoretical_digests_match_golden(name, tmp_path):
     paths = run_pipeline(config, tmp_path, shuffle=shuffle)
     paths.update(write_artifacts(RunResult(config, shuffle=shuffle), tmp_path, ["comparison.json"]))
     assert {artifact: sha256(paths[artifact]) for artifact in THEORETICAL[name]} == THEORETICAL[name]
+
+
+# The canonical form of configs that together use every schema key, integral
+# floats included: the sha256 of json.dumps(load_config(config),
+# sort_keys=True), which is the text a manifest's config_sha256 is taken over.
+CANONICAL = {
+    "profile-weights": (
+        {
+            "seed": 7.0,
+            "clusters": {"C": 2.0, "n": 10.0, "weights": [0.25, 0.75]},
+            "variables": [
+                {"name": "x1", "levels": [0.0, 1.0], "kind": "ordinal"},
+                {"name": "x2", "levels": [1, 2, 3]},
+            ],
+            "profile": [
+                [[0.1, 0.9], [0.2, 0.3, 0.5]],
+                [[1, 0], [0.5, 0.3, 0.2]],
+            ],
+        },
+        "158f3bcdbb7ebefcc61c9b0ccb8927ced0efb349076f1a125b76e4c1ec1b93b6",
+    ),
+    "profile-counts": (
+        {
+            "seed": 3,
+            "clusters": {"counts": [4.0, 6]},
+            "variables": [{"name": "a", "levels": [0, 1], "kind": "nominal"}],
+            "profile": [[[0.5, 0.5]], [[0.25, 0.75]]],
+        },
+        "4c20da59d23dcc49f314b2a184922f3d85cd5a4c33c2286afa6e5330f90d393e",
+    ),
+    "snp-correlation": (
+        {
+            "seed": 11,
+            "clusters": {"n": 600.0},
+            "groups": {
+                "k": 4.0,
+                "sizes": [2, 3.0, 2, 2],
+                "family": "snp",
+                "pH": 0.9,
+                "targets": [
+                    {"correlation": 0.3}, {"correlation": 0.4},
+                    {"correlation": 0.2}, {"correlation": 0.5},
+                ],
+            },
+            "noise": [{"name": "z1", "levels": [0, 1.0, 2], "probs": [0.25, 0.5, 0.25]}],
+        },
+        "c5d97c9ea08de67b298e9b411d216990af177eb1735dca0cda5c5aa865f13439",
+    ),
+    "binary-covariance": (
+        {
+            "seed": 2**64 - 1,
+            "clusters": {"C": 4, "n": 100, "weights": [0.1, 0.2, 0.3, 0.4]},
+            "groups": {
+                "sizes": [2, 2],
+                "family": "binary",
+                "pH": 1,
+                "targets": [{"covariance": 0.05}, {"covariance": 0.02}],
+            },
+            "noise": [],
+        },
+        "68cdd8de669107875c397d049f6bee32f0d14a8cb3edbb14b7cea0f160314a3e",
+    ),
+    "explicit": (
+        {
+            "seed": 0,
+            "clusters": {"C": 6, "counts": [5, 5, 5, 5, 5, 5]},
+            "groups": {
+                "k": 4,
+                "sizes": [1, 1, 1, 1],
+                "family": "explicit",
+                "H": [0.2, 0.8],
+                "L": [0.8, 0.2],
+            },
+            "noise": [
+                {"name": "n1", "levels": [-1, 1], "probs": [0.5, 0.5]},
+                {"name": "n2", "levels": [0, 5, 9], "probs": [0.2, 0.3, 0.5]},
+            ],
+        },
+        "85421c0304203df641b6094f4eb7ed504a35bd8d4654666f558dcb23d167feb6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL))
+def test_canonical_config_digests_match_golden(name):
+    raw, digest = CANONICAL[name]
+    config = load_config(raw)
+    assert hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest() == digest
+    assert load_config(config) == config
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_manifest_config_reloads_to_itself(name, tmp_path):
+    config, shuffle, _, _ = GOLDEN[name]
+    paths = run_pipeline(config, tmp_path, shuffle=shuffle)
+    manifest = json.loads(paths["manifest.json"].read_text())
+    assert json.loads(json.dumps(load_config(manifest["config"]))) == manifest["config"]
 
 
 # Run in a fresh interpreter: rerun a ladder manifest (argv[1]) into argv[2],

@@ -8,7 +8,6 @@ import pytest
 from helpers import dataset_violations
 from synthcat.model import (
     ClusterSpec,
-    ClustersConfig,
     Dataset,
     DependenceTarget,
     GroupStructure,
@@ -16,7 +15,6 @@ from synthcat.model import (
     ProfileMatrix,
     SpecError,
     VariableDomain,
-    dump_config,
     largest_remainder,
     load_config,
     minimum_identifiable_variables,
@@ -210,7 +208,7 @@ class TestConfigIO:
         raw = self.grouped()
         raw["noise"] = [{"name": "a1", "levels": [0, 1], "probs": [0.5, 0.5]}]
         config = load_config(raw)
-        assert load_config(dump_config(config)) == config
+        assert load_config(config) == config
 
     def test_profile_round_trip(self):
         raw = {
@@ -226,9 +224,9 @@ class TestConfigIO:
             ],
         }
         config = load_config(raw)
-        assert config.variables[0].kind == "ordinal"
-        assert config.variables[1].kind == "interval"
-        assert load_config(dump_config(config)) == config
+        assert config["variables"][0]["kind"] == "ordinal"
+        assert config["variables"][1]["kind"] == "interval"
+        assert load_config(config) == config
 
     def test_seed_required(self):
         raw = self.grouped()
@@ -265,7 +263,7 @@ class TestConfigIO:
         raw["groups"]["sizes"] = [2.0] * 8
         config = load_config(raw)
         assert config == load_config(self.grouped())
-        assert isinstance(config.seed, int) and isinstance(config.clusters.subjects, int)
+        assert isinstance(config["seed"], int) and isinstance(config["clusters"]["n"], int)
 
     def test_file_round_trip(self, tmp_path):
         import json
@@ -277,23 +275,28 @@ class TestConfigIO:
 
 class TestResolveClusters:
     def test_uniform_from_count_and_n(self):
-        spec = resolve_clusters(ClustersConfig(count=8, subjects=800))
+        spec = resolve_clusters({"C": 8, "n": 800})
         assert spec.counts == (100,) * 8
 
     def test_counts_take_precedence(self):
-        spec = resolve_clusters(ClustersConfig(counts=(3, 7)))
+        spec = resolve_clusters({"counts": (3, 7)})
         assert spec.weights == (0.3, 0.7)
 
     def test_derived_count_conflicts(self):
         with pytest.raises(SpecError, match="disagrees"):
-            resolve_clusters(ClustersConfig(count=4, subjects=100), derived_count=6)
+            resolve_clusters({"C": 4, "n": 100}, derived_count=6)
 
     def test_weights_with_n(self):
-        spec = resolve_clusters(ClustersConfig(weights=(0.25, 0.75), subjects=8))
+        spec = resolve_clusters({"weights": (0.25, 0.75), "n": 8})
         assert spec.counts == (2, 6)
+
+    def test_no_clusters_is_a_violation_not_a_division_by_zero(self):
+        assert resolve_clusters({"C": 0, "n": 10}).violations() == [
+            "clusters: at least one cluster required"
+        ]
 
     def test_missing_information(self):
         with pytest.raises(SpecError):
-            resolve_clusters(ClustersConfig(count=4))
+            resolve_clusters({"C": 4})
         with pytest.raises(SpecError):
-            resolve_clusters(ClustersConfig(subjects=100))
+            resolve_clusters({"n": 100})

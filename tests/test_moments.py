@@ -14,6 +14,7 @@ from closed_forms import (
     marginal_mean,
     within_group_covariance,
 )
+from moment_oracles import brute_force_moments
 from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import bind_pattern, build_spec
 from synthcat.model import (
@@ -24,7 +25,7 @@ from synthcat.model import (
     VariableDomain,
     load_config,
 )
-from synthcat.moments import brute_force_moments, moment_matrices
+from synthcat.moments import moment_matrices
 from synthcat.patterns import balanced_pattern
 
 

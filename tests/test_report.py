@@ -447,13 +447,13 @@ class TestCli:
         assert (out / "v_matrix.csv").exists()
         assert (out / "v_long.csv").read_text().startswith("p,q,value")
 
-    def test_associate_csv_may_repeat_a_column_name(self, tmp_path, capsys):
+    def test_associate_csv_refuses_a_repeated_column_name(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        data.write_text("a,a\n0,1\n1,0\n0,1\n1,1\n")
+        data.write_text("a,a,b\n0,1,0\n1,0,1\n0,1,1\n1,1,0\n")
         out = tmp_path / "o"
-        assert main(["associate", "--data", str(data), "--out", str(out)]) == 0
-        assert (out / "pearson_matrix.csv").read_text().startswith(",a,a\na,")
-        capsys.readouterr()
+        assert main(["associate", "--data", str(data), "--measure", "v", "--out", str(out)]) == 2
+        assert "column name 'a' is used 2 times" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_associate_from_config(self, tmp_path):
         config = write_config(tmp_path, explicit_config())
