@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import dataset_violations
@@ -24,7 +26,7 @@ from synthcat.model import (
 )
 from synthcat.moments import moment_matrices
 from synthcat.patterns import PatternMatrix, balanced_pattern, grouped_pattern
-from synthcat.sampling import shuffle_order
+from synthcat.sampling import column_uniforms, shuffle_order
 
 H_PROBS = hardy_weinberg_probs(0.95)
 L_PROBS = hardy_weinberg_probs(0.25)
@@ -227,6 +229,57 @@ class TestGenerate:
             _, p_value, _, _ = stats.chi2_contingency(table, correction=False)
             rejections += p_value < 0.05
         assert rejections <= 13
+
+
+def oracle_generate(spec: GeneratorSpec, shuffle: bool):
+    """The per-column draw: each cluster block's uniforms looked up by searchsorted."""
+    n, p_count = spec.clusters.subjects, spec.profile.variable_count
+    widest = max(domain.size for domain in spec.profile.variables)
+    positions = np.empty((n, p_count), dtype=np.min_scalar_type(widest - 1))
+    for p in range(p_count):
+        uniforms = column_uniforms(spec.seed, p, n)
+        start = 0
+        for c, count in enumerate(spec.clusters.counts):
+            edges = np.clip(np.cumsum(spec.profile.cell(c, p).as_array())[:-1], 0.0, 1.0)
+            block = slice(start, start + count)
+            positions[block, p] = np.searchsorted(edges, uniforms[block], side="right")
+            start += count
+    assignments = allocate_subjects(spec.clusters)
+    if shuffle:
+        order = shuffle_order(spec.seed, n)
+        return positions[order], assignments[order]
+    return positions, assignments
+
+
+@st.composite
+def explicit_specs(draw):
+    """Small explicit-profile specs: mixed widths up to 300 levels, zero-probability
+    levels, and uneven cluster counts that may include empty clusters."""
+    widths = draw(st.lists(st.sampled_from((2, 3, 4, 5, 17, 256, 300)), min_size=1, max_size=5))
+    counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for _ in counts:
+        row = []
+        for m in widths:
+            weights = rng.integers(0, 4, m) * (rng.random(m) < 0.7)
+            weights[rng.integers(m)] += 1
+            row.append(ProbabilityVector(tuple((weights / weights.sum()).tolist())))
+        rows.append(tuple(row))
+    variables = tuple(VariableDomain(f"x{p + 1}", tuple(range(m))) for p, m in enumerate(widths))
+    profile = ProfileMatrix(variables, tuple(rows))
+    return GeneratorSpec(ClusterSpec.from_counts(tuple(counts)), profile, draw(st.integers(0, 2**64 - 1)))
+
+
+@pytest.mark.filterwarnings("ignore:identifiability")
+@settings(max_examples=80, deadline=None)
+@given(explicit_specs(), st.integers(1, 3), st.booleans())
+def test_generate_matches_the_per_column_oracle(spec, threads, shuffle):
+    data = generate(spec, threads=threads, shuffle=shuffle)
+    positions, assignments = oracle_generate(spec, shuffle)
+    assert data.positions.dtype == positions.dtype
+    assert np.array_equal(data.positions, positions)
+    assert np.array_equal(data.assignments, assignments)
 
 
 class TestBuildSpec:

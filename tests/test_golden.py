@@ -15,7 +15,8 @@ from pathlib import Path
 
 import pytest
 
-from synthcat.model import load_config
+from synthcat.generator import GeneratorSpec, generate
+from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, VariableDomain, load_config
 from synthcat.report import RunResult, run_pipeline, write_artifacts
 from test_acceptance import EXPLICIT_CONFIG, LADDER_CONFIG, LINKAGE_CONFIG
 
@@ -39,6 +40,56 @@ GOLDEN = {
         "4f75ed314a686107243787e207fc3744a270f8e6258c58b60ad9549c17ead5a3",
     ),
 }
+
+
+def explicit_spec(widths, counts, seed):
+    """A profile over 0-based levels whose cells mix zero and positive probabilities.
+
+    Level j of column p in cluster c has weight (3c + 7j + p) mod 5, so
+    every fifth level or so has probability 0, and no cell is all zeros.
+    """
+    variables = tuple(VariableDomain(f"x{p}", tuple(range(m))) for p, m in enumerate(widths))
+    rows = []
+    for c in range(len(counts)):
+        row = []
+        for p, m in enumerate(widths):
+            weights = [(3 * c + 7 * j + p) % 5 for j in range(m)]
+            row.append(ProbabilityVector(tuple(w / sum(weights) for w in weights)))
+        rows.append(tuple(row))
+    return GeneratorSpec(ClusterSpec.from_counts(counts), ProfileMatrix(variables, tuple(rows)), seed)
+
+
+# The arrays ``generate`` returns, pinned below any writer: name -> (widths,
+# counts, seed, positions dtype, sha256 of positions.tobytes(), sha256 of
+# assignments.tobytes()), each drawn shuffled on 3 threads.
+GENERATED = {
+    "mixed-widths": (
+        (2, 3, 5, 17, 2, 3, 5, 17, 3),
+        (13, 0, 58, 129),
+        2024,
+        "uint8",
+        "05a3d99bd8f27e91ba0050abec406c9907a0c0b6934dd4041cab004eb35a5a2b",
+        "98e596bc4f581ef1b51c01f7c9e6cc2577ef44bedb4f7a47fe9eef638461c88b",
+    ),
+    "uint16": (
+        (300, 2, 3),
+        (97, 203),
+        99,
+        "uint16",
+        "7a0d57c4808dc33c2aa4bdbedaedef33b99c663d9981acc3d3b1ce5159677602",
+        "fe6daeda8036912bbbb0f9410fbd7717553ae7d4101ce69094a878e7c165e9da",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_generated_arrays_match_golden_digests(name):
+    widths, counts, seed, dtype, positions_digest, assignments_digest = GENERATED[name]
+    dataset = generate(explicit_spec(widths, counts, seed), threads=3, shuffle=True)
+    assert str(dataset.positions.dtype) == dtype
+    assert hashlib.sha256(dataset.positions.tobytes()).hexdigest() == positions_digest
+    assert hashlib.sha256(dataset.assignments.tobytes()).hexdigest() == assignments_digest
+
 
 # Artifacts made only of Python float arithmetic and json/hashlib, so their
 # digests hold on every machine: name -> (manifest config_sha256,
