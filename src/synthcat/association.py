@@ -187,16 +187,19 @@ class AssociationMatrix:
         return out
 
 
-# Rows of the table copied to float at a time by ``sample_moments``.
-_MOMENT_ROWS = 4096
+# Rows of the table copied to float at a time by ``sample_moments``; the
+# block's flat gather index takes 8 bytes per cell on top of the floats.
+_MOMENT_ROWS = 2048
 
 
 def _shifted_sums(positions: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sum x and X^T X of x = ``shifted[p, position]``, one float block of rows at a time."""
     sums = np.zeros(positions.shape[1])
     cross = np.zeros((len(sums), len(sums)))
+    # Row p of the C-order P x M table starts at flat index p * M.
+    flat, offsets = shifted.ravel(), np.arange(len(sums)) * shifted.shape[1]
     for start in range(0, len(positions), _MOMENT_ROWS):
-        x = shifted[np.arange(len(sums)), positions[start : start + _MOMENT_ROWS]]
+        x = flat.take(positions[start : start + _MOMENT_ROWS] + offsets)
         sums += x.sum(axis=0)
         cross += x.T @ x
         del x  # free this block before the next one is made

@@ -11,7 +11,10 @@ PatternMatrix whose H/L labels are bound to concrete probability vectors,
 with any noise columns appended after the pattern's.
 
 Columns are independent streams, so generation can fan out across threads
-with bit-identical output for any thread count.
+with bit-identical output for any thread count.  Each worker draws one
+column into a contiguous row of a column-major buffer, applying the subject
+shuffle within the column, and one transpose at the end gives the n x P
+positions.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .model import (
     ProfileMatrix,
     SpecError,
     VariableDomain,
+    probability_table,
     resolve_clusters,
     validate_spec,
 )
@@ -107,15 +111,25 @@ def bind_pattern(
     return ProfileMatrix(variables, rows)
 
 
-def _generate_column(spec: GeneratorSpec, p: int, out: np.ndarray) -> None:
-    """Fill ``out`` with column p's level positions, one cluster block at a time."""
+def _draw_column(
+    spec: GeneratorSpec, edges: np.ndarray, p: int, out: np.ndarray, order: np.ndarray | None
+) -> None:
+    """Fill ``out`` with column p's level positions, one cluster block at a time.
+
+    Each block compares only column p's own interior edges.  With ``order``
+    the column is drawn into a scratch array and ``out`` receives it
+    permuted, so no buffer here outgrows one column.
+    """
     uniforms = sampling.column_uniforms(spec.seed, p, len(out))
+    interior = spec.profile.variables[p].size - 1
+    drawn = out if order is None else np.empty_like(out)
     start = 0
     for c, count in enumerate(spec.clusters.counts):
-        edges = sampling.band_edges(spec.profile.cell(c, p).as_array())
         block = slice(start, start + count)
-        out[block] = sampling.band_indices(edges, uniforms[block])
+        drawn[block] = sampling.band_indices(edges[c, p, :interior], uniforms[block])
         start += count
+    if order is not None:
+        np.take(drawn, order, out=out)
 
 
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
@@ -126,6 +140,11 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     With ``shuffle`` the subjects are reordered by a dedicated seeded
     stream, so the data no longer reveals the allocation through row order;
     the returned assignments are reordered in lockstep.
+
+    Workers write column p into row p of a P x n buffer, each row one
+    contiguous store, shuffling within the column as they go; a single
+    transpose then makes the n x P positions.  The peak is two n x P arrays
+    at that transpose, shuffled or not.
     """
     if threads < 1:
         raise SpecError(f"generate: threads must be at least 1, got {threads}")
@@ -134,19 +153,23 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
 
     assignments = allocate_subjects(spec.clusters)
     n = len(assignments)
-    p_count = spec.profile.variable_count
+    # Every (cluster, column) cell's edges, from one cumulative sum.
+    edges = sampling.band_edges(probability_table(spec.profile))
+    order = sampling.shuffle_order(spec.seed, n) if shuffle else None
     # One byte per cell up to 256 levels, two above.
     widest = max(domain.size for domain in spec.profile.variables)
-    positions = np.empty((n, p_count), dtype=np.min_scalar_type(widest - 1))
+    columns = np.empty((spec.profile.variable_count, n), dtype=np.min_scalar_type(widest - 1))
 
-    # Workers write straight into the result: returned columns would queue
-    # up in the pool faster than the caller copies them out.
+    # Workers write straight into rows of one buffer: returned columns would
+    # queue up in the pool faster than the caller copies them out.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(lambda p: _generate_column(spec, p, positions[:, p]), range(p_count)))
+        list(pool.map(
+            lambda p: _draw_column(spec, edges, p, columns[p], order), range(len(columns))
+        ))
 
+    positions = np.ascontiguousarray(columns.T)
+    del columns
     if shuffle:
-        order = sampling.shuffle_order(spec.seed, n)
-        positions = positions[order]
         assignments = assignments[order]
 
     positions.setflags(write=False)

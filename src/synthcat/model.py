@@ -32,6 +32,10 @@ FAMILIES = ("binary", "snp", "explicit")
 # Probability vectors and cluster weights must sum to 1 within this slack.
 SUM_TOLERANCE = 1e-9
 
+# Most columns a group structure may lay out, noise included: far past any
+# table the generator can hold, and small enough to expand without overflow.
+MAX_COLUMNS = 2**24
+
 
 class SpecError(ValueError):
     """A specification cannot be generated as declared."""
@@ -229,6 +233,9 @@ class GroupStructure:
             out.append("groups: every group needs at least one variable")
         if self.noise_count < 0:
             out.append("groups: noise count must be non-negative")
+        total = self.variable_count + self.noise_count
+        if total > MAX_COLUMNS:
+            out.append(f"groups: {total} columns in all, more than the {MAX_COLUMNS} allowed")
         if self.targets is not None:
             if len(self.targets) != k:
                 out.append("groups: one target per group required when targets are given")
@@ -346,6 +353,15 @@ def level_table(variables) -> np.ndarray:
     for p, domain in enumerate(variables):
         table[p, : domain.size] = domain.levels
     return table
+
+
+def probability_table(profile: ProfileMatrix) -> np.ndarray:
+    """C x P x M probabilities: cell (c, p) in row [c, p], zero-padded to the widest variable."""
+    sizes = np.array([domain.size for domain in profile.variables])
+    declared = np.arange(sizes.max()) < sizes[:, None]
+    probs = np.zeros((profile.cluster_count, *declared.shape))
+    probs[:, declared] = [[x for cell in row for x in cell.probs] for row in profile.rows]
+    return probs
 
 
 @dataclass(frozen=True, eq=False)

@@ -21,17 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .model import ClusterSpec, ProfileMatrix, level_table
-
-
-def _stacked(profile: ProfileMatrix) -> tuple[np.ndarray, np.ndarray]:
-    """P x M level codes and C x P x M probabilities, zero-padded to the widest variable."""
-    levels = level_table(profile.variables)
-    sizes = np.array([domain.size for domain in profile.variables])
-    declared = np.arange(levels.shape[1]) < sizes[:, None]
-    probs = np.zeros((profile.cluster_count, *declared.shape))
-    probs[:, declared] = [[x for cell in row for x in cell.probs] for row in profile.rows]
-    return levels, probs
+from .model import ClusterSpec, ProfileMatrix, level_table, probability_table
 
 
 def _expect(values: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -60,7 +50,7 @@ def moment_matrices(profile: ProfileMatrix, clusters: ClusterSpec) -> MomentMatr
     """
     weights = clusters.weight_array()
     p_count = profile.variable_count
-    levels, probs = _stacked(profile)
+    levels, probs = level_table(profile.variables), probability_table(profile)
     f = _expect(levels, probs)
     within = _expect((levels - f[:, :, None]) ** 2, probs)
     # Means are taken about the first cluster's: a column with one mean in

@@ -216,15 +216,21 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_table(path: Path, header: str, rows) -> None:
+def _write_lines(path: str | Path, lines) -> None:
+    """Write each line and a newline after it, as UTF-8, to a str or Path ``path``."""
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_table(path: str | Path, header: str, rows) -> None:
     """Write the header line, then one line of comma-separated formatted cells per row."""
-    lines = [header]
-    lines.extend(",".join(map(_format, row)) for row in rows)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_lines(path, [header, *(",".join(map(_format, row)) for row in rows)])
 
 
-def write_matrix_csv(path: Path, values: np.ndarray, names: tuple[str, ...]) -> None:
-    _write_table(path, "," + ",".join(names), ((name, *row) for name, row in zip(names, values)))
+def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...]) -> None:
+    # A row's tolist() gives Python floats, whose repr is the text _format
+    # writes; going row by row holds one row of float objects, not the matrix.
+    rows = (name + "," + ",".join(map(repr, row.tolist())) for name, row in zip(names, values))
+    _write_lines(path, ["," + ",".join(names), *rows])
 
 
 # Rows per block of the code writer: the block's token indices (8 bytes per
@@ -275,7 +281,7 @@ def _write_codes(
         raise
 
 
-def write_dataset_csv(path: Path, dataset: Dataset) -> None:
+def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
     """Write the dataset as a headered integer CSV, one subject per line.
 
     The first line holds the variable names; each further line holds one
@@ -286,7 +292,7 @@ def write_dataset_csv(path: Path, dataset: Dataset) -> None:
     _write_codes(path, dataset.positions, dataset.profile.variables, header=True)
 
 
-def write_allocation(path: Path, dataset: Dataset) -> None:
+def write_allocation(path: str | Path, dataset: Dataset) -> None:
     """Write each subject's true cluster (1..C), one per line, no header.
 
     The bytes are those of numpy's ``savetxt(path, assignments, fmt="%d")``.
@@ -295,7 +301,7 @@ def write_allocation(path: Path, dataset: Dataset) -> None:
     _write_codes(path, dataset.assignments[:, None] - 1, (clusters,), header=False)
 
 
-def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:
+def write_group_summary(path: str | Path, summaries: list[GroupSummary]) -> None:
     header = "group,size,target_kind,target_value,theoretical,sample,abs_gap"
     _write_table(path, header, (
         (s.group, s.size, s.target_kind, s.target_value, s.theoretical, s.sample, s.gap)
@@ -303,7 +309,7 @@ def write_group_summary(path: Path, summaries: list[GroupSummary]) -> None:
     ))
 
 
-def write_calibration_report(path: Path, calibration: CalibrationResult) -> None:
+def write_calibration_report(path: str | Path, calibration: CalibrationResult) -> None:
     header = "group,family,target_kind,target_value,low_parameter,covariance,correlation,high,low"
     _write_table(path, header, (
         (g.group, calibration.family, *((g.target.kind, g.target.value) if g.target else (None, None)),
@@ -322,7 +328,7 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_long_format(path: Path, matrix: AssociationMatrix) -> None:
+def write_long_format(path: str | Path, matrix: AssociationMatrix) -> None:
     """Heatmap-ready triplets: variable_p, variable_q, value."""
     _write_table(path, "p,q,value", matrix.long_format())
 
@@ -335,9 +341,9 @@ def write_association(out_dir, matrix: AssociationMatrix) -> None:
     write_long_format(out / f"{matrix.measure}_long.csv", matrix)
 
 
-def write_comparison(path: Path, comparison: ComparisonReport) -> None:
+def write_comparison(path: str | Path, comparison: ComparisonReport) -> None:
     text = json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n"
-    path.write_text(text, encoding="utf-8")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 # Each artifact file: the name of its writer in this module, and the writer's

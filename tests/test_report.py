@@ -217,6 +217,23 @@ class TestWriters:
         write_matrix_csv(path, np.array([[1.0, np.nan], [np.nan, 1.0]]), ("a", "b"))
         assert "nan" in path.read_text()
 
+    def test_matrix_csv_writes_each_cell_as_its_float_repr(self, tmp_path):
+        values = np.array([[1 / 3, -0.0, np.nan], [np.inf, 1e-300, -2.5], [0.1, 7.0, -np.inf]])
+        path = tmp_path / "m.csv"
+        write_matrix_csv(path, values, ("a", "b", "c"))
+        rows = [",".join([name, *(repr(float(x)) for x in row)])
+                for name, row in zip("abc", values)]
+        assert path.read_text() == "\n".join([",a,b,c", *rows]) + "\n"
+
+    def test_every_artifact_writer_takes_a_str_path(self, tmp_path):
+        run = RunResult(load_config(snp_config()))
+        paths = report.write_artifacts(run, tmp_path / "path", list(report.ARTIFACTS))
+        for name, path in paths.items():
+            writer, arguments = report.ARTIFACTS[name]
+            text = str(tmp_path / f"str-{name}")
+            getattr(report, writer)(text, *arguments(run))
+            assert Path(text).read_bytes() == path.read_bytes()
+
 
 class TestPipeline:
     def test_explicit_run_writes_seven_artifacts(self, tmp_path):
@@ -606,6 +623,19 @@ class TestCli:
         assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
         assert INVALID_SPECS[bad] in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize(
+        "command", ["generate", "moments", "calibrate", "report", "pipeline", "associate"]
+    )
+    @pytest.mark.parametrize("sizes", [[2**70, 2], [2**24, 1]])
+    def test_too_many_group_columns_exit_two(self, tmp_path, capsys, command, sizes):
+        config = snp_config()
+        config["groups"].update(k=len(sizes), sizes=sizes)
+        del config["groups"]["targets"]
+        out = tmp_path / "o"
+        assert main([command, "--config", write_config(tmp_path, config), "--out", str(out)]) == 2
+        assert f"groups: {sum(sizes)} columns in all" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command", ["generate", "moments", "calibrate", "report", "pipeline", "associate"]
