@@ -253,8 +253,11 @@ def oracle_generate(spec: GeneratorSpec, shuffle: bool):
 
 @st.composite
 def explicit_specs(draw):
-    """Small explicit-profile specs: mixed widths up to 300 levels, zero-probability
-    levels, and uneven cluster counts that may include empty clusters."""
+    """Small explicit-profile specs with zero-probability levels.
+
+    Widths mix 2 to 300 levels (uint16 above 256), and the uneven cluster
+    counts may leave a cluster empty.
+    """
     widths = draw(st.lists(st.sampled_from((2, 3, 4, 5, 17, 256, 300)), min_size=1, max_size=5))
     counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=4).filter(any))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
