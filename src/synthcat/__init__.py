@@ -25,7 +25,6 @@ from .calibration import (
     CalibrationResult,
     GroupCalibration,
     calibrate_group,
-    hardy_weinberg_probs,
     pair_dependence,
 )
 from .generator import (
@@ -101,7 +100,6 @@ __all__ = [
     "crosstab",
     "generate",
     "grouped_pattern",
-    "hardy_weinberg_probs",
     "load_config",
     "moment_matrices",
     "pair_dependence",

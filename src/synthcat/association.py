@@ -178,28 +178,25 @@ class AssociationMatrix:
     def dimension(self) -> int:
         return len(self.names)
 
-    def long_format(self) -> list[tuple[str, str, float]]:
-        """(name_p, name_q, value) rows for heatmap tools, row-major."""
-        out = []
-        for p, name_p in enumerate(self.names):
-            for q, name_q in enumerate(self.names):
-                out.append((name_p, name_q, float(self.values[p, q])))
-        return out
+
+# Rows of the table turned into floats at a time, by ``sample_moments`` and
+# ``_pair_tables`` alike.
+_MOMENT_ROWS = 256
 
 
-# Rows of the table copied to float at a time by ``sample_moments``; the
-# block's flat gather index takes 8 bytes per cell on top of the floats.
-_MOMENT_ROWS = 2048
+def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``.
 
-
-def _shifted_sums(positions: np.ndarray, shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sum x and X^T X of x = ``shifted[p, position]``, one float block of rows at a time."""
-    sums = np.zeros(positions.shape[1])
+    X is made a block of ``_MOMENT_ROWS`` rows at a time; a block is rows x
+    width floats (width = ``len(columns)``), never larger than the width x
+    width Gram once width >= rows.
+    """
+    sums = np.zeros(len(table))
     cross = np.zeros((len(sums), len(sums)))
-    # Row p of the C-order P x M table starts at flat index p * M.
-    flat, offsets = shifted.ravel(), np.arange(len(sums)) * shifted.shape[1]
+    # Row c of the C-order width x M table starts at flat index c * M.
+    flat, offsets = table.ravel(), np.arange(len(sums)) * table.shape[1]
     for start in range(0, len(positions), _MOMENT_ROWS):
-        x = flat.take(positions[start : start + _MOMENT_ROWS] + offsets)
+        x = flat.take(positions[start : start + _MOMENT_ROWS].take(columns, axis=1) + offsets)
         sums += x.sum(axis=0)
         cross += x.T @ x
         del x  # free this block before the next one is made
@@ -215,25 +212,30 @@ def sample_moments(data) -> MomentMatrices:
     (Cauchy-Schwarz bounds them all), and the covariance S / (n (n - 1)) and
     correlation S_pq / (sqrt S_pp sqrt S_qq) take elementwise IEEE operations only,
     so their bytes do not depend on the machine.  Beyond that bound a second pass
-    centres on the float means.  Non-interval and constant columns get NaN
-    correlations, the diagonal 1; n = 1 gives NaN.  A code outside its column's
-    declared levels raises SpecError.
+    centres on the float means.  Both passes go through ``_gram``, whose row
+    blocks of P floats each are never larger than the P x P result once P is at
+    least the block's row count.  Non-interval and constant columns get NaN
+    correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a code
+    outside its column's declared levels, raise SpecError.
     """
     return _sample_moments(*_columns(data))
 
 
 def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     n = len(positions)
+    if n == 0:
+        raise SpecError("sample moments: need at least one subject")
     table = level_table(variables)
     # Levels ascend, so each column's smallest position holds its minimum code.
     low = table[np.arange(len(table)), positions.min(axis=0)]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
-    sums, cross = _shifted_sums(positions, shifted.astype(float))
+    every = np.arange(len(table))
+    sums, cross = _gram(positions, every, shifted.astype(float))
     centre = low.astype(float)
     if not n * cross.diagonal().max() < 2**53:
         centre = low + sums / n
-        sums, cross = _shifted_sums(positions, table - centre[:, None])
+        sums, cross = _gram(positions, every, table - centre[:, None])
     scaled = n * cross - np.outer(sums, sums)
     interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -244,38 +246,29 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
         return MomentMatrices((sums + n * centre) / n, np.diag(cov).copy(), cov, cor)
 
 
-# Bytes of the float64 indicator block that ``_pair_tables`` reuses.
-_BLOCK_BYTES = 1 << 18
-
-
 def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) -> np.ndarray:
     """Contingency tables of every pair p < q of ``columns``, zero-padded to M x M.
 
     ``sizes`` holds their level counts.  One indicator matrix Z (a row per
-    subject, a column per declared level of every picked column: its level
-    positions plus its offset) holds all tables at once: block (p, q) of
-    Z^T Z is the p-by-q crosstab.  Z^T Z is accumulated over row blocks of
-    one reused buffer; float64 sums of 0/1 products are exact below 2**53.
-    Returns an int64 array of shape (pairs, M, M), pairs in
+    subject, a column per declared level of every picked column) holds all
+    tables at once: block (p, q) of Z^T Z is the p-by-q crosstab.  ``_gram``
+    accumulates Z^T Z over row blocks of rows x width floats, width being
+    the total level count plus one, so a block is never larger than the
+    Gram once width >= rows; float64 sums of 0/1 products are exact below
+    2**53.  Returns an int64 array of shape (pairs, M, M), pairs in
     ``np.triu_indices`` order, with M the largest level count.
     """
-    n, count = len(positions), len(columns)
-    width = sum(sizes)
-    offsets = np.cumsum([0] + sizes[:-1])
-    # The extra last column of Z stays zero; padding cells index it.
-    rows = max(1, _BLOCK_BYTES // (8 * (width + 1)))
-    block = np.empty((min(rows, n), width + 1))
-    gram = np.zeros((width + 1, width + 1))
-    for start in range(0, n, rows):
-        part = positions[start : start + rows, columns] + offsets
-        z = block[: len(part)]
-        z.fill(0.0)
-        z[np.arange(len(part))[:, None], part] = 1.0
-        gram += z.T @ z
-    m = max(sizes)
+    count, width, m = len(columns), sum(sizes), max(sizes)
+    # Z's column c reads the picked column owner[c] and is 1 where it holds
+    # level position level[c]; the extra last column of Z stays zero, and
+    # padding cells index it.
+    owner = np.repeat([*columns, columns[0]], [*sizes, 1])
+    level = np.concatenate([np.arange(size) for size in sizes] + [[m]])
+    indicator = (level[:, None] == np.arange(m)).astype(float)
+    gram = _gram(positions, owner, indicator)[1]
+    # index[p, l]: the Gram row of the p-th picked column's level l.
     index = np.full((count, m), width)
-    for p, (offset, size) in enumerate(zip(offsets, sizes)):
-        index[p, :size] = np.arange(offset, offset + size)
+    index[np.repeat(np.arange(count), sizes), level[:-1]] = np.arange(width)
     first, second = np.triu_indices(count, 1)
     return gram[index[first][:, :, None], index[second][:, None, :]].astype(np.int64)
 

@@ -26,7 +26,6 @@ is refused with InfeasibleTargetError.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 from .model import (
@@ -43,28 +42,10 @@ RESIDUAL_TOLERANCE = 1e-10
 _MAX_BISECTION_STEPS = 200
 
 
-def _hardy_weinberg(p: float) -> tuple[float, float, float]:
-    return (p * p, 2.0 * p * (1.0 - p), (1.0 - p) * (1.0 - p))
-
-
-def hardy_weinberg_probs(allele_prob: float) -> tuple[float, float, float]:
-    """Genotype distribution (p^2, 2p(1-p), (1-p)^2) over counts (0, 1, 2).
-
-    The level codes count the minor allele, so the mean is 2 - 2p.  At the
-    boundaries p = 0 or 1 the distribution is degenerate; allowed, but
-    flagged because a degenerate column carries no signal.
-    """
-    if not 0.0 <= allele_prob <= 1.0:
-        raise SpecError(f"allele probability must lie in [0, 1], got {allele_prob!r}")
-    if allele_prob in (0.0, 1.0):
-        warnings.warn(f"allele probability {allele_prob} gives a degenerate genotype column")
-    return _hardy_weinberg(allele_prob)
-
-
 # family -> (levels, low/high parameter -> probability vector over them)
 PARAMETRIC_FAMILIES = {
     "binary": ((0, 1), lambda t: (1.0 - t, t)),
-    "snp": ((0, 1, 2), _hardy_weinberg),
+    "snp": ((0, 1, 2), lambda t: (t * t, 2.0 * t * (1.0 - t), (1.0 - t) * (1.0 - t))),
 }
 
 

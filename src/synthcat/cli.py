@@ -10,6 +10,7 @@ calibration target.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import warnings
@@ -102,6 +103,10 @@ def _cmd_associate(args) -> int:
     return 0
 
 
+# One parser per process, shared by every call, so no caller may change it.
+# It is a graph of about 1000 objects in reference cycles, which would
+# otherwise be left for the cyclic collector on every call.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="synthcat",

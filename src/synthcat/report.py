@@ -329,8 +329,13 @@ def _sha256(path: Path) -> str:
 
 
 def write_long_format(path: str | Path, matrix: AssociationMatrix) -> None:
-    """Heatmap-ready triplets: variable_p, variable_q, value."""
-    _write_table(path, "p,q,value", matrix.long_format())
+    """Heatmap-ready triplets, row-major: variable_p, variable_q, repr(value)."""
+    lines = (
+        f"{name_p},{name_q},{value!r}"
+        for name_p, row in zip(matrix.names, matrix.values)
+        for name_q, value in zip(matrix.names, row.tolist())
+    )
+    _write_lines(path, ["p,q,value", *lines])
 
 
 def write_association(out_dir, matrix: AssociationMatrix) -> None:

@@ -8,12 +8,13 @@ independent route, and ``balanced_low_parameter`` runs the library's
 calibrator in that case so tests can compare the two.
 """
 
+import warnings
 from itertools import combinations
 
 import numpy as np
 
 from synthcat.calibration import calibrate_group
-from synthcat.model import DependenceTarget, GroupStructure
+from synthcat.model import DependenceTarget, GroupStructure, SpecError
 
 
 def balanced_low_parameter(family: str, high_param: float, kind: str, value: float) -> float:
@@ -21,6 +22,21 @@ def balanced_low_parameter(family: str, high_param: float, kind: str, value: flo
     structure = GroupStructure(sizes=(2,), targets=(DependenceTarget(kind, value),))
     result = calibrate_group(structure, family, (0.5,), high_prob=high_param)
     return result.groups[0].low_parameter
+
+
+def hardy_weinberg_probs(allele_prob: float) -> tuple[float, float, float]:
+    """Genotype distribution (p^2, 2p(1-p), (1-p)^2) over counts (0, 1, 2).
+
+    The level codes count the minor allele, so the mean is 2 - 2p.  At the
+    boundaries p = 0 or 1 the distribution is degenerate; allowed, but
+    flagged because a degenerate column carries no signal.
+    """
+    p = allele_prob
+    if not 0.0 <= p <= 1.0:
+        raise SpecError(f"allele probability must lie in [0, 1], got {p!r}")
+    if p in (0.0, 1.0):
+        warnings.warn(f"allele probability {p} gives a degenerate genotype column")
+    return (p * p, 2.0 * p * (1.0 - p), (1.0 - p) * (1.0 - p))
 
 
 def hardy_weinberg_moments(allele_prob: float) -> tuple[float, float]:

@@ -19,9 +19,8 @@ from synthcat.association import (
     stuart_kendall_tau_c,
     tau_c_pair_scan,
 )
-from closed_forms import balanced_low_parameter, cluster_means
+from closed_forms import balanced_low_parameter, cluster_means, hardy_weinberg_probs
 from moment_oracles import brute_force_moments
-from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import GeneratorSpec, bind_pattern, build_spec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, VariableDomain, load_config
 from synthcat.moments import moment_matrices

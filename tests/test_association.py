@@ -27,6 +27,7 @@ from synthcat.model import (
     SpecError,
     VariableDomain,
 )
+from synthcat.report import write_long_format
 
 
 def table(rows):
@@ -257,10 +258,18 @@ class TestAssociationMatrix:
         mask = ~np.isnan(direct)
         assert np.array_equal(direct[mask], tupled[mask])
 
-    def test_long_format(self):
-        matrix = AssociationMatrix(np.eye(2), ("a", "b"), "v")
-        rows = matrix.long_format()
-        assert rows == [("a", "a", 1.0), ("a", "b", 0.0), ("b", "a", 0.0), ("b", "b", 1.0)]
+    def test_long_format(self, tmp_path):
+        """The long file: row-major triplets, each value as its float repr."""
+        values = np.array([[1.0, -0.0, math.nan], [math.inf, 0.1, -math.inf], [2 / 3, 0.0, 1e-300]])
+        matrix = AssociationMatrix(values, ("a", "été", "b"), "v")
+        write_long_format(tmp_path / "v_long.csv", matrix)
+        expected = (
+            "p,q,value\n"
+            "a,a,1.0\na,été,-0.0\na,b,nan\n"
+            "été,a,inf\nété,été,0.1\nété,b,-inf\n"
+            "b,a,0.6666666666666666\nb,été,0.0\nb,b,1e-300\n"
+        )
+        assert (tmp_path / "v_long.csv").read_bytes() == expected.encode("utf-8")
 
 
 class TestPearsonMatrix:

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import association_oracles as oracle
+from synthcat import association
 from synthcat.association import (
     ContingencyTable,
     association_matrix,
@@ -133,6 +134,48 @@ def test_value_outside_declared_levels(measure):
         crosstab(values[:, 0], values[:, 1], variables[0].levels, variables[1].levels)
     with pytest.raises(SpecError, match="declared"):
         association_matrix((values, variables), measure)
+
+
+@pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
+def test_zero_subjects_are_refused(measure):
+    variables = (VariableDomain("a", (0, 1), "interval"), VariableDomain("b", (0, 1), "interval"))
+    with pytest.raises(SpecError):
+        association_matrix((np.empty((0, 2), np.int64), variables), measure)
+
+
+def counted(x, y, levels_x, levels_y) -> ContingencyTable:
+    """The crosstab of two code columns, counted one subject at a time by numpy."""
+    counts = np.zeros((len(levels_x), len(levels_y)), np.int64)
+    np.add.at(counts, (np.searchsorted(levels_x, x), np.searchsorted(levels_y, y)), 1)
+    return ContingencyTable(counts)
+
+
+def test_mixed_widths_over_several_blocks():
+    """2, 3, 5 and 17 declared levels, some unobserved, over more rows than one block."""
+    rng = np.random.default_rng(17)
+    n = 2 * association._MOMENT_ROWS + 7
+    variables = tuple(
+        VariableDomain(f"x{p}", tuple(range(-3, 2 * size - 3, 2)), "ordinal")
+        for p, size in enumerate((2, 3, 5, 17, 17, 5, 3, 2))
+    )
+    values = np.column_stack(
+        [rng.choice(v.levels[: v.size - (p % 3 == 1)], n) for p, v in enumerate(variables)]
+    )
+    paper, standard, vcc, tauc = (
+        association_matrix((values, variables), measure, variant=variant).values
+        for measure, variant in (("v", "paper"), ("v", "standard"), ("vcc", "paper"), ("tauc", "paper"))
+    )
+    for p, q in pairs(variables):
+        levels = variables[p].levels, variables[q].levels
+        table = counted(values[:, p], values[:, q], *levels)
+        assert (crosstab(values[:, p], values[:, q], *levels).counts == table.counts).all()
+        for variant, v in (("paper", paper), ("standard", standard)):
+            expected = oracle.cramers_v(table, variant)
+            assert same(v[p, q], expected) or abs(v[p, q] - expected) <= 1e-12
+        assert same(vcc[p, q], oracle.concentration_coefficient(table))
+        assert same(vcc[q, p], oracle.concentration_coefficient(ContingencyTable(table.counts.T)))
+        sizes = variables[p].size, variables[q].size
+        assert tauc[p, q] == tau_c_pair_scan(values[:, p], values[:, q], *sizes)
 
 
 def test_tauc_rejects_one_level_column():

@@ -16,6 +16,7 @@ from closed_forms import (
     binary_mixture_variance,
     binary_pair_dependence,
     hardy_weinberg_moments,
+    hardy_weinberg_probs,
     snp_mixture_variance,
     snp_pair_dependence,
 )
@@ -24,7 +25,6 @@ from synthcat.calibration import (
     PARAMETRIC_FAMILIES,
     RESIDUAL_TOLERANCE,
     calibrate_group,
-    hardy_weinberg_probs,
     pair_dependence,
 )
 from synthcat.model import (
@@ -63,6 +63,12 @@ class TestHardyWeinberg:
             hardy_weinberg_probs(1.0)
         with pytest.raises(SpecError):
             hardy_weinberg_probs(1.5)
+
+    def test_snp_family_is_the_genotype_vector(self):
+        levels, vector = PARAMETRIC_FAMILIES["snp"]
+        assert levels == (0, 1, 2)
+        for p in np.linspace(0.05, 0.95, 19):
+            assert vector(p) == pytest.approx(hardy_weinberg_probs(p), abs=1e-15)
 
     def test_moments_match_direct_expectation(self):
         for p in np.linspace(0.05, 0.95, 19):

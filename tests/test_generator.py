@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from helpers import dataset_violations
-from synthcat.calibration import hardy_weinberg_probs
+from closed_forms import hardy_weinberg_probs
 from synthcat.generator import (
     GeneratorSpec,
     allocate_subjects,

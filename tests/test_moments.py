@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from closed_forms import (
     cluster_means,
     equal_weight_covariance,
+    hardy_weinberg_probs,
     marginal_covariance,
     marginal_mean,
     within_group_covariance,
 )
 from moment_oracles import brute_force_moments
-from synthcat.calibration import hardy_weinberg_probs
 from synthcat.generator import bind_pattern, build_spec
 from synthcat.model import (
     ClusterSpec,

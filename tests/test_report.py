@@ -15,7 +15,7 @@ import pytest
 import synthcat
 from synthcat.association import AssociationMatrix, association_matrix
 from synthcat import generator, report
-from synthcat.cli import main
+from synthcat.cli import build_parser, main
 from synthcat.model import GroupStructure, SpecError, VariableDomain, load_config
 from synthcat.moments import moment_matrices
 from synthcat.generator import build_spec, generate
@@ -455,6 +455,14 @@ class TestCli:
         assert "error" in err
         for part in ("group 2", "snp", "correlation", "ceiling 0.95"):
             assert part in err
+
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        assert build_parser() is build_parser()
+        config = write_config(tmp_path, explicit_config())
+        assert main(["generate", "--config", config, "--out", str(tmp_path / "g"), "--shuffle"]) == 0
+        assert main(["moments", "--config", config, "--out", str(tmp_path / "m")]) == 0
+        assert (tmp_path / "g" / "dataset.csv").exists()
+        assert (tmp_path / "m" / "theoretical_covariance.csv").exists()
 
     def test_associate_from_csv(self, tmp_path):
         data = tmp_path / "data.csv"

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from synthcat import association, report
 from synthcat.association import association_matrix, sample_moments
 from synthcat.generator import GeneratorSpec, generate
-from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, VariableDomain
+from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, SpecError, VariableDomain
 from synthcat.report import RunResult, write_artifacts, write_dataset_csv
 
 KINDS = ("nominal", "ordinal", "interval")
@@ -141,12 +141,26 @@ def test_int64_extremes_do_not_wrap():
     assert math.isnan(moments.correlation[0, 2])
 
 
+def table_measures(data) -> list:
+    """reprs of the v (both variants), vcc and tauc matrices, or the SpecError each raises."""
+    out = []
+    for measure, variant in (("v", "paper"), ("v", "standard"), ("vcc", "paper"), ("tauc", "paper")):
+        try:
+            out.append(reprs(association_matrix(data, measure, variant=variant).values))
+        except SpecError as err:
+            out.append(str(err))
+    return out
+
+
 @settings(max_examples=100, deadline=None)
 @given(tables(), st.integers(1, 5))
 def test_block_size_never_changes_bits(data, rows):
+    """The moments and the pair tables of every measure, over blocks of 1-5 rows."""
     expected = sample_moments(data)
+    expected_measures = table_measures(data)
     with mock.patch.object(association, "_MOMENT_ROWS", rows):
         actual = sample_moments(data)
+        assert table_measures(data) == expected_measures
     for field in ("means", "variances", "covariance", "correlation"):
         assert reprs(getattr(actual, field)) == reprs(getattr(expected, field)), field
 
