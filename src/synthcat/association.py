@@ -185,18 +185,30 @@ _MOMENT_ROWS = 256
 
 
 def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``.
+    """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``, in float64.
 
-    X is made a block of ``_MOMENT_ROWS`` rows at a time; a block is rows x
-    width floats (width = ``len(columns)``), never larger than the width x
-    width Gram once width >= rows.
+    ``columns`` is a list of column indices, or ``slice(None)`` for every
+    column (each block is then a view of ``positions``, not a copy).  X is
+    made a block of ``_MOMENT_ROWS`` rows at a time; a block is rows x width
+    floats (width = ``len(table)``), never larger than the width x width Gram
+    once width >= rows.  Each block's sums and Gram are added to the float64
+    totals in block order.
+
+    A block is float32 when ``table`` is integral and ``_MOMENT_ROWS *
+    max|table|**2 < 2**24``: every product and every partial sum of the
+    block's sums and Gram is then an integer below 2**24, exact in float32
+    whatever order the BLAS adds them in, and equal to the float64 block's
+    (itself exact).  Otherwise the block is float64.  The bound is read from
+    ``_MOMENT_ROWS`` at each call.
     """
+    exact = (table == np.round(table)).all() and _MOMENT_ROWS * np.abs(table).max() ** 2 < 2**24
     sums = np.zeros(len(table))
     cross = np.zeros((len(sums), len(sums)))
     # Row c of the C-order width x M table starts at flat index c * M.
-    flat, offsets = table.ravel(), np.arange(len(sums)) * table.shape[1]
+    flat = table.astype(np.float32 if exact else float).ravel()
+    offsets = np.arange(len(sums)) * table.shape[1]
     for start in range(0, len(positions), _MOMENT_ROWS):
-        x = flat.take(positions[start : start + _MOMENT_ROWS].take(columns, axis=1) + offsets)
+        x = flat.take(positions[start : start + _MOMENT_ROWS, columns] + offsets)
         sums += x.sum(axis=0)
         cross += x.T @ x
         del x  # free this block before the next one is made
@@ -214,9 +226,14 @@ def sample_moments(data) -> MomentMatrices:
     so their bytes do not depend on the machine.  Beyond that bound a second pass
     centres on the float means.  Both passes go through ``_gram``, whose row
     blocks of P floats each are never larger than the P x P result once P is at
-    least the block's row count.  Non-interval and constant columns get NaN
-    correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a code
-    outside its column's declared levels, raise SpecError.
+    least the block's row count.  The first pass's blocks are float32 while
+    ``_MOMENT_ROWS`` max x'^2 < 2**24 (x' < 256 at the default 256-row block):
+    each block's sums are then exact integers in float32 too, so the bytes are
+    those of float64 blocks on any machine, which
+    ``test_ladder_digests_hold_under_other_blas_kernels`` checks under other
+    BLAS kernels.  Non-interval and constant columns get NaN correlations, the
+    diagonal 1; n = 1 gives NaN.  Zero subjects, or a code outside its column's
+    declared levels, raise SpecError.
     """
     return _sample_moments(*_columns(data))
 
@@ -230,12 +247,13 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     low = table[np.arange(len(table)), positions.min(axis=0)]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
-    every = np.arange(len(table))
-    sums, cross = _gram(positions, every, shifted.astype(float))
+    # No position reaches the padding; zero it so it cannot raise _gram's max|table|.
+    shifted[np.arange(table.shape[1]) >= [[v.size] for v in variables]] = 0
+    sums, cross = _gram(positions, slice(None), shifted.astype(float))
     centre = low.astype(float)
     if not n * cross.diagonal().max() < 2**53:
         centre = low + sums / n
-        sums, cross = _gram(positions, every, table - centre[:, None])
+        sums, cross = _gram(positions, slice(None), table - centre[:, None])
     scaled = n * cross - np.outer(sums, sums)
     interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -254,9 +272,12 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     tables at once: block (p, q) of Z^T Z is the p-by-q crosstab.  ``_gram``
     accumulates Z^T Z over row blocks of rows x width floats, width being
     the total level count plus one, so a block is never larger than the
-    Gram once width >= rows; float64 sums of 0/1 products are exact below
-    2**53.  Returns an int64 array of shape (pairs, M, M), pairs in
-    ``np.triu_indices`` order, with M the largest level count.
+    Gram once width >= rows.  Z holds 0 and 1, so its blocks are float32
+    (while ``_MOMENT_ROWS`` < 2**24) and each block's counts are exact
+    integers in any BLAS order; the float64 totals are exact below 2**53,
+    and the tables do not depend on the machine.  Returns an int64 array of
+    shape (pairs, M, M), pairs in ``np.triu_indices`` order, with M the
+    largest level count.
     """
     count, width, m = len(columns), sum(sizes), max(sizes)
     # Z's column c reads the picked column owner[c] and is 1 where it holds

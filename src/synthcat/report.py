@@ -216,21 +216,41 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
-def _write_lines(path: str | Path, lines) -> None:
-    """Write each line and a newline after it, as UTF-8, to a str or Path ``path``."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_lines(path: str | Path, header: str, lines) -> None:
+    """Write the header, then each line, each followed by a newline, as UTF-8.
+
+    ``path`` is a str or Path.  Lines are written as they come, so a
+    generator of lines is never held whole.
+    """
+    with Path(path).open("w", encoding="utf-8") as f:
+        f.write(header + "\n")
+        for line in lines:
+            f.write(line + "\n")
 
 
 def _write_table(path: str | Path, header: str, rows) -> None:
     """Write the header line, then one line of comma-separated formatted cells per row."""
-    _write_lines(path, [header, *(",".join(map(_format, row)) for row in rows)])
+    _write_lines(path, header, (",".join(map(_format, row)) for row in rows))
+
+
+def _row_texts(values: np.ndarray):
+    """Yield each row of a float matrix as an iterator over its cells' ``repr`` texts.
+
+    ``repr`` runs once per distinct 64-bit pattern, so 0.0 and -0.0 keep their
+    own texts; a row then looks its texts up by index.  Going row by row holds
+    one row of indices at a time, never the whole matrix as Python objects.
+    """
+    values = np.ascontiguousarray(values, dtype=float)
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    text = list(map(repr, bits.view(float).tolist()))
+    for row in inverse.reshape(values.shape):
+        yield map(text.__getitem__, row.tolist())
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...]) -> None:
-    # A row's tolist() gives Python floats, whose repr is the text _format
-    # writes; going row by row holds one row of float objects, not the matrix.
-    rows = (name + "," + ",".join(map(repr, row.tolist())) for name, row in zip(names, values))
-    _write_lines(path, ["," + ",".join(names), *rows])
+    """Write a square matrix with a header row and a name column; cells as ``repr`` floats."""
+    rows = (name + "," + ",".join(cells) for name, cells in zip(names, _row_texts(values)))
+    _write_lines(path, "," + ",".join(names), rows)
 
 
 # Rows per block of the code writer: the block's token indices (8 bytes per
@@ -331,11 +351,11 @@ def _sha256(path: Path) -> str:
 def write_long_format(path: str | Path, matrix: AssociationMatrix) -> None:
     """Heatmap-ready triplets, row-major: variable_p, variable_q, repr(value)."""
     lines = (
-        f"{name_p},{name_q},{value!r}"
-        for name_p, row in zip(matrix.names, matrix.values)
-        for name_q, value in zip(matrix.names, row.tolist())
+        f"{name_p},{name_q},{text}"
+        for name_p, cells in zip(matrix.names, _row_texts(matrix.values))
+        for name_q, text in zip(matrix.names, cells)
     )
-    _write_lines(path, ["p,q,value", *lines])
+    _write_lines(path, "p,q,value", lines)
 
 
 def write_association(out_dir, matrix: AssociationMatrix) -> None:

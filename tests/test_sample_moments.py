@@ -244,3 +244,47 @@ def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
     write_artifacts(run, tmp_path, list(report.ARTIFACTS))
     assert [s.target_kind for s in run.summaries] == ["correlation", "covariance"]
     assert len(calls) == 1
+
+
+def gram_oracle(positions, columns, table):
+    """Column sums and X^T X in int64, X gathered as ``association._gram`` defines it."""
+    x = np.column_stack([table[c, positions[:, p]] for c, p in enumerate(columns)])
+    x = x.astype(np.int64)
+    return x.sum(axis=0), x.T @ x
+
+
+@pytest.mark.parametrize("rows, top", [(None, 255), (4096, 100)], ids=["float32", "float64"])
+def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top):
+    """Codes 0..top in blocks of ``rows``, and the one-hot table ``_pair_tables`` uses.
+
+    256 * 255**2 < 2**24 <= 4096 * 100**2: the first case builds float32
+    blocks, the second float64 ones.  Codes drawn from top/2..top put the
+    second case's block sums past 2**24, where float32 would round them.
+    """
+    rows = rows or association._MOMENT_ROWS
+    assert (rows * top**2 < 2**24) == (top == 255)
+    rng = np.random.default_rng(top)
+    positions = rng.integers(top // 2, top + 1, (2 * rows + 3, 4)).astype(np.uint8)
+    positions[:, 0] = top
+    codes = np.tile(np.arange(top + 1.0), (4, 1))
+    # One indicator column per level of picked columns 1 and 2, then the zero column.
+    owner = np.repeat([1, 2, 1], [top + 1, top + 1, 1])
+    level = np.concatenate([np.arange(top + 1), np.arange(top + 1), [top + 1]])
+    onehot = (level[:, None] == np.arange(top + 1)).astype(float)
+    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+        for picked, columns, table in ((slice(None), range(4), codes), (owner, owner, onehot)):
+            sums, cross = association._gram(positions, picked, table)
+            expected_sums, expected_cross = gram_oracle(positions, columns, table)
+            assert sums.tobytes() == expected_sums.astype(float).tobytes()
+            assert cross.tobytes() == expected_cross.astype(float).tobytes()
+
+
+def test_gram_of_a_non_integral_table_is_float64():
+    """Thirds are not exact in float32, so one block must equal the float64 product."""
+    rng = np.random.default_rng(9)
+    positions = rng.integers(0, 4, (association._MOMENT_ROWS, 3)).astype(np.uint8)
+    table = np.tile(np.arange(4) / 3, (3, 1))
+    x = np.column_stack([table[c, positions[:, c]] for c in range(3)])
+    sums, cross = association._gram(positions, slice(None), table)
+    assert cross.tobytes() == (x.T @ x).tobytes()
+    assert sums.tobytes() == x.sum(axis=0).tobytes()

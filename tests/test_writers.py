@@ -167,3 +167,28 @@ def test_failed_write_leaves_no_file(tmp_path, writer):
         with pytest.raises(OSError, match="No space left"):
             writer(path, dataset)
     assert not path.exists()
+
+
+def test_matrix_csv_is_each_cells_repr(tmp_path):
+    """Repeated values, both zeros, NaNs of several bit patterns and both infinities."""
+    payload_nan = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+    pool = [0.0, -0.0, np.nan, -np.nan, payload_nan, np.inf, -np.inf, 0.1, 2 / 3, 1e-300, 5e-324]
+    values = np.random.default_rng(6).choice(np.array(pool), (7, 7))
+    values[0, :len(pool) - 4] = pool[:-4]
+    names = tuple(f"x{p}" for p in range(7))
+    report.write_matrix_csv(tmp_path / "m.csv", values, names)
+    expected = ["," + ",".join(names)] + [
+        name + "," + ",".join(repr(float(x)) for x in row) for name, row in zip(names, values)
+    ]
+    assert (tmp_path / "m.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
+    assert expected[1] == "x0,0.0,-0.0,nan,nan,nan,inf,-inf"
+
+
+def test_equal_width_tokens_match_savetxt(tmp_path):
+    """Every token of a file one width, so none is padded; rows span three blocks."""
+    levels = [(-9, -1), (10, 42, 99), (-3, -2)]
+    rows = 2 * report._ROWS_PER_BLOCK + 5
+    rng = np.random.default_rng(rows)
+    values = np.column_stack([rng.choice(lv, rows) for lv in levels])
+    dataset = make_dataset(values, levels, rng.integers(1, 10, rows), 9)
+    assert_writers_match_savetxt(dataset, tmp_path)
