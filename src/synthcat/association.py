@@ -48,13 +48,38 @@ class ContingencyTable:
         return int(self.counts.sum())
 
 
-def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
-    """Each cell's position among its column's levels, from a Dataset or a (codes, variables) pair.
+@dataclass(frozen=True, eq=False)
+class LevelPositions:
+    """Cells given as positions: ``positions[i, p]`` indexes ``variables[p].levels``.
 
-    A code that is not a declared level of its column raises SpecError.
+    The measures take it as they take a ``Dataset``, without a lookup.
+    Construction raises SpecError unless ``positions`` is an n x P array of
+    unsigned integers, each below its column's level count.
+    """
+
+    positions: np.ndarray
+    variables: tuple[VariableDomain, ...]
+
+    def __post_init__(self) -> None:
+        sizes = [v.size for v in self.variables]
+        shape = self.positions.shape
+        if self.positions.ndim != 2 or shape[1] != len(sizes) or self.positions.dtype.kind != "u":
+            raise SpecError(f"association: positions {shape} do not fit {len(sizes)} columns")
+        if len(self.positions) and (self.positions.max(axis=0) >= sizes).any():
+            raise SpecError("association: a position is past its column's levels")
+
+
+def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
+    """Each cell's position among its column's levels, and the columns' domains.
+
+    ``data`` is a Dataset, a LevelPositions or a (codes, variables) pair.
+    Only a pair is looked up; a code that is not a declared level of its
+    column raises SpecError.
     """
     if isinstance(data, Dataset):
         return data.positions, data.profile.variables
+    if isinstance(data, LevelPositions):
+        return data.positions, data.variables
     codes, variables = np.asarray(data[0]), tuple(data[1])
     positions = np.empty(codes.shape, np.min_scalar_type(max(v.size for v in variables) - 1))
     for p, variable in enumerate(variables):
@@ -180,38 +205,50 @@ class AssociationMatrix:
 
 
 # Rows of the table turned into floats at a time, by ``sample_moments`` and
-# ``_pair_tables`` alike.
+# ``_pair_tables`` alike, while the Gram is narrower than 2 * _WIDE columns.
+# A wider Gram takes width // _WIDE times as many rows per block, at most 4
+# times.  _WIDE is fixed, so blocks stay _MOMENT_ROWS tall at the widths
+# tests use when they patch _MOMENT_ROWS to a few rows.
 _MOMENT_ROWS = 256
+_WIDE = 256
 
 
 def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``, in float64.
 
     ``columns`` is a list of column indices, or ``slice(None)`` for every
-    column (each block is then a view of ``positions``, not a copy).  X is
-    made a block of ``_MOMENT_ROWS`` rows at a time; a block is rows x width
-    floats (width = ``len(table)``), never larger than the width x width Gram
-    once width >= rows.  Each block's sums and Gram are added to the float64
-    totals in block order.
+    column (each block then reads a view of ``positions``, not a copy).  X
+    is made a block of rows at a time: ``_MOMENT_ROWS`` times width //
+    ``_WIDE`` clipped to 1..4, width = ``len(table)``, so a block of rows x
+    width floats is a rank-rows update of the width x width Gram and never
+    larger than it once width >= ``_MOMENT_ROWS``.  Every block is written
+    into one index buffer and one block buffer, made once per call.  Each
+    block's sums and Gram are added to the float64 totals in block order.
 
-    A block is float32 when ``table`` is integral and ``_MOMENT_ROWS *
-    max|table|**2 < 2**24``: every product and every partial sum of the
-    block's sums and Gram is then an integer below 2**24, exact in float32
-    whatever order the BLAS adds them in, and equal to the float64 block's
-    (itself exact).  Otherwise the block is float64.  The bound is read from
-    ``_MOMENT_ROWS`` at each call.
+    A block is float32 when ``table`` is integral and rows * max|table|**2 <
+    2**24, with rows the block's row count (at most ``len(positions)``): every
+    product and every partial sum of the block's sums and Gram is then an
+    integer below 2**24, exact in float32 whatever order the BLAS adds them
+    in, and equal to the float64 block's (itself exact).  Otherwise the
+    block is float64.  The row count is read from ``_MOMENT_ROWS`` at each
+    call.
     """
-    exact = (table == np.round(table)).all() and _MOMENT_ROWS * np.abs(table).max() ** 2 < 2**24
-    sums = np.zeros(len(table))
-    cross = np.zeros((len(sums), len(sums)))
+    width = len(table)
+    rows = _MOMENT_ROWS * min(max(width // _WIDE, 1), 4)
+    rows = max(1, min(rows, len(positions)))
+    exact = (table == np.round(table)).all() and rows * np.abs(table).max() ** 2 < 2**24
+    sums = np.zeros(width)
+    cross = np.zeros((width, width))
     # Row c of the C-order width x M table starts at flat index c * M.
     flat = table.astype(np.float32 if exact else float).ravel()
-    offsets = np.arange(len(sums)) * table.shape[1]
-    for start in range(0, len(positions), _MOMENT_ROWS):
-        x = flat.take(positions[start : start + _MOMENT_ROWS, columns] + offsets)
+    offsets = np.arange(width) * table.shape[1]
+    index = np.empty((rows, width), np.intp)
+    block = np.empty((rows, width), flat.dtype)
+    for start in range(0, len(positions), rows):
+        part = positions[start : start + rows, columns]
+        x = flat.take(np.add(part, offsets, out=index[: len(part)]), out=block[: len(part)])
         sums += x.sum(axis=0)
         cross += x.T @ x
-        del x  # free this block before the next one is made
     return sums, cross
 
 
@@ -227,7 +264,7 @@ def sample_moments(data) -> MomentMatrices:
     centres on the float means.  Both passes go through ``_gram``, whose row
     blocks of P floats each are never larger than the P x P result once P is at
     least the block's row count.  The first pass's blocks are float32 while
-    ``_MOMENT_ROWS`` max x'^2 < 2**24 (x' < 256 at the default 256-row block):
+    rows max x'^2 < 2**24 (x' < 256 at the default 256-row block, below P = 512):
     each block's sums are then exact integers in float32 too, so the bytes are
     those of float64 blocks on any machine, which
     ``test_ladder_digests_hold_under_other_blas_kernels`` checks under other
@@ -273,7 +310,7 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     accumulates Z^T Z over row blocks of rows x width floats, width being
     the total level count plus one, so a block is never larger than the
     Gram once width >= rows.  Z holds 0 and 1, so its blocks are float32
-    (while ``_MOMENT_ROWS`` < 2**24) and each block's counts are exact
+    (while a block has fewer than 2**24 rows) and each block's counts are exact
     integers in any BLAS order; the float64 totals are exact below 2**53,
     and the tables do not depend on the machine.  Returns an int64 array of
     shape (pairs, M, M), pairs in ``np.triu_indices`` order, with M the

@@ -18,7 +18,7 @@ from collections import Counter
 
 import numpy as np
 
-from .association import MEASURES, VARIANTS, association_matrix
+from .association import MEASURES, VARIANTS, LevelPositions, association_matrix
 from .model import InfeasibleTargetError, SpecError, VariableDomain
 from .report import RunResult, run_pipeline, write_artifacts, write_association
 
@@ -48,13 +48,48 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
-    """Headered integer CSV to values + interval domains over observed levels.
+def _level_positions(values: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
+    """Each column's distinct values, ascending, and each cell's position among them.
 
-    Column names must be unique, as in a config.
+    When every column spans fewer integers than there are rows, one mask
+    over all the columns' spans marks the values that occur, and a running
+    count of the mask gives both at once; otherwise each column goes
+    through ``np.unique``.  Positions are the narrowest unsigned type that
+    holds them, as ``_columns`` makes them for a (codes, variables) pair.
+    """
+    low = values.min(axis=0)
+    # high - low in uint64 never wraps, whatever the codes.
+    span = np.subtract(values.max(axis=0), low, dtype=np.uint64, casting="unsafe")
+    if (span < len(values)).all():
+        # Column p's integers low[p]..high[p] own the mask slots from start[p] on.
+        length = span.astype(np.intp) + 1
+        start = np.cumsum(length) - length
+        slot = values - low
+        slot += start
+        present = np.zeros(start[-1] + length[-1], bool)
+        present[slot] = True
+        rank = np.cumsum(present) - 1
+        levels = [
+            (np.flatnonzero(present[a : a + m]) + base).tolist()
+            for a, m, base in zip(start, length, low)
+        ]
+        lookup = rank - np.repeat(rank[start], length)
+        dtype = np.min_scalar_type(max(map(len, levels)) - 1)
+        return levels, lookup.astype(dtype)[slot]
+    pairs = [np.unique(column, return_inverse=True) for column in values.T]
+    levels = [distinct.tolist() for distinct, _ in pairs]
+    dtype = np.min_scalar_type(max(map(len, levels)) - 1)
+    return levels, np.column_stack([inverse for _, inverse in pairs]).astype(dtype)
+
+
+def _read_csv(path: str) -> LevelPositions:
+    """Headered integer CSV to level positions over interval domains of the observed levels.
+
+    Column names must be unique, as in a config.  A leading byte-order mark
+    is not part of the first name.
     """
     try:
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             header = f.readline().strip()
             # Counting the lines first lets loadtxt allocate the result once
             # instead of growing it, which would copy it at its full size.
@@ -84,11 +119,11 @@ def _read_csv(path: str) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
         raise SpecError(f"associate: {path} has no data rows")
     if values.shape[1] != len(names):
         raise SpecError(f"associate: {path} rows do not match the header")
+    levels, positions = _level_positions(values)
     variables = tuple(
-        VariableDomain(name, tuple(int(x) for x in np.unique(values[:, p])), "interval")
-        for p, name in enumerate(names)
+        VariableDomain(name, tuple(column), "interval") for name, column in zip(names, levels)
     )
-    return values, variables
+    return LevelPositions(positions, variables)
 
 
 def _cmd_associate(args) -> int:

@@ -472,6 +472,19 @@ class TestCli:
         assert (out / "v_matrix.csv").exists()
         assert (out / "v_long.csv").read_text().startswith("p,q,value")
 
+    def test_associate_csv_byte_order_mark_is_not_part_of_a_name(self, tmp_path):
+        text = "a,b\n0,1\n1,0\n0,1\n1,1\n"
+        (tmp_path / "plain.csv").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.csv").write_text(text, encoding="utf-8-sig")
+        for name in ("plain", "marked"):
+            argv = ["associate", "--data", str(tmp_path / f"{name}.csv"), "--measure", "v"]
+            assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        for written in ("v_matrix.csv", "v_long.csv"):
+            marked = (tmp_path / "marked" / written).read_bytes()
+            assert marked == (tmp_path / "plain" / written).read_bytes()
+        assert (tmp_path / "marked" / "v_matrix.csv").read_bytes().startswith(b",a,b\na,")
+        assert (tmp_path / "marked" / "v_long.csv").read_bytes().startswith(b"p,q,value\na,a,")
+
     def test_associate_csv_refuses_a_repeated_column_name(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("a,a,b\n0,1,0\n1,0,1\n0,1,1\n1,1,0\n")

@@ -279,6 +279,28 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top)
             assert cross.tobytes() == expected_cross.astype(float).tobytes()
 
 
+@pytest.mark.parametrize("rows, width", [(None, 1024), (3, 1100)], ids=["default", "patched"])
+def test_wide_gram_blocks_keep_every_bit(rows, width):
+    """A Gram 4 * 256 or more columns wide is built 4 * _MOMENT_ROWS rows at a time.
+
+    Codes 100..200 pass the float32 bound at 256 rows (256 * 200**2 < 2**24)
+    but not at the 1024 rows a default block holds at width 1024, where the
+    block sums exceed 2**24; the float64 product is exact here, so it is the
+    oracle.  Patched to 3 rows, the blocks are 12 rows tall.
+    """
+    rows = rows or association._MOMENT_ROWS
+    top = 200
+    assert (4 * rows * top**2 < 2**24) == (rows == 3) and rows * top**2 < 2**24
+    rng = np.random.default_rng(width)
+    positions = rng.integers(top // 2, top + 1, (2 * 4 * rows + 5, width)).astype(np.uint8)
+    table = np.tile(np.arange(top + 1.0), (width, 1))
+    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+        sums, cross = association._gram(positions, slice(None), table)
+    x = positions.astype(float)
+    assert sums.tobytes() == x.sum(axis=0).tobytes()
+    assert cross.tobytes() == (x.T @ x).tobytes()
+
+
 def test_gram_of_a_non_integral_table_is_float64():
     """Thirds are not exact in float32, so one block must equal the float64 product."""
     rng = np.random.default_rng(9)
