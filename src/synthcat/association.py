@@ -222,34 +222,66 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     ``_WIDE`` clipped to 1..4, width = ``len(table)``, so a block of rows x
     width floats is a rank-rows update of the width x width Gram and never
     larger than it once width >= ``_MOMENT_ROWS``.  Every block is written
-    into one index buffer and one block buffer, made once per call.  Each
-    block's sums and Gram are added to the float64 totals in block order.
+    into one block buffer, made once per call.  Each block's sums and Gram
+    are added to the float64 totals in block order.
+
+    When every row of ``table`` is its own positions (``table[c, k] == k``),
+    x_c is the positions themselves, and each block is cast from them
+    (``_cast_blocks``); any other table is looked up (``_lookup_blocks``).
+    The choice is read from ``table`` alone, and both give the same floats.
 
     A block is float32 when ``table`` is integral and rows * max|table|**2 <
     2**24, with rows the block's row count (at most ``len(positions)``): every
     product and every partial sum of the block's sums and Gram is then an
     integer below 2**24, exact in float32 whatever order the BLAS adds them
     in, and equal to the float64 block's (itself exact).  Otherwise the
-    block is float64.  The row count is read from ``_MOMENT_ROWS`` at each
-    call.
+    block is float64, cast or looked up alike.  The row count is read from
+    ``_MOMENT_ROWS`` at each call.
     """
     width = len(table)
     rows = _MOMENT_ROWS * min(max(width // _WIDE, 1), 4)
     rows = max(1, min(rows, len(positions)))
     exact = (table == np.round(table)).all() and rows * np.abs(table).max() ** 2 < 2**24
+    block = np.empty((rows, width), np.float32 if exact else float)
+    if (table == np.arange(table.shape[1])).all():
+        blocks = _cast_blocks(positions, columns, block)
+    else:
+        blocks = _lookup_blocks(positions, columns, table, block)
     sums = np.zeros(width)
     cross = np.zeros((width, width))
-    # Row c of the C-order width x M table starts at flat index c * M.
-    flat = table.astype(np.float32 if exact else float).ravel()
-    offsets = np.arange(width) * table.shape[1]
-    index = np.empty((rows, width), np.intp)
-    block = np.empty((rows, width), flat.dtype)
-    for start in range(0, len(positions), rows):
-        part = positions[start : start + rows, columns]
-        x = flat.take(np.add(part, offsets, out=index[: len(part)]), out=block[: len(part)])
+    for x in blocks:
         sums += x.sum(axis=0)
         cross += x.T @ x
     return sums, cross
+
+
+def _cast_blocks(positions: np.ndarray, columns, block: np.ndarray):
+    """Yield ``positions[:, columns]`` as floats, ``len(block)`` rows at a time, in ``block``."""
+    for start in range(0, len(positions), len(block)):
+        part = positions[start : start + len(block), columns]
+        np.copyto(block[: len(part)], part)
+        yield block[: len(part)]
+
+
+def _lookup_blocks(positions: np.ndarray, columns, table: np.ndarray, block: np.ndarray):
+    """Yield x_c = ``table[c, positions[:, columns[c]]]``, ``len(block)`` rows at a time, in ``block``.
+
+    Each block's flat table indices go into one index buffer, made once.
+    ``take`` runs in ``mode="clip"``: its default bounds check would write
+    every block to a temporary first, and no index is out of bounds.  Every
+    caller's positions are already checked to lie below their column's level
+    count (a ``Dataset`` and a ``LevelPositions`` at construction, a
+    ``(codes, variables)`` pair by the ``_columns`` lookup), and ``table`` has
+    a column for every level.
+    """
+    # Row c of the C-order width x M table starts at flat index c * M.
+    flat = table.astype(block.dtype).ravel()
+    offsets = np.arange(len(table)) * table.shape[1]
+    index = np.empty(block.shape, np.intp)
+    for start in range(0, len(positions), len(block)):
+        part = positions[start : start + len(block), columns]
+        np.add(part, offsets, out=index[: len(part)])
+        yield flat.take(index[: len(part)], out=block[: len(part)], mode="clip")
 
 
 def sample_moments(data) -> MomentMatrices:
@@ -263,7 +295,10 @@ def sample_moments(data) -> MomentMatrices:
     so their bytes do not depend on the machine.  Beyond that bound a second pass
     centres on the float means.  Both passes go through ``_gram``, whose row
     blocks of P floats each are never larger than the P x P result once P is at
-    least the block's row count.  The first pass's blocks are float32 while
+    least the block's row count.  Where every column's levels are consecutive
+    integers and its lowest level occurs (SNP 0/1/2, binary 0/1), x' is the
+    level position itself, and ``_gram`` casts the positions instead of
+    looking each one up.  The first pass's blocks are float32 while
     rows max x'^2 < 2**24 (x' < 256 at the default 256-row block, below P = 512):
     each block's sums are then exact integers in float32 too, so the bytes are
     those of float64 blocks on any machine, which
@@ -284,9 +319,12 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     low = table[np.arange(len(table)), positions.min(axis=0)]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
-    # No position reaches the padding; zero it so it cannot raise _gram's max|table|.
-    shifted[np.arange(table.shape[1]) >= [[v.size] for v in variables]] = 0
-    sums, cross = _gram(positions, slice(None), shifted.astype(float))
+    # No position reaches the padding, so it holds its own position: the widest
+    # column holds size - 1 or more (or a wrapped ~2**64), so the padding cannot
+    # raise _gram's max|table|, and consecutive levels of any width stay a ramp.
+    ramp = np.arange(table.shape[1])
+    padding = ramp >= np.array([[v.size] for v in variables])
+    sums, cross = _gram(positions, slice(None), np.where(padding, ramp, shifted.astype(float)))
     centre = low.astype(float)
     if not n * cross.diagonal().max() < 2**53:
         centre = low + sums / n

@@ -263,11 +263,10 @@ def _write_codes(
 ) -> None:
     """Write an n x P array of level positions as comma-separated level codes.
 
-    Each column's declared levels become byte tokens once: ``str(level)``
-    followed by a comma, or by a newline in the last column.  A block of
-    rows is written by gathering each cell's token at its column's offset
-    plus its position.  Tokens are padded to the widest one and the padding
-    is dropped by a mask, so mixed widths need no second path.
+    When every column's levels are consecutive integers inside 0..9, each
+    code is one digit, its position plus the column's lowest level
+    (``_digit_blocks``); any other file has its codes looked up as byte
+    tokens (``_token_blocks``).  The choice is read from ``columns`` alone.
 
     The bytes equal numpy's ``savetxt(path, codes, fmt="%d", delimiter=",",
     header=<column names> if header else "", comments="")`` (except that
@@ -275,6 +274,51 @@ def _write_codes(
     ``positions``, which must lie in [0, size) of their column (a Dataset
     guarantees it).  A write that fails removes the file, so no partial
     file is left behind.
+    """
+    digits = all(
+        tuple(c.levels) == tuple(range(c.levels[0], c.levels[0] + c.size))
+        and 0 <= c.levels[0] <= 10 - c.size
+        for c in columns
+    )
+    path = Path(path)
+    f = path.open("wb")
+    try:
+        with f:
+            if header:
+                f.write((",".join(c.name for c in columns) + "\n").encode())
+            blocks = _digit_blocks if digits else _token_blocks
+            for block in blocks(positions, columns):
+                f.write(block)
+    except BaseException:
+        path.unlink(missing_ok=True)
+        raise
+
+
+def _digit_blocks(positions: np.ndarray, columns: tuple[VariableDomain, ...]):
+    """Yield the lines of one-digit codes, ``_ROWS_PER_BLOCK`` rows at a time.
+
+    Every cell is two bytes of one reused rows x P x 2 buffer: its digit,
+    ``ord("0")`` plus its column's lowest level plus its position, then a
+    comma, or a newline in the last column.  The separators are set once.
+    """
+    lines = np.empty((min(_ROWS_PER_BLOCK, len(positions)), len(columns), 2), np.uint8)
+    lines[:, :, 1] = ord(",")
+    lines[:, -1, 1] = ord("\n")
+    zero = np.array([ord("0") + column.levels[0] for column in columns], np.uint8)
+    for start in range(0, len(positions), _ROWS_PER_BLOCK):
+        block = positions[start : start + _ROWS_PER_BLOCK]
+        np.add(block, zero, out=lines[: len(block), :, 0], casting="unsafe")
+        yield lines[: len(block)]
+
+
+def _token_blocks(positions: np.ndarray, columns: tuple[VariableDomain, ...]):
+    """Yield the lines of any codes, ``_ROWS_PER_BLOCK`` rows at a time.
+
+    Each column's declared levels become byte tokens once: ``str(level)``
+    followed by a comma, or by a newline in the last column.  A block of
+    rows is made by gathering each cell's token at its column's offset plus
+    its position.  Tokens are padded to the widest one and the padding is
+    dropped by a mask, so mixed widths need no second path.
     """
     tokens: list[bytes] = []
     for p, column in enumerate(columns):
@@ -285,20 +329,10 @@ def _write_codes(
     # One fixed-width item per token, NUL-padded to the widest.  No token
     # holds a NUL byte, so the nonzero bytes are exactly each token's own.
     table = np.array(tokens, dtype=np.bytes_)
-
-    path = Path(path)
-    f = path.open("wb")
-    try:
-        with f:
-            if header:
-                f.write((",".join(c.name for c in columns) + "\n").encode())
-            for start in range(0, len(positions), _ROWS_PER_BLOCK):
-                block = positions[start : start + _ROWS_PER_BLOCK]
-                cells = table[block + offsets].view(np.uint8)
-                f.write(cells[cells != 0])
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    for start in range(0, len(positions), _ROWS_PER_BLOCK):
+        block = positions[start : start + _ROWS_PER_BLOCK]
+        cells = table[block + offsets].view(np.uint8)
+        yield cells[cells != 0]
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:

@@ -220,6 +220,42 @@ def test_generate_and_write_hold_no_int64_table(tmp_path, shuffle):
     assert peak < 40000 * 30 * np.dtype(np.int64).itemsize / 2
 
 
+def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
+    """snp groups, a [0, 1, 2] and a [0, 1] noise column take both arithmetic paths.
+
+    Their levels are consecutive from 0, so the sample moments cast the
+    positions (the binary column's padding included) and the dataset and
+    allocation files are written as digits; either lookup raises here, and
+    the results still match their oracles.
+    """
+
+    def looked_up(*args):
+        raise AssertionError("a lookup ran")
+
+    monkeypatch.setattr(association, "_lookup_blocks", looked_up)
+    monkeypatch.setattr(report, "_token_blocks", looked_up)
+    config = {
+        "seed": 6,
+        "clusters": {"n": 400},
+        "groups": {"k": 2, "sizes": [3, 2], "family": "snp", "pH": 0.95,
+                   "targets": [{"correlation": 0.5}, {"correlation": 0.3}]},
+        "noise": [
+            {"name": "noise1", "levels": [0, 1, 2], "probs": [0.25, 0.5, 0.25]},
+            {"name": "binary", "levels": [0, 1], "probs": [0.6, 0.4]},
+        ],
+    }
+    dataset = RunResult(config, shuffle=True).dataset
+    assert dataset.clusters.cluster_count <= 9
+    assert_matches_oracle(dataset.values, dataset.profile.variables)
+    write_dataset_csv(tmp_path / "dataset.csv", dataset)
+    report.write_allocation(tmp_path / "allocation.txt", dataset)
+    np.savetxt(tmp_path / "oracle.csv", dataset.values, fmt="%d", delimiter=",",
+               header=",".join(dataset.variable_names), comments="")
+    np.savetxt(tmp_path / "oracle.txt", dataset.assignments, fmt="%d")
+    assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
+    assert (tmp_path / "allocation.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+
+
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
     """Pearson, covariance summaries and the comparison share one pass."""
     calls = []
@@ -255,11 +291,14 @@ def gram_oracle(positions, columns, table):
 
 @pytest.mark.parametrize("rows, top", [(None, 255), (4096, 100)], ids=["float32", "float64"])
 def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top):
-    """Codes 0..top in blocks of ``rows``, and the one-hot table ``_pair_tables`` uses.
+    """Codes 0..top in blocks of ``rows``, the same codes rotated by one
+    position, and the one-hot table ``_pair_tables`` uses.
 
     256 * 255**2 < 2**24 <= 4096 * 100**2: the first case builds float32
     blocks, the second float64 ones.  Codes drawn from top/2..top put the
     second case's block sums past 2**24, where float32 would round them.
+    The codes are cast from the positions; the rotated codes and the
+    one-hot table are looked up.
     """
     rows = rows or association._MOMENT_ROWS
     assert (rows * top**2 < 2**24) == (top == 255)
@@ -267,12 +306,18 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top)
     positions = rng.integers(top // 2, top + 1, (2 * rows + 3, 4)).astype(np.uint8)
     positions[:, 0] = top
     codes = np.tile(np.arange(top + 1.0), (4, 1))
+    # Not a ramp, so looked up; position k reads k - 1 (position 0 reads top).
+    rotated = np.roll(codes, 1, axis=1)
     # One indicator column per level of picked columns 1 and 2, then the zero column.
     owner = np.repeat([1, 2, 1], [top + 1, top + 1, 1])
     level = np.concatenate([np.arange(top + 1), np.arange(top + 1), [top + 1]])
     onehot = (level[:, None] == np.arange(top + 1)).astype(float)
     with mock.patch.object(association, "_MOMENT_ROWS", rows):
-        for picked, columns, table in ((slice(None), range(4), codes), (owner, owner, onehot)):
+        for picked, columns, table in (
+            (slice(None), range(4), codes),
+            (slice(None), range(4), rotated),
+            (owner, owner, onehot),
+        ):
             sums, cross = association._gram(positions, picked, table)
             expected_sums, expected_cross = gram_oracle(positions, columns, table)
             assert sums.tobytes() == expected_sums.astype(float).tobytes()
@@ -310,3 +355,52 @@ def test_gram_of_a_non_integral_table_is_float64():
     sums, cross = association._gram(positions, slice(None), table)
     assert cross.tobytes() == (x.T @ x).tobytes()
     assert sums.tobytes() == x.sum(axis=0).tobytes()
+
+
+@st.composite
+def gram_inputs(draw):
+    """(positions, columns, table): uint8 positions of up to 6 columns, read by a
+    P x M integral table through ``columns`` (every column or a permutation).
+
+    Tables are ramps (every row k at k, so ``_gram`` casts the positions),
+    ramps with one cell changed, mixed level counts with the padding at zero
+    or at its own position, and columns whose lowest position never occurs.
+    A changed cell up to 3000 puts some blocks past the float32 bound.
+    """
+    n = draw(st.integers(1, 40))
+    p_count = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 6))
+    shape = draw(st.sampled_from(["ramp", "changed", "mixed", "lowest unseen"]))
+    table = np.tile(np.arange(m), (p_count, 1))
+    sizes = [m] * p_count
+    if shape == "changed":
+        row, k = draw(st.integers(0, p_count - 1)), draw(st.integers(0, m - 1))
+        table[row, k] += draw(st.integers(-3000, 3000).filter(bool))
+    elif shape == "mixed":
+        sizes = draw(st.lists(st.integers(1, m), min_size=p_count, max_size=p_count))
+        if draw(st.booleans()):
+            table[np.arange(m) >= np.array(sizes)[:, None]] = 0
+    lowest = [
+        1 if shape == "lowest unseen" and size > 1 and draw(st.booleans()) else 0 for size in sizes
+    ]
+    columns = slice(None) if draw(st.booleans()) else draw(st.permutations(range(p_count)))
+    read = range(p_count) if isinstance(columns, slice) else columns
+    positions = np.zeros((n, p_count), np.uint8)
+    for c, p in enumerate(read):
+        positions[:, p] = draw(
+            st.lists(st.integers(lowest[c], sizes[c] - 1), min_size=n, max_size=n)
+        )
+    return positions, columns, table.astype(float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gram_inputs(), st.integers(1, 5))
+def test_gram_matches_int64_oracle_on_any_table(data, rows):
+    """Cast or looked up, float32 or float64, over blocks of 1-5 rows."""
+    positions, columns, table = data
+    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+        sums, cross = association._gram(positions, columns, table)
+    read = range(len(table)) if isinstance(columns, slice) else columns
+    expected_sums, expected_cross = gram_oracle(positions, read, table)
+    assert sums.tobytes() == expected_sums.astype(float).tobytes()
+    assert cross.tobytes() == expected_cross.astype(float).tobytes()

@@ -66,12 +66,22 @@ def assert_writers_match_savetxt(dataset, directory: Path):
     assert (directory / "allocation.txt").read_bytes() == (directory / "oracle.txt").read_bytes()
 
 
+def digit_levels():
+    """Consecutive levels inside 0..9: the codes the writer writes as single digits."""
+    return st.tuples(st.integers(0, 9), st.integers(0, 9)).map(
+        lambda ends: list(range(min(ends), max(ends) + 1))
+    )
+
+
 @st.composite
 def datasets(draw):
-    """Columns with 1-4 levels in [-1500, 1500], 1-7 columns, C in 1..15."""
+    """1-7 columns, each of 1-4 levels in [-1500, 1500] or consecutive levels
+    inside 0..9, and C in 1..15.  Half the files hold digit columns only."""
     columns = draw(st.integers(1, 7))
+    any_levels = st.sets(st.integers(-1500, 1500), min_size=1, max_size=4).map(sorted)
+    digits_only = draw(st.booleans())
     levels = [
-        sorted(draw(st.sets(st.integers(-1500, 1500), min_size=1, max_size=4)))
+        draw(digit_levels() if digits_only else st.one_of(any_levels, digit_levels()))
         for _ in range(columns)
     ]
     names = [
@@ -91,9 +101,18 @@ def datasets(draw):
 @example(dataset=make_dataset([[42]], [(-1500, -7, 0, 42)], [1], 1), block=1)
 @example(dataset=make_dataset([[-7]] * 9, [(-1500, -7, 0, 42)], [12] * 9, 12), block=4)
 @example(dataset=make_dataset([[1, 200, 5]], [(0, 1), (-3, 10, 200), (5,)], [10], 12), block=2)
+@example(
+    dataset=make_dataset(
+        [[0, 7, 0], [2, 9, 9], [1, 8, 5]], [(0, 1, 2), (7, 8, 9), tuple(range(10))], [9, 1, 5], 9
+    ),
+    block=2,
+)
+@example(dataset=make_dataset([[2, 10], [0, 11], [1, 10]], [(0, 1, 2), (10, 11)], [10, 1, 9], 10), block=2)
 def test_writers_match_savetxt(dataset, block):
     """Row counts below, at and across a block of 1-4 rows; the examples
-    pin a single row, a single column and mixed token widths."""
+    pin a single row, a single column and mixed token widths, then the digit
+    levels 0..2, 7..9 and 0..9 with C = 9 (every file written as digits),
+    and a digit column next to a two-digit one with C = 10 (looked up)."""
     with mock.patch.object(report, "_ROWS_PER_BLOCK", block), tempfile.TemporaryDirectory() as d:
         assert_writers_match_savetxt(dataset, Path(d))
 
@@ -154,12 +173,21 @@ class _FullDisk(io.FileIO):
         return super().write(data)
 
 
-@pytest.mark.parametrize("writer", [write_dataset_csv, write_allocation], ids=["dataset", "allocation"])
-def test_failed_write_leaves_no_file(tmp_path, writer):
-    """A write that fails partway removes its partial file, and the stale one it replaced."""
+@pytest.mark.parametrize(
+    "writer, top",
+    [(write_dataset_csv, 2), (write_allocation, 2), (write_dataset_csv, 10), (write_allocation, 10)],
+    ids=["dataset", "allocation", "dataset-tokens", "allocation-tokens"],
+)
+def test_failed_write_leaves_no_file(tmp_path, writer, top):
+    """A write that fails partway removes its partial file, and the stale one it replaced.
+
+    With ``top`` 2 every code is one digit and written as such; with 10 the
+    second column and the clusters reach 10, so codes are looked up as tokens.
+    """
     path = tmp_path / "out"
     path.write_text("a stale file from an earlier run\n")
-    dataset = make_dataset([[0, 1], [2, 0], [1, 1], [2, 1]], [(0, 1, 2), (0, 1)], [1, 1, 2, 2], 2)
+    rows = [[0, 1], [2, 0], [1, 1], [2, top]]
+    dataset = make_dataset(rows, [(0, 1, 2), (0, 1, top)], [1, 1, top, top], top)
     # Blocks of one row: the error comes after one or two rows were written.
     with mock.patch.object(report, "_ROWS_PER_BLOCK", 1), mock.patch.object(
         Path, "open", lambda self, mode: _FullDisk(self, mode)
