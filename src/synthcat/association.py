@@ -319,9 +319,9 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     low = table[np.arange(len(table)), positions.min(axis=0)]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
-    # No position reaches the padding, so it holds its own position: the widest
-    # column holds size - 1 or more (or a wrapped ~2**64), so the padding cannot
-    # raise _gram's max|table|, and consecutive levels of any width stay a ramp.
+    # No position reaches the padding; it holds its own position, so consecutive
+    # levels of any width stay a ramp.  That cannot raise _gram's max|table|: the
+    # widest column holds size - 1 or more (or a wrapped ~2**64).
     ramp = np.arange(table.shape[1])
     padding = ramp >= np.array([[v.size] for v in variables])
     sums, cross = _gram(positions, slice(None), np.where(padding, ramp, shifted.astype(float)))

@@ -341,7 +341,9 @@ def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
     The first line holds the variable names; each further line holds one
     subject's level codes.  Fields are comma-separated and every line ends
     with a newline: the bytes of numpy's ``savetxt(path, dataset.values,
-    fmt="%d", delimiter=",", header=<names>, comments="")``.
+    fmt="%d", delimiter=",", header=<names>, comments="")``.  A dataset whose
+    columns all have consecutive levels inside 0..9 (SNP, binary) is written
+    as digits computed from the positions; any other has its codes looked up.
     """
     _write_codes(path, dataset.positions, dataset.profile.variables, header=True)
 
