@@ -22,6 +22,7 @@ from synthcat.association import association_matrix, sample_moments
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, SpecError, VariableDomain
 from synthcat.report import RunResult, write_artifacts, write_dataset_csv
+from test_writers import assert_writers_match_savetxt
 
 KINDS = ("nominal", "ordinal", "interval")
 
@@ -247,13 +248,7 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
     dataset = RunResult(config, shuffle=True).dataset
     assert dataset.clusters.cluster_count <= 9
     assert_matches_oracle(dataset.values, dataset.profile.variables)
-    write_dataset_csv(tmp_path / "dataset.csv", dataset)
-    report.write_allocation(tmp_path / "allocation.txt", dataset)
-    np.savetxt(tmp_path / "oracle.csv", dataset.values, fmt="%d", delimiter=",",
-               header=",".join(dataset.variable_names), comments="")
-    np.savetxt(tmp_path / "oracle.txt", dataset.assignments, fmt="%d")
-    assert (tmp_path / "dataset.csv").read_bytes() == (tmp_path / "oracle.csv").read_bytes()
-    assert (tmp_path / "allocation.txt").read_bytes() == (tmp_path / "oracle.txt").read_bytes()
+    assert_writers_match_savetxt(dataset, tmp_path)
 
 
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
