@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from synthcat.cli import main
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, VariableDomain, load_config
 from synthcat.report import RunResult, run_pipeline, write_artifacts
@@ -329,3 +330,61 @@ def test_ladder_digests_hold_under_other_blas_kernels(coretype, tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == pinned_digests("ladder")
+
+
+def _ladder_dataset(tmp_path):
+    """The ladder run's dataset.csv: one digit per field, as ``d,d,...,d\\n``."""
+    return run_pipeline(LADDER_CONFIG, tmp_path / "run")["dataset.csv"]
+
+
+def _recoded_ladder_dataset(tmp_path):
+    """The ladder dataset with code c of column p written as 13 ((c + p) mod 3) - 12.
+
+    Its codes are -12, 1 and 14, in another order in two of every three columns.
+    """
+    lines = _ladder_dataset(tmp_path).read_text().splitlines()
+    rows = [
+        ",".join(str(13 * ((int(x) + p) % 3) - 12) for p, x in enumerate(line.split(",")))
+        for line in lines[1:]
+    ]
+    path = tmp_path / "recoded.csv"
+    path.write_text("\n".join([lines[0], *rows]) + "\n")
+    return path
+
+
+# ``synthcat associate --data`` on two fixed inputs: name -> (input maker,
+# {file: sha256}) for the v, vcc and tauc matrix and long files.
+ASSOCIATE = {
+    "one-digit": (
+        _ladder_dataset,
+        {
+            "v_matrix.csv": "637a95352d4d9463882b2fec634c7520f76fa18c062539a90b94db6985dc179c",
+            "v_long.csv": "a931d7ece983bac3492e6852c401710769f3bd170d0662d0d559dc17df85b6ec",
+            "vcc_matrix.csv": "e7c70017f97d8dea62c1d4bebea69a917d0f106069428db05e99ea922a1d87b7",
+            "vcc_long.csv": "d8ebcf0bdda391160fff55e03b0b9a95afb0b0bf91e7129b33c4331b5d871388",
+            "tauc_matrix.csv": "97faccf8694684fe5184b444b9ae47d71b8851d62bf51dd892b0ed9a2a9bf934",
+            "tauc_long.csv": "5c231141c4fafb88a159446c29afdf93fe7f7d75bb92bce090b0ab3e8aa498c5",
+        },
+    ),
+    "multi-digit": (
+        _recoded_ladder_dataset,
+        {
+            "v_matrix.csv": "428dbc3cf0345cb990c844580343d58a950f40daccdfd1ce7d2be92cbbc8bad5",
+            "v_long.csv": "6b31d71cc300ab95e01bff849f5ae43565dc6745e6e304c227101e943c8893df",
+            "vcc_matrix.csv": "4ccf67c9599be0bfb25e2f2e2343aec115feab7cbf83cae9c4de7f24aaa094d3",
+            "vcc_long.csv": "e288a593af8a5545a7e50a3e77aeecae42ac3804f705f127e24186ce85ef4c80",
+            "tauc_matrix.csv": "5b02f7a993cc565ea6fcaa9ab6c0b62319fdaccc63a16f9c5bc06048a28ab173",
+            "tauc_long.csv": "19b5268cbf4ca045e33247c7c1a4e680568b226391dae66c422d3a9f0ff69bb4",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATE))
+def test_associate_digests_match_golden(name, tmp_path):
+    make_input, digests = ASSOCIATE[name]
+    data = make_input(tmp_path)
+    out = tmp_path / "associate"
+    for measure in ("v", "vcc", "tauc"):
+        assert main(["associate", "--data", str(data), "--measure", measure, "--out", str(out)]) == 0
+    assert {artifact: sha256(out / artifact) for artifact in digests} == digests
