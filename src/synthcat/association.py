@@ -298,12 +298,13 @@ def sample_moments(data) -> MomentMatrices:
     least the block's row count.  Where every column's levels are consecutive
     integers and its lowest level occurs (SNP 0/1/2, binary 0/1), x' is the
     level position itself, and ``_gram`` casts the positions instead of
-    looking each one up.  The first pass's blocks are float32 while
-    rows max x'^2 < 2**24 (x' < 256 at the default 256-row block, below P = 512):
-    each block's sums are then exact integers in float32 too, so the bytes are
-    those of float64 blocks on any machine, which
-    ``test_ladder_digests_hold_under_other_blas_kernels`` checks under other
-    BLAS kernels.  Non-interval and constant columns get NaN correlations, the
+    looking each one up; a column whose lowest level never occurs is looked
+    up, its unread positions below the lowest observed one as zeros.  The
+    first pass's blocks are float32 while rows max x'^2 < 2**24 (x' < 256 at
+    the default 256-row block, below P = 512): each block's sums are then
+    exact integers in float32 too, so the bytes are those of float64 blocks on
+    any machine, which ``test_ladder_digests_hold_under_other_blas_kernels``
+    checks under other BLAS kernels.  Non-interval and constant columns get NaN correlations, the
     diagonal 1; n = 1 gives NaN.  Zero subjects, or a code outside its column's
     declared levels, raise SpecError.
     """
@@ -316,13 +317,17 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
         raise SpecError("sample moments: need at least one subject")
     table = level_table(variables)
     # Levels ascend, so each column's smallest position holds its minimum code.
-    low = table[np.arange(len(table)), positions.min(axis=0)]
+    lowest = positions.min(axis=0)
+    low = table[np.arange(len(table)), lowest]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
-    # No position reaches the padding; it holds its own position, so consecutive
-    # levels of any width stay a ramp.  That cannot raise _gram's max|table|: the
-    # widest column holds size - 1 or more (or a wrapped ~2**64).
     ramp = np.arange(table.shape[1])
+    # No position below a column's lowest observed one is read; zeroed, it cannot
+    # wrap to about 2**64 and push every block past _gram's float32 bound.
+    shifted[ramp < lowest[:, None]] = 0
+    # Nor does any reach the padding; it holds its own position, so consecutive
+    # levels of any width stay a ramp.  That raises _gram's max|table| only where
+    # the widest column's lowest level never occurs; else it holds size - 1 or more.
     padding = ramp >= np.array([[v.size] for v in variables])
     sums, cross = _gram(positions, slice(None), np.where(padding, ramp, shifted.astype(float)))
     centre = low.astype(float)

@@ -3,8 +3,11 @@
 The reference reads the codes with ``np.loadtxt``, takes each column's
 levels from ``np.unique`` and hands the ``(codes, variables)`` pair to
 ``association_matrix``, which looks every code up.  The CLI reads the file
-straight into level positions; every measure must write the same bytes, and
-where the reference raises SpecError the CLI must exit 2.
+once, as bytes, straight into level positions: a file of one-digit fields,
+``d,d,...,d\\n`` on every line, is read from its bytes, and any other file
+through ``np.loadtxt``.  Both must give ``_level_positions`` of the loaded
+codes, every measure must write the same bytes, and where the reference
+raises SpecError the CLI must exit 2.
 """
 
 import contextlib
@@ -18,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthcat.association import MEASURES, LevelPositions, association_matrix
-from synthcat.cli import _level_positions, main
+from synthcat.cli import _level_positions, _read_csv, main
 from synthcat.model import SpecError, VariableDomain
 from synthcat.report import write_association
 
@@ -55,7 +58,7 @@ def integer_csvs(draw):
 
 def reference_outputs(path: Path, out: Path) -> dict[str, bytes | None]:
     """Each measure's written bytes by the reference reading, or None where it raises SpecError."""
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         names = f.readline().strip().split(",")
     codes = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None)
     variables = tuple(
@@ -97,6 +100,92 @@ def assert_cli_writes_the_reference_bytes(text: str) -> None:
 @given(integer_csvs())
 def test_associate_data_writes_the_reference_bytes(csv):
     assert_cli_writes_the_reference_bytes(csv[0])
+
+
+# How a one-digit file is changed, if at all; each change but the byte-order
+# mark sends the reader to np.loadtxt.
+PERTURBATIONS = (
+    "byte-order-mark", "crlf", "cr-after-header", "blank-line", "no-final-newline", "two-digit", "negative",
+)
+
+
+@st.composite
+def one_digit_csvs(draw):
+    """Mostly clean ``d,...,d\\n`` files, else one of PERTURBATIONS of one.
+
+    Each column's digits are a random subset of 0..9, so some columns miss a
+    level between two they hold (codes 0 and 2, say).
+    """
+    p_count = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 30))
+    digits = [sorted(draw(st.sets(st.integers(0, 9), min_size=1, max_size=10))) for _ in range(p_count)]
+    rows = [[str(draw(st.sampled_from(d))) for d in digits] for _ in range(n)]
+    perturbation = draw(st.sampled_from((None,) * len(PERTURBATIONS) + PERTURBATIONS))
+    if perturbation in ("two-digit", "negative"):
+        row, p = draw(st.integers(0, n - 1)), draw(st.integers(0, p_count - 1))
+        rows[row][p] = str(draw(st.integers(10, 99) if perturbation == "two-digit" else st.integers(-9, -1)))
+    lines = [",".join(f"c{p}" for p in range(p_count))] + [",".join(row) for row in rows]
+    if perturbation == "blank-line":
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    newline = "\r\n" if perturbation == "crlf" else "\n"
+    text = newline.join(lines) + ("" if perturbation == "no-final-newline" else newline)
+    if perturbation == "cr-after-header":
+        text = text.replace("\n", "\r", 1)
+    return ("\ufeff" if perturbation == "byte-order-mark" else "") + text
+
+
+@settings(max_examples=100, deadline=None)
+@given(one_digit_csvs())
+def test_one_digit_files_read_as_the_loaded_codes(text):
+    """The byte path and its fallback both give _level_positions of np.loadtxt's codes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        read = _read_csv(str(path))
+        codes = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None)
+    levels, positions = _level_positions(codes)
+    assert read.positions.dtype == positions.dtype
+    assert read.positions.flags.c_contiguous
+    assert np.array_equal(read.positions, positions)
+    assert [v.levels for v in read.variables] == [tuple(column) for column in levels]
+    assert [v.name for v in read.variables] == text.lstrip("\ufeff").splitlines()[0].split(",")
+    assert {v.kind for v in read.variables} == {"interval"}
+    assert_cli_writes_the_reference_bytes(text)
+
+
+def test_a_one_digit_file_is_read_without_loadtxt(tmp_path, monkeypatch):
+    """A clean one-digit file never reaches np.loadtxt; the same file with CRLF lines does."""
+
+    def loadtxt(*args, **kwargs):
+        raise AssertionError("np.loadtxt ran")
+
+    text = "a,b,c\n0,2,9\n2,2,7\n0,1,9\n"
+    clean = tmp_path / "clean.csv"
+    clean.write_text(text)
+    expected = reference_outputs(clean, tmp_path / "reference")
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    read = _read_csv(str(clean))
+    assert [v.levels for v in read.variables] == [(0, 2), (1, 2), (7, 9)]
+    assert read.positions.tolist() == [[0, 1, 1], [1, 1, 0], [0, 0, 1]]
+    out = tmp_path / "cli"
+    for measure in MEASURES:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["associate", "--data", str(clean), "--measure", measure, "--out", str(out)]) == 0
+        actual = b"".join((out / f"{measure}_{kind}.csv").read_bytes() for kind in ("matrix", "long"))
+        assert actual == expected[measure], measure
+    crlf = tmp_path / "crlf.csv"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode())
+    with pytest.raises(AssertionError, match="np.loadtxt ran"):
+        _read_csv(str(crlf))
+
+
+def test_a_carriage_return_ends_the_header(tmp_path):
+    """As in a text-mode read: the field after it is data, not part of a name."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(b"a\r0\n1\n")
+    read = _read_csv(str(path))
+    assert read.variables == (VariableDomain("a", (0, 1), "interval"),)
+    assert read.positions.tolist() == [[0], [1]]
 
 
 @pytest.mark.parametrize("sparse", [False, True], ids=["mask", "unique"])

@@ -251,6 +251,32 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
     assert_writers_match_savetxt(dataset, tmp_path)
 
 
+def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
+    """Level 0 never occurs in one column, nor levels 0 and 1 in another.
+
+    The shifted table's entries below those columns' lowest observed
+    positions are never read.  Left to wrap to about 2**64, they would send
+    the whole pass to float64 blocks; the pass must stay float32 and match
+    the oracle bit for bit.
+    """
+    rng = np.random.default_rng(21)
+    n = 3 * association._MOMENT_ROWS + 7
+    values = rng.integers(0, 3, (n, 4))
+    values[:, 1] = rng.integers(1, 3, n)
+    values[:, 3] = 2
+    variables = tuple(VariableDomain(f"x{p}", (0, 1, 2)) for p in range(4))
+    blocks = []
+    lookup = association._lookup_blocks
+
+    def recorded(positions, columns, table, block):
+        blocks.append(block.dtype)
+        return lookup(positions, columns, table, block)
+
+    monkeypatch.setattr(association, "_lookup_blocks", recorded)
+    assert_matches_oracle(values, variables)
+    assert blocks == [np.float32]
+
+
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
     """Pearson, covariance summaries and the comparison share one pass."""
     calls = []
