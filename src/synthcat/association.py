@@ -304,9 +304,9 @@ def sample_moments(data) -> MomentMatrices:
     the default 256-row block, below P = 512): each block's sums are then
     exact integers in float32 too, so the bytes are those of float64 blocks on
     any machine, which ``test_ladder_digests_hold_under_other_blas_kernels``
-    checks under other BLAS kernels.  Non-interval and constant columns get NaN correlations, the
-    diagonal 1; n = 1 gives NaN.  Zero subjects, or a code outside its column's
-    declared levels, raise SpecError.
+    checks under other BLAS kernels.  Non-interval and constant columns get
+    NaN correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a
+    code outside its column's declared levels, raise SpecError.
     """
     return _sample_moments(*_columns(data))
 
