@@ -73,24 +73,79 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     """Each cell's position among its column's levels, and the columns' domains.
 
     ``data`` is a Dataset, a LevelPositions or a (codes, variables) pair.
-    Only a pair is looked up; a code that is not a declared level of its
-    column raises SpecError.
+    Only a pair is looked up, by ``_level_positions``; codes that are not
+    n x P for P > 0 variables, or not declared levels, raise SpecError.
     """
     if isinstance(data, Dataset):
         return data.positions, data.profile.variables
     if isinstance(data, LevelPositions):
         return data.positions, data.variables
     codes, variables = np.asarray(data[0]), tuple(data[1])
-    positions = np.empty(codes.shape, np.min_scalar_type(max(v.size for v in variables) - 1))
-    for p, variable in enumerate(variables):
-        levels = np.asarray(variable.levels)
-        index = np.searchsorted(levels, codes[:, p])
-        if not (levels[np.minimum(index, len(levels) - 1)] == codes[:, p]).all():
-            raise SpecError(
-                f"association: column {variable.name!r} has values outside its declared levels"
-            )
-        positions[:, p] = index
-    return positions, variables
+    if codes.ndim != 2 or codes.shape[1] != len(variables) or not variables:
+        raise SpecError(f"association: codes {codes.shape} do not fit {len(variables)} columns")
+    return _level_positions(codes, variables)[1], variables
+
+
+# Cells of a code table turned into mask slots at a time by ``_level_positions``.
+_SLOT_CELLS = 2**16
+
+
+def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]], np.ndarray]:
+    """Each column's levels, and each cell's position among them.
+
+    The levels are each variable's declared levels or, without ``variables``,
+    the codes each column holds; a code that is not declared raises SpecError
+    naming the first such column.  Integer codes whose columns each span
+    fewer integers than there are rows mark one mask over all the spans,
+    filled and then read ``_SLOT_CELLS`` cells at a time; other codes go
+    through ``np.unique`` per column.  Declared levels rank each column's
+    observed codes by a ``searchsorted`` on those few.  Positions are the
+    narrowest unsigned type that holds every column's level count.
+    """
+    n = len(codes)
+    masked = codes.dtype.kind in "iu" and n > 0
+    if masked:
+        low = codes.min(axis=0)
+        # high - low in uint64 never wraps, whatever the codes.
+        span = np.subtract(codes.max(axis=0), low, dtype=np.uint64, casting="unsafe")
+        masked = (span < n).all()
+    if masked:
+        # Column p's integers low[p]..high[p] own the mask slots from start[p] on;
+        # a cell's slot is its code + offset, and any wrap in intp cancels out.
+        length = span.astype(np.intp) + 1
+        start = np.cumsum(length) - length
+        offset = start - low.astype(np.intp)
+        rows = max(1, _SLOT_CELLS // codes.shape[1])
+        blocks = [slice(a, a + rows) for a in range(0, n, rows)]
+        present = np.zeros(start[-1] + length[-1], bool)
+        for block in blocks:
+            present[np.add(codes[block], offset, dtype=np.intp, casting="unsafe")] = True
+        masks = np.split(present, start[1:])
+        observed = [np.flatnonzero(mask) + base for mask, base in zip(masks, low)]
+    else:
+        observed, inverses = [], []
+        for column in codes.T:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            observed.append(distinct)
+            # Narrowed at once, so the inverses never add up to an n x P intp array.
+            inverses.append(inverse.astype(np.min_scalar_type(len(distinct) - 1)))
+    levels = observed if variables is None else [np.asarray(v.levels) for v in variables]
+    ranks = [np.searchsorted(declared, seen) for declared, seen in zip(levels, observed)]
+    for p, (declared, seen, index) in enumerate(zip(levels, observed, ranks)):
+        if not (declared[np.minimum(index, len(declared) - 1)] == seen).all():
+            name = variables[p].name
+            raise SpecError(f"association: column {name!r} has values outside its declared levels")
+    positions = np.empty(codes.shape, np.min_scalar_type(max(map(len, levels)) - 1))
+    if masked:
+        lookup = np.zeros(len(present), positions.dtype)
+        lookup[present] = np.concatenate(ranks)
+        for block in blocks:
+            slots = np.add(codes[block], offset, dtype=np.intp, casting="unsafe")
+            lookup.take(slots, out=positions[block], mode="clip")
+    else:
+        for p, inverse in enumerate(inverses):
+            positions[:, p] = ranks[p][inverse]
+    return [column.tolist() for column in levels], positions
 
 
 def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> ContingencyTable:
@@ -271,7 +326,7 @@ def _lookup_blocks(positions: np.ndarray, columns, table: np.ndarray, block: np.
     every block to a temporary first, and no index is out of bounds.  Every
     caller's positions are already checked to lie below their column's level
     count (a ``Dataset`` and a ``LevelPositions`` at construction, a
-    ``(codes, variables)`` pair by the ``_columns`` lookup), and ``table`` has
+    ``(codes, variables)`` pair by ``_level_positions``), and ``table`` has
     a column for every level.
     """
     # Row c of the C-order width x M table starts at flat index c * M.

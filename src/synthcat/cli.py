@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .association import MEASURES, VARIANTS, LevelPositions, association_matrix
+from .association import MEASURES, VARIANTS, LevelPositions, _level_positions, association_matrix
 from .model import InfeasibleTargetError, SpecError, VariableDomain
 from .report import RunResult, run_pipeline, write_artifacts, write_association
 
@@ -51,42 +51,8 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _level_positions(values: np.ndarray) -> tuple[list[list[int]], np.ndarray]:
-    """Each column's distinct values, ascending, and each cell's position among them.
-
-    When every column spans fewer integers than there are rows, one mask
-    over all the columns' spans marks the values that occur, and a running
-    count of the mask gives both at once; otherwise each column goes
-    through ``np.unique``.  Positions are the narrowest unsigned type that
-    holds them, as ``_columns`` makes them for a (codes, variables) pair.
-    """
-    low = values.min(axis=0)
-    # high - low in uint64 never wraps, whatever the codes.
-    span = np.subtract(values.max(axis=0), low, dtype=np.uint64, casting="unsafe")
-    if (span < len(values)).all():
-        # Column p's integers low[p]..high[p] own the mask slots from start[p] on.
-        length = span.astype(np.intp) + 1
-        start = np.cumsum(length) - length
-        slot = values - low
-        slot += start
-        present = np.zeros(start[-1] + length[-1], bool)
-        present[slot] = True
-        rank = np.cumsum(present) - 1
-        levels = [
-            (np.flatnonzero(present[a : a + m]) + base).tolist()
-            for a, m, base in zip(start, length, low)
-        ]
-        lookup = rank - np.repeat(rank[start], length)
-        dtype = np.min_scalar_type(max(map(len, levels)) - 1)
-        return levels, lookup.astype(dtype)[slot]
-    pairs = [np.unique(column, return_inverse=True) for column in values.T]
-    levels = [distinct.tolist() for distinct, _ in pairs]
-    dtype = np.min_scalar_type(max(map(len, levels)) - 1)
-    return levels, np.column_stack([inverse for _, inverse in pairs]).astype(dtype)
-
-
 def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarray] | None:
-    """``_level_positions`` of a body of ``d,d,...,d\\n`` lines ``width`` fields wide, or None.
+    """``association._level_positions`` of a body of ``d,d,...,d\\n`` lines ``width`` wide, or None.
 
     Each field and the byte after it, read as one little-endian uint16 less
     the pair ``0,`` (``0\\n`` in the last column), is the field's digit
@@ -125,8 +91,9 @@ def _read_csv(path: str) -> LevelPositions:
     from the bytes (``_digit_positions``) and only the header is decoded.
     Any other file (CRLF or blank lines, no final newline, codes of more
     than one digit or negative, spaces) is decoded whole and parsed by
-    ``np.loadtxt``, and its codes go through ``_level_positions``.  Both
-    give the same positions and levels.
+    ``np.loadtxt``, and its codes go through ``association._level_positions``
+    over their observed levels, the map that looks a ``(codes, variables)``
+    pair up over declared ones.  Both give the same positions and levels.
     """
     data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     head, _, body = data.partition(b"\n")

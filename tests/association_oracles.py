@@ -4,6 +4,8 @@ The library computes chi-square, Cramer's V and the concentration
 coefficient only in batched kernels over stacks of tables; these direct
 transcriptions of the definitions are what the kernels are tested against.
 (The tau_c oracle, ``tau_c_pair_scan``, is still in ``synthcat.association``.)
+``pair_positions`` looks codes up among declared levels one column at a
+time, the reference for ``association._level_positions``.
 """
 
 import math
@@ -12,6 +14,26 @@ import numpy as np
 
 from synthcat.association import ContingencyTable
 from synthcat.model import SpecError
+
+
+def pair_positions(codes, variables) -> np.ndarray:
+    """Each code's position among its column's declared levels, one column at a time.
+
+    A ``searchsorted`` and an equality check per column; the first column
+    holding a code that is not one of its declared levels raises SpecError.
+    Positions are the narrowest unsigned type that holds every level count.
+    """
+    codes = np.asarray(codes)
+    positions = np.empty(codes.shape, np.min_scalar_type(max(v.size for v in variables) - 1))
+    for p, variable in enumerate(variables):
+        levels = np.asarray(variable.levels)
+        index = np.searchsorted(levels, codes[:, p])
+        if not (levels[np.minimum(index, len(levels) - 1)] == codes[:, p]).all():
+            raise SpecError(
+                f"association: column {variable.name!r} has values outside its declared levels"
+            )
+        positions[:, p] = index
+    return positions
 
 
 def _dropped(table: ContingencyTable) -> np.ndarray:

@@ -1,27 +1,34 @@
 """``synthcat associate --data`` against a reference reading of the same file.
 
 The reference reads the codes with ``np.loadtxt``, takes each column's
-levels from ``np.unique`` and hands the ``(codes, variables)`` pair to
-``association_matrix``, which looks every code up.  The CLI reads the file
-once, as bytes, straight into level positions: a file of one-digit fields,
-``d,d,...,d\\n`` on every line, is read from its bytes, and any other file
-through ``np.loadtxt``.  Both must give ``_level_positions`` of the loaded
-codes, every measure must write the same bytes, and where the reference
-raises SpecError the CLI must exit 2.
+levels from ``np.unique``, looks every code up one column at a time
+(``association_oracles.pair_positions``) and hands the positions to
+``association_matrix``.  The CLI reads the file once, as bytes, straight
+into level positions: a file of one-digit fields, ``d,d,...,d\\n`` on every
+line, is read from its bytes, and any other file through ``np.loadtxt``
+and ``association._level_positions``, the map that also looks up a
+``(codes, variables)`` pair.  Both must give the reference's levels and
+positions, every measure must write the same bytes, and where the
+reference raises SpecError the CLI must exit 2.  ``_level_positions`` is
+also held to the oracle over declared levels, and on an undeclared code
+must raise the oracle's SpecError.
 """
 
 import contextlib
 import io
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from synthcat.association import MEASURES, LevelPositions, association_matrix
-from synthcat.cli import _level_positions, _read_csv, main
+from association_oracles import pair_positions
+from synthcat import association
+from synthcat.association import MEASURES, LevelPositions, _level_positions, association_matrix
+from synthcat.cli import _read_csv, main
 from synthcat.model import SpecError, VariableDomain
 from synthcat.report import write_association
 
@@ -56,19 +63,25 @@ def integer_csvs(draw):
     return text, codes
 
 
+def observed_domains(codes: np.ndarray, names) -> tuple[VariableDomain, ...]:
+    """Interval domains whose levels are each column's distinct codes, by ``np.unique``."""
+    return tuple(
+        VariableDomain(name, tuple(int(x) for x in np.unique(codes[:, p])), "interval")
+        for p, name in enumerate(names)
+    )
+
+
 def reference_outputs(path: Path, out: Path) -> dict[str, bytes | None]:
     """Each measure's written bytes by the reference reading, or None where it raises SpecError."""
     with open(path, encoding="utf-8-sig") as f:
         names = f.readline().strip().split(",")
     codes = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    variables = tuple(
-        VariableDomain(name, tuple(int(x) for x in np.unique(codes[:, p])), "interval")
-        for p, name in enumerate(names)
-    )
+    variables = observed_domains(codes, names)
+    data = LevelPositions(pair_positions(codes, variables), variables)
     written = {}
     for measure in MEASURES:
         try:
-            write_association(out, association_matrix((codes, variables), measure))
+            write_association(out, association_matrix(data, measure))
         except SpecError:
             written[measure] = None
             continue
@@ -143,17 +156,18 @@ def one_digit_csvs(draw):
 @settings(max_examples=100, deadline=None)
 @given(one_digit_csvs())
 def test_one_digit_files_read_as_the_loaded_codes(text):
-    """The byte path and its fallback both give _level_positions of np.loadtxt's codes."""
+    """The byte path and its fallback both give the oracle's levels and positions of the codes."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_bytes(text.encode("utf-8"))
         read = _read_csv(str(path))
         codes = np.loadtxt(path, dtype=np.int64, delimiter=",", skiprows=1, ndmin=2, comments=None)
-    levels, positions = _level_positions(codes)
+    variables = observed_domains(codes, [v.name for v in read.variables])
+    positions = pair_positions(codes, variables)
     assert read.positions.dtype == positions.dtype
     assert read.positions.flags.c_contiguous
     assert np.array_equal(read.positions, positions)
-    assert [v.levels for v in read.variables] == [tuple(column) for column in levels]
+    assert [v.levels for v in read.variables] == [v.levels for v in variables]
     assert [v.name for v in read.variables] == text.lstrip("\ufeff").splitlines()[0].split(",")
     assert {v.kind for v in read.variables} == {"interval"}
     assert_cli_writes_the_reference_bytes(text)
@@ -228,3 +242,57 @@ def test_level_positions_refuse_what_cannot_index_the_levels(positions, sizes):
     variables = tuple(VariableDomain(f"x{p}", tuple(range(size))) for p, size in enumerate(sizes))
     with pytest.raises(SpecError):
         LevelPositions(positions, variables)
+
+
+@st.composite
+def declared_pairs(draw):
+    """(codes, variables): each column drawn from some of its declared levels.
+
+    Declared levels come from ``column_codes``, so some are int64 extremes
+    and most are never drawn, leaving gaps.  Rows run from 1, where every
+    column spans 0 < n integers, to past the widest dense span.  Sometimes
+    one or more cells are set to a code outside their column's levels.
+    """
+    declared = draw(st.lists(column_codes.map(sorted), min_size=1, max_size=4))
+    n = draw(st.integers(1, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for levels in declared:
+        drawn = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=5, unique=True))
+        columns.append(rng.choice(np.array(drawn, np.int64), n))
+    codes = np.column_stack(columns)
+    for _ in range(draw(st.integers(0, 2))):
+        row, p = draw(st.integers(0, n - 1)), draw(st.integers(0, len(declared) - 1))
+        codes[row, p] = draw(st.integers(*INT64).filter(lambda code: code not in declared[p]))
+    variables = tuple(
+        VariableDomain(f"x{p}", tuple(levels), "interval") for p, levels in enumerate(declared)
+    )
+    return codes, variables
+
+
+@settings(max_examples=300, deadline=None)
+@given(declared_pairs(), st.sampled_from([1, 5, 64, association._SLOT_CELLS]))
+def test_level_positions_match_the_oracle(pair, cells):
+    """Declared or observed levels, one block or many: the oracle's positions, dtype and levels.
+
+    On a code outside its declared levels both raise the same SpecError.
+    """
+    codes, variables = pair
+    with mock.patch.object(association, "_SLOT_CELLS", cells):
+        try:
+            expected = pair_positions(codes, variables)
+        except SpecError as err:
+            with pytest.raises(SpecError) as raised:
+                _level_positions(codes, variables)
+            assert str(raised.value) == str(err)
+        else:
+            levels, positions = _level_positions(codes, variables)
+            assert positions.dtype == expected.dtype
+            assert np.array_equal(positions, expected)
+            assert levels == [list(v.levels) for v in variables]
+        observed = observed_domains(codes, [v.name for v in variables])
+        levels, positions = _level_positions(codes)
+        expected = pair_positions(codes, observed)
+        assert positions.dtype == expected.dtype
+        assert np.array_equal(positions, expected)
+        assert levels == [list(v.levels) for v in observed]

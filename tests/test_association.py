@@ -53,6 +53,35 @@ class TestCrosstab:
         with pytest.raises(SpecError, match="declared"):
             crosstab([0, 5], [0, 1], (0, 1), (0, 1))
 
+    def test_integral_float_codes_are_looked_up(self):
+        """1.0 is level 1; 0.5 is no declared level."""
+        t = crosstab([0.0, 1.0, 1.0], [1.0, 1.0, 0.0], (0, 1), (0, 1))
+        assert t.counts.tolist() == [[0, 1], [1, 1]]
+        variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
+        floats = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
+        halves = floats.copy()
+        halves[3, 0] = 0.5
+        for measure in ("v", "vcc", "tauc", "pearson"):
+            expected = association_matrix((floats.astype(int), variables), measure).values
+            got = association_matrix((floats, variables), measure).values
+            assert np.array_equal(got, expected, equal_nan=True)
+            with pytest.raises(SpecError, match="column 'a' has values outside"):
+                association_matrix((halves, variables), measure)
+        with pytest.raises(SpecError, match="declared"):
+            crosstab([0.0, 0.5, 1.0], [0, 1, 1], (0, 1), (0, 1))
+
+    def test_no_subjects_give_an_all_zero_table(self):
+        """An empty crosstab is all zeros, and every measure refuses zero subjects."""
+        t = crosstab([], [], (0, 1), (0, 1))
+        assert t.counts.tolist() == [[0, 0], [0, 0]]
+        for measure in (chi_square, cramers_v, concentration_coefficient):
+            with pytest.raises(SpecError):
+                measure(t)
+        variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
+        for measure in ("v", "vcc", "tauc", "pearson"):
+            with pytest.raises(SpecError):
+                association_matrix((np.empty((0, 2)), variables), measure)
+
 
 class TestChiSquare:
     def test_hand_values(self):
@@ -250,6 +279,17 @@ class TestAssociationMatrix:
         data = mixed_dataset()
         for measure in ("v", "vcc", "tauc", "pearson"):
             assert np.all(np.diag(association_matrix(data, measure).values) == 1.0)
+
+    @pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
+    @pytest.mark.parametrize(
+        "codes",
+        [np.zeros((4, 3), np.int64), np.zeros((4, 1), np.int64), np.zeros(4, np.int64)],
+        ids=["extra-column", "missing-column", "one-dimensional"],
+    )
+    def test_codes_that_do_not_fit_the_variables_are_refused(self, codes, measure):
+        variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
+        with pytest.raises(SpecError, match="do not fit 2 columns"):
+            association_matrix((codes, variables), measure)
 
     def test_tuple_input_matches_dataset_input(self):
         data = mixed_dataset()
