@@ -133,7 +133,7 @@ def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]]
     ranks = [np.searchsorted(declared, seen) for declared, seen in zip(levels, observed)]
     for p, (declared, seen, index) in enumerate(zip(levels, observed, ranks)):
         if not (declared[np.minimum(index, len(declared) - 1)] == seen).all():
-            name = variables[p].name
+            name = variables[p].name if variables else p
             raise SpecError(f"association: column {name!r} has values outside its declared levels")
     positions = np.empty(codes.shape, np.min_scalar_type(max(map(len, levels)) - 1))
     if masked:
@@ -156,14 +156,18 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> Cont
     zero margins.  It is the batched build of ``association_matrix`` on one
     pair.
     """
-    x = np.asarray(x)
-    y = np.asarray(y)
-    if x.shape != y.shape:
-        raise SpecError("crosstab: columns differ in length")
     domains = (VariableDomain("x", tuple(levels_x)), VariableDomain("y", tuple(levels_y)))
-    positions = _columns((np.column_stack([x, y]), domains))[0]
+    positions = _columns((_stacked(x, y), domains))[0]
     rows, cols = len(levels_x), len(levels_y)
     return ContingencyTable(_pair_tables(positions, [0, 1], [rows, cols])[0, :rows, :cols])
+
+
+def _stacked(x, y) -> np.ndarray:
+    """Two code columns side by side; columns that differ in shape raise SpecError."""
+    x, y = np.asarray(x), np.asarray(y)
+    if x.shape != y.shape:
+        raise SpecError("crosstab: columns differ in length")
+    return np.column_stack([x, y])
 
 
 def _check_arguments(measure: str, n: int, sizes=(), variant: str = "paper") -> None:
@@ -221,8 +225,9 @@ def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
     """
     n = len(x)
     _check_arguments("tauc", n, (m_x, m_y))
-    table = crosstab(x, y, np.unique(x), np.unique(y))
-    return float(_tau_c_tables(table.counts[None], n, min(m_x, m_y))[0])
+    levels, positions = _level_positions(_stacked(x, y))
+    tables = _pair_tables(positions, [0, 1], list(map(len, levels)))
+    return float(_tau_c_tables(tables, n, min(m_x, m_y))[0])
 
 
 def tau_c_pair_scan(x, y, m_x: int, m_y: int) -> float:
@@ -403,30 +408,36 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     """Contingency tables of every pair p < q of ``columns``, zero-padded to M x M.
 
     ``sizes`` holds their level counts.  One indicator matrix Z (a row per
-    subject, a column per declared level of every picked column) holds all
-    tables at once: block (p, q) of Z^T Z is the p-by-q crosstab.  ``_gram``
-    accumulates Z^T Z over row blocks of rows x width floats, width being
-    the total level count plus one, so a block is never larger than the
-    Gram once width >= rows.  Z holds 0 and 1, so its blocks are float32
-    (while a block has fewer than 2**24 rows) and each block's counts are exact
-    integers in any BLAS order; the float64 totals are exact below 2**53,
-    and the tables do not depend on the machine.  Returns an int64 array of
-    shape (pairs, M, M), pairs in ``np.triu_indices`` order, with M the
-    largest level count.
+    subject) has a column per declared level of every picked column but its
+    last, then an all-ones and a zero column.  Block (p, q) of Z^T Z is the
+    p-by-q crosstab without its last row and column; those read the ones
+    column's margins and become, in int64, the margins less the other cells.
+    ``_gram`` accumulates Z^T Z over row blocks of rows x width floats, width
+    being the total level count less one per column, plus two.  Z holds 0
+    and 1, so its blocks are float32 (while a block has fewer than 2**24 rows)
+    and each block's counts are exact integers in any BLAS order; the float64
+    totals are exact below 2**53, and the tables do not depend on the machine.
+    Returns int64 tables (pairs, M, M), M the largest level count, in ``np.triu_indices`` order.
     """
-    count, width, m = len(columns), sum(sizes), max(sizes)
-    # Z's column c reads the picked column owner[c] and is 1 where it holds
-    # level position level[c]; the extra last column of Z stays zero, and
-    # padding cells index it.
-    owner = np.repeat([*columns, columns[0]], [*sizes, 1])
-    level = np.concatenate([np.arange(size) for size in sizes] + [[m]])
-    indicator = (level[:, None] == np.arange(m)).astype(float)
-    gram = _gram(positions, owner, indicator)[1]
-    # index[p, l]: the Gram row of the p-th picked column's level l.
-    index = np.full((count, m), width)
-    index[np.repeat(np.arange(count), sizes), level[:-1]] = np.arange(width)
+    count, m, last = len(columns), max(sizes), np.asarray(sizes) - 1
+    width = int(last.sum())
+    # Z's column c < width is 1 where the picked column owner[c] holds level
+    # position level[c].  index[p, l] is the Gram row of picked column p's
+    # level l: the ones column for its last level, the zero one for padding.
+    owner = np.repeat([*columns, columns[0], columns[0]], [*last, 1, 1])
+    level = np.concatenate([np.arange(size) for size in last])
+    indicator = np.vstack([level[:, None] == np.arange(m), np.ones(m), np.zeros(m)])
+    gram = _gram(positions, owner, indicator)[1].astype(np.int64)
+    index = np.full((count, m), width + 1)
+    index[np.repeat(np.arange(count), last), level] = np.arange(width)
+    index[np.arange(count), last] = width
     first, second = np.triu_indices(count, 1)
-    return gram[index[first][:, :, None], index[second][:, None, :]].astype(np.int64)
+    tables = gram[index[first][:, :, None], index[second][:, None, :]]
+    # Margins less the other cells: the last row's counts, then the last column's.
+    pairs, row, col = np.arange(len(first)), last[first], last[second]
+    tables[pairs, row] -= tables.sum(axis=1) - tables[pairs, row]
+    tables[pairs, :, col] -= tables.sum(axis=2) - tables[pairs, :, col]
+    return tables
 
 
 def _chi_square_tables(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

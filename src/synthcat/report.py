@@ -233,24 +233,32 @@ def _write_table(path: str | Path, header: str, rows) -> None:
     _write_lines(path, header, (",".join(map(_format, row)) for row in rows))
 
 
-def _row_texts(values: np.ndarray):
-    """Yield each row of a float matrix as an iterator over its cells' ``repr`` texts.
+def _matrix_files(values: np.ndarray, names: tuple[str, ...]):
+    """The header and lines of a float matrix's CSV, then those of its long format.
 
-    ``repr`` runs once per distinct 64-bit pattern, so 0.0 and -0.0 keep their
-    own texts; a row then looks its texts up by index.  Going row by row holds
-    one row of indices at a time, never the whole matrix as Python objects.
+    ``repr`` runs once per distinct 64-bit pattern (0.0 and -0.0 keep their own
+    texts); both files look each cell's text up by index, a row at a time as
+    lines are read, so the whole matrix is never held as Python objects.
     """
     values = np.ascontiguousarray(values, dtype=float)
     bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
     text = list(map(repr, bits.view(float).tolist()))
-    for row in inverse.reshape(values.shape):
-        yield map(text.__getitem__, row.tolist())
+    inverse = inverse.reshape(values.shape)
+    square = (
+        name + "," + ",".join(map(text.__getitem__, row.tolist()))
+        for name, row in zip(names, inverse)
+    )
+    long = (
+        f"{name_p},{name_q},{text[cell]}"
+        for name_p, row in zip(names, inverse)
+        for name_q, cell in zip(names, row.tolist())
+    )
+    return ("," + ",".join(names), square), ("p,q,value", long)
 
 
 def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...]) -> None:
     """Write a square matrix with a header row and a name column; cells as ``repr`` floats."""
-    rows = (name + "," + ",".join(cells) for name, cells in zip(names, _row_texts(values)))
-    _write_lines(path, "," + ",".join(names), rows)
+    _write_lines(path, *_matrix_files(values, names)[0])
 
 
 # Rows per block of the code writer: the block's token indices (8 bytes per
@@ -386,20 +394,16 @@ def _sha256(path: Path) -> str:
 
 def write_long_format(path: str | Path, matrix: AssociationMatrix) -> None:
     """Heatmap-ready triplets, row-major: variable_p, variable_q, repr(value)."""
-    lines = (
-        f"{name_p},{name_q},{text}"
-        for name_p, cells in zip(matrix.names, _row_texts(matrix.values))
-        for name_q, text in zip(matrix.names, cells)
-    )
-    _write_lines(path, "p,q,value", lines)
+    _write_lines(path, *_matrix_files(matrix.values, matrix.names)[1])
 
 
 def write_association(out_dir, matrix: AssociationMatrix) -> None:
-    """Write ``<measure>_matrix.csv`` and its heatmap-ready ``<measure>_long.csv``."""
+    """Write ``<measure>_matrix.csv`` and ``<measure>_long.csv``, their texts made once for both."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_matrix_csv(out / f"{matrix.measure}_matrix.csv", matrix.values, matrix.names)
-    write_long_format(out / f"{matrix.measure}_long.csv", matrix)
+    square, long = _matrix_files(matrix.values, matrix.names)
+    _write_lines(out / f"{matrix.measure}_matrix.csv", *square)
+    _write_lines(out / f"{matrix.measure}_long.csv", *long)
 
 
 def write_comparison(path: str | Path, comparison: ComparisonReport) -> None:

@@ -194,6 +194,19 @@ class TestTauC:
         with pytest.raises(SpecError, match="two levels"):
             stuart_kendall_tau_c([1, 2], [1, 2], 1, 3)
 
+    def test_rejects_columns_of_different_lengths_and_nan_codes(self):
+        with pytest.raises(SpecError, match="columns differ in length"):
+            stuart_kendall_tau_c([1, 2, 3], [1, 2], 3, 3)
+        with pytest.raises(SpecError, match="outside its declared levels"):
+            stuart_kendall_tau_c([1.0, np.nan, 2.0], [1, 2, 2], 3, 3)
+
+    def test_wide_sparse_codes_equal_pair_scan(self):
+        """Codes spanning more integers than rows, and floats, take ``np.unique``."""
+        rng = np.random.default_rng(8)
+        x = rng.choice([-10**12, -5, 7, 10**15], 50)
+        y = rng.choice([0.5, 1.25, 9.0], 50)
+        assert stuart_kendall_tau_c(x, y, 4, 3) == tau_c_pair_scan(x, y, 4, 3)
+
     def test_production_equals_pair_scan(self):
         rng = np.random.default_rng(99)
         for _ in range(200):

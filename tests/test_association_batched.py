@@ -4,10 +4,13 @@ Random small datasets mix nominal, ordinal and interval columns, leave some
 declared levels unobserved and make some columns constant.  Every cell must
 equal what crosstab + the reference chi_square, cramers_v and
 concentration_coefficient of ``association_oracles``, or tau_c_pair_scan,
-give for that pair.
+give for that pair.  crosstab runs the batched table build itself, so the
+tables are checked on their own: every table of ``_pair_tables`` must equal
+the subject-by-subject ``np.add.at`` count (``counted``).
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -148,6 +151,43 @@ def counted(x, y, levels_x, levels_y) -> ContingencyTable:
     counts = np.zeros((len(levels_x), len(levels_y)), np.int64)
     np.add.at(counts, (np.searchsorted(levels_x, x), np.searchsorted(levels_y, y)), 1)
     return ContingencyTable(counts)
+
+
+@st.composite
+def picked_positions(draw):
+    """(positions, columns, sizes): n 1-30 rows of 2-5 columns with 1-300 levels each.
+
+    Each column's first and last levels may never occur, and ``columns``
+    picks two or more of them in any order.
+    """
+    n = draw(st.integers(1, 30))
+    size = st.one_of(st.integers(1, 4), st.integers(5, 300))
+    sizes = draw(st.lists(size, min_size=2, max_size=5))
+    columns = []
+    for size in sizes:
+        low = draw(st.integers(0, min(1, size - 1)))
+        high = draw(st.integers(max(low, size - 2), size - 1))
+        columns.append(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)))
+    picked = draw(st.permutations(range(len(sizes))))[: draw(st.integers(2, len(sizes)))]
+    positions = np.array(columns, dtype=np.uint16).T
+    return positions, picked, [sizes[c] for c in picked]
+
+
+@settings(max_examples=200, deadline=None)
+@given(picked_positions(), st.integers(1, 5))
+def test_pair_tables_match_the_counted_tables(data, rows):
+    """Every table of ``_pair_tables``, padding included, against ``np.add.at`` counts."""
+    positions, columns, sizes = data
+    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+        tables = association._pair_tables(positions, columns, sizes)
+    first, second = np.triu_indices(len(columns), 1)
+    expected = np.zeros((len(first), max(sizes), max(sizes)), np.int64)
+    for k, (a, b) in enumerate(zip(first, second)):
+        x, y = positions[:, columns[a]], positions[:, columns[b]]
+        table = counted(x, y, range(sizes[a]), range(sizes[b]))
+        expected[k, : sizes[a], : sizes[b]] = table.counts
+    assert tables.dtype == np.int64
+    assert (tables == expected).all()
 
 
 def test_mixed_widths_over_several_blocks():

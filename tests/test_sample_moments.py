@@ -313,13 +313,13 @@ def gram_oracle(positions, columns, table):
 @pytest.mark.parametrize("rows, top", [(None, 255), (4096, 100)], ids=["float32", "float64"])
 def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top):
     """Codes 0..top in blocks of ``rows``, the same codes rotated by one
-    position, and the one-hot table ``_pair_tables`` uses.
+    position, and the indicator table ``_pair_tables`` uses.
 
     256 * 255**2 < 2**24 <= 4096 * 100**2: the first case builds float32
     blocks, the second float64 ones.  Codes drawn from top/2..top put the
     second case's block sums past 2**24, where float32 would round them.
     The codes are cast from the positions; the rotated codes and the
-    one-hot table are looked up.
+    indicator table are looked up.
     """
     rows = rows or association._MOMENT_ROWS
     assert (rows * top**2 < 2**24) == (top == 255)
@@ -329,15 +329,17 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top)
     codes = np.tile(np.arange(top + 1.0), (4, 1))
     # Not a ramp, so looked up; position k reads k - 1 (position 0 reads top).
     rotated = np.roll(codes, 1, axis=1)
-    # One indicator column per level of picked columns 1 and 2, then the zero column.
-    owner = np.repeat([1, 2, 1], [top + 1, top + 1, 1])
-    level = np.concatenate([np.arange(top + 1), np.arange(top + 1), [top + 1]])
-    onehot = (level[:, None] == np.arange(top + 1)).astype(float)
+    # One indicator column per level of picked columns 1 and 2 but the last,
+    # then the all-ones and the zero column.
+    owner = np.repeat([1, 2, 1, 1], [top, top, 1, 1])
+    level = np.concatenate([np.arange(top), np.arange(top)])
+    ramp = np.arange(top + 1)
+    indicator = np.vstack([level[:, None] == ramp, np.ones(top + 1), np.zeros(top + 1)])
     with mock.patch.object(association, "_MOMENT_ROWS", rows):
         for picked, columns, table in (
             (slice(None), range(4), codes),
             (slice(None), range(4), rotated),
-            (owner, owner, onehot),
+            (owner, owner, indicator),
         ):
             sums, cross = association._gram(positions, picked, table)
             expected_sums, expected_cross = gram_oracle(positions, columns, table)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from synthcat import report
-from synthcat.association import association_matrix
+from synthcat.association import AssociationMatrix, association_matrix
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import (
     ClusterSpec,
@@ -210,6 +210,46 @@ def test_matrix_csv_is_each_cells_repr(tmp_path):
     ]
     assert (tmp_path / "m.csv").read_bytes() == ("\n".join(expected) + "\n").encode()
     assert expected[1] == "x0,0.0,-0.0,nan,nan,nan,inf,-inf"
+
+
+def association_matrices():
+    """v, vcc and tauc matrices of repeated values, both zeros, NaN and both infinities."""
+    values = np.array([
+        [1.0, -0.0, np.nan, 0.5],
+        [0.0, 1.0, np.inf, 0.5],
+        [np.nan, -np.inf, 1.0, 0.1 + 0.2],
+        [0.5, -0.0, 0.0, 1.0],
+    ])
+    names = ("a", "grün", "β", "x_3")
+    return [AssociationMatrix(values, names, measure) for measure in ("v", "vcc", "tauc")]
+
+
+def test_write_association_writes_the_bytes_of_both_writers_alone(tmp_path):
+    for matrix in association_matrices():
+        report.write_association(tmp_path / "both", matrix)
+        report.write_matrix_csv(tmp_path / "matrix.csv", matrix.values, matrix.names)
+        report.write_long_format(tmp_path / "long.csv", matrix)
+        square = (tmp_path / "both" / f"{matrix.measure}_matrix.csv").read_bytes()
+        long = (tmp_path / "both" / f"{matrix.measure}_long.csv").read_bytes()
+        assert square == (tmp_path / "matrix.csv").read_bytes()
+        assert long == (tmp_path / "long.csv").read_bytes()
+    assert square.decode().splitlines()[2] == "grün,0.0,1.0,inf,0.5"
+    assert long.decode().splitlines()[1:3] == ["a,a,1.0", "a,grün,-0.0"]
+    assert long.decode().splitlines()[-5] == "β,x_3,0.30000000000000004"
+
+
+def test_write_association_makes_each_matrix_texts_once(tmp_path, monkeypatch):
+    calls = []
+    texts = report._matrix_files
+
+    def counted(values, names):
+        calls.append(names)
+        return texts(values, names)
+
+    monkeypatch.setattr(report, "_matrix_files", counted)
+    for matrix in association_matrices():
+        report.write_association(tmp_path, matrix)
+    assert len(calls) == 3
 
 
 def test_equal_width_tokens_match_savetxt(tmp_path):
