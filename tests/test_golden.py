@@ -60,33 +60,59 @@ def explicit_spec(widths, counts, seed):
     return GeneratorSpec(ClusterSpec.from_counts(counts), ProfileMatrix(variables, tuple(rows)), seed)
 
 
-# The arrays ``generate`` returns, pinned below any writer: name -> (widths,
-# counts, seed, positions dtype, sha256 of positions.tobytes(), sha256 of
+def tiled_spec(counts, seed):
+    """Runs of equal adjacent profile columns and of equal consecutive clusters.
+
+    Columns 0-2 share one 4-level cell per cluster, columns 3-4 one 3-level
+    cell, and the noise columns 5-6 one cell in every cluster; clusters 0
+    and 1 share every cell, as do clusters 2 and 3.  A cell that opens with
+    a zero-probability level has a band edge at 0, and the dyadic cells that
+    end with one have an edge at exactly 1.0.
+    """
+    levels = {
+        4: ((0, 0.25, 0.75, 0), (0.5, 0.25, 0.25, 0), (0.1, 0.2, 0.3, 0.4)),
+        3: ((0, 0.5, 0.5), (0.125, 0.375, 0.5), (0, 0, 1.0)),
+    }
+    noise = ProbabilityVector((0.25, 0.25, 0.5, 0))
+    widths = (4, 4, 4, 3, 3)
+    variables = tuple(VariableDomain(f"x{p}", tuple(range(m))) for p, m in enumerate(widths + (4, 4)))
+    rows = tuple(
+        tuple(ProbabilityVector(levels[m][min(c // 2, 2)]) for m in widths) + (noise, noise)
+        for c in range(len(counts))
+    )
+    return GeneratorSpec(ClusterSpec.from_counts(counts), ProfileMatrix(variables, rows), seed)
+
+
+# The arrays ``generate`` returns, pinned below any writer: name -> (spec,
+# positions dtype, sha256 of positions.tobytes(), sha256 of
 # assignments.tobytes()), each drawn shuffled on 3 threads.
 GENERATED = {
     "mixed-widths": (
-        (2, 3, 5, 17, 2, 3, 5, 17, 3),
-        (13, 0, 58, 129),
-        2024,
+        explicit_spec((2, 3, 5, 17, 2, 3, 5, 17, 3), (13, 0, 58, 129), 2024),
         "uint8",
         "05a3d99bd8f27e91ba0050abec406c9907a0c0b6934dd4041cab004eb35a5a2b",
         "98e596bc4f581ef1b51c01f7c9e6cc2577ef44bedb4f7a47fe9eef638461c88b",
     ),
     "uint16": (
-        (300, 2, 3),
-        (97, 203),
-        99,
+        explicit_spec((300, 2, 3), (97, 203), 99),
         "uint16",
         "7a0d57c4808dc33c2aa4bdbedaedef33b99c663d9981acc3d3b1ce5159677602",
         "fe6daeda8036912bbbb0f9410fbd7717553ae7d4101ce69094a878e7c165e9da",
     ),
+    "tiled": (
+        tiled_spec((20000, 0, 15000, 7001, 3000), 31),
+        "uint8",
+        "d38baed2c79a665a09d2370c4a3446ac07ba58d6de4c75e97c5b54650d99a645",
+        "06cc5e7b024f28bfb2e42db5e49453283cc97a5f7a7d88476403c8416d776986",
+    ),
 }
 
 
+@pytest.mark.filterwarnings("ignore:identifiability")
 @pytest.mark.parametrize("name", sorted(GENERATED))
 def test_generated_arrays_match_golden_digests(name):
-    widths, counts, seed, dtype, positions_digest, assignments_digest = GENERATED[name]
-    dataset = generate(explicit_spec(widths, counts, seed), threads=3, shuffle=True)
+    spec, dtype, positions_digest, assignments_digest = GENERATED[name]
+    dataset = generate(spec, threads=3, shuffle=True)
     assert str(dataset.positions.dtype) == dtype
     assert hashlib.sha256(dataset.positions.tobytes()).hexdigest() == positions_digest
     assert hashlib.sha256(dataset.assignments.tobytes()).hexdigest() == assignments_digest
