@@ -265,12 +265,9 @@ class AssociationMatrix:
 
 
 # Rows of the table turned into floats at a time, by ``sample_moments`` and
-# ``_pair_tables`` alike, while the Gram is narrower than 2 * _WIDE columns.
-# A wider Gram takes width // _WIDE times as many rows per block, at most 4
-# times.  _WIDE is fixed, so blocks stay _MOMENT_ROWS tall at the widths
-# tests use when they patch _MOMENT_ROWS to a few rows.
-_MOMENT_ROWS = 256
-_WIDE = 256
+# ``_pair_tables`` alike.  An integral table whose blocks would pass the
+# float32 bound at this height gets shorter ones, down to a quarter of it.
+_MOMENT_ROWS = 1024
 
 
 def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +275,9 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
 
     ``columns`` is a list of column indices, or ``slice(None)`` for every
     column (each block then reads a view of ``positions``, not a copy).  X
-    is made a block of rows at a time: ``_MOMENT_ROWS`` times width //
-    ``_WIDE`` clipped to 1..4, width = ``len(table)``, so a block of rows x
-    width floats is a rank-rows update of the width x width Gram and never
-    larger than it once width >= ``_MOMENT_ROWS``.  Every block is written
-    into one block buffer, made once per call.  Each block's sums and Gram
-    are added to the float64 totals in block order.
+    is made a block of rows at a time, and every block is written into one
+    block buffer, made once per call.  Each block's sums and Gram are added
+    to the float64 totals in block order.
 
     When every row of ``table`` is its own positions (``table[c, k] == k``),
     x_c is the positions themselves, and each block is cast from them
@@ -291,18 +285,23 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     The choice is read from ``table`` alone, and both give the same floats.
 
     A block is float32 when ``table`` is integral and rows * max|table|**2 <
-    2**24, with rows the block's row count (at most ``len(positions)``): every
-    product and every partial sum of the block's sums and Gram is then an
-    integer below 2**24, exact in float32 whatever order the BLAS adds them
-    in, and equal to the float64 block's (itself exact).  Otherwise the
-    block is float64, cast or looked up alike.  The row count is read from
-    ``_MOMENT_ROWS`` at each call.
+    2**24, with rows the block's row count: every product and every partial
+    sum of the block's sums and Gram is then an integer below 2**24, exact
+    in float32 whatever order the BLAS adds them in, and equal to the
+    float64 block's (itself exact).  Otherwise the block is float64, cast or
+    looked up alike.  Blocks are ``_MOMENT_ROWS`` rows tall (read at each
+    call), lowered for an integral table to the most rows that keep its
+    blocks float32, but not below ``_MOMENT_ROWS // 4``, and never taller
+    than ``len(positions)``: 1024 rows up to max|table| = 127, 256 at 255.
     """
     width = len(table)
-    rows = _MOMENT_ROWS * min(max(width // _WIDE, 1), 4)
+    integral = (table == np.round(table)).all()
+    square = np.abs(table).max() ** 2
+    rows = _MOMENT_ROWS
+    if integral and square:
+        rows = int(max(rows // 4, min(rows, (2**24 - 1) // square)))
     rows = max(1, min(rows, len(positions)))
-    exact = (table == np.round(table)).all() and rows * np.abs(table).max() ** 2 < 2**24
-    block = np.empty((rows, width), np.float32 if exact else float)
+    block = np.empty((rows, width), np.float32 if integral and rows * square < 2**24 else float)
     if (table == np.arange(table.shape[1])).all():
         blocks = _cast_blocks(positions, columns, block)
     else:
@@ -360,8 +359,9 @@ def sample_moments(data) -> MomentMatrices:
     level position itself, and ``_gram`` casts the positions instead of
     looking each one up; a column whose lowest level never occurs is looked
     up, its unread positions below the lowest observed one as zeros.  The
-    first pass's blocks are float32 while rows max x'^2 < 2**24 (x' < 256 at
-    the default 256-row block, below P = 512): each block's sums are then
+    first pass's blocks are float32 while rows max x'^2 < 2**24, which
+    ``_gram`` keeps for every x' < 256 by lowering its 1024-row blocks to as
+    few as 256 rows (x' < 128 keeps all 1024): each block's sums are then
     exact integers in float32 too, so the bytes are those of float64 blocks on
     any machine, which ``test_ladder_digests_hold_under_other_blas_kernels``
     checks under other BLAS kernels.  Non-interval and constant columns get

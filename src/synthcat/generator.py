@@ -11,10 +11,13 @@ PatternMatrix whose H/L labels are bound to concrete probability vectors,
 with any noise columns appended after the pattern's.
 
 Columns are independent streams, so generation can fan out across threads
-with bit-identical output for any thread count.  Each worker draws one
-column into a contiguous row of a column-major buffer, applying the subject
-shuffle within the column, and one transpose at the end gives the n x P
-positions.
+with bit-identical output for any thread count.  Each task draws a tile:
+adjacent columns whose profile columns are equal, such as a group's or the
+noise block, whose raw words it compares with the thresholds of each run
+of clusters with equal cells, in as few numpy calls as the tile allows.
+It writes the tile into contiguous rows of a column-major buffer, applying
+the subject shuffle within the columns, and the pool then transposes that
+buffer into the n x P positions.
 """
 
 from __future__ import annotations
@@ -111,29 +114,69 @@ def bind_pattern(
     return ProfileMatrix(variables, rows)
 
 
-def _draw_column(
-    spec: GeneratorSpec, edges: np.ndarray, p: int, out: np.ndarray, order: np.ndarray | None
-) -> None:
-    """Fill ``out`` with column p's level positions, one cluster block at a time.
+# A pool task draws at most this many words: a tile of max(1, _TILE_WORDS // n) columns.
+_TILE_WORDS = 2**17
+# A run with fewer words than this per edge is binary-searched, not counted.
+_SEARCHED_WORDS = 128
 
-    Each block compares only column p's own interior edges.  With ``order``
-    the column is drawn into a scratch array and ``out`` receives it
-    permuted, so no buffer here outgrows one column.
+
+def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
+    """Yield each tile's columns (a slice) and the runs its columns share.
+
+    A tile is adjacent columns with equal level counts and equal edges in
+    every non-empty cluster, at most max(1, ``_TILE_WORDS`` // n) of them.
+    A run is consecutive non-empty clusters with equal edges: its rows
+    start..stop and the thresholds of its edges.
     """
-    uniforms = sampling.column_uniforms(spec.seed, p, len(out))
-    interior = spec.profile.variables[p].size - 1
+    most = max(1, _TILE_WORDS // n)
+    live = np.flatnonzero(counts)
+    bounds = [*(np.cumsum(counts) - counts)[live], n]
+    cells = edges[live]
+    same = (np.diff(sizes) == 0) & (cells[:, 1:] == cells[:, :-1]).all(axis=(0, 2))
+    # fresh[c, p]: column p's edges in live cluster c differ from those in the one before.
+    fresh = np.ones(cells.shape[:2], bool)
+    fresh[1:] = (cells[1:] != cells[:-1]).any(axis=2)
+    first = 0
+    for p in range(1, len(sizes) + 1):
+        if p < len(sizes) and same[p - 1] and p - first < most:
+            continue
+        runs = np.flatnonzero(fresh[:, first])
+        yield slice(first, p), [
+            (bounds[c], bounds[d], sampling.word_thresholds(cells[c, first, : sizes[first] - 1]))
+            for c, d in zip(runs, [*runs[1:], len(live)])
+        ]
+        first = p
+
+
+def _draw_tile(seed: int, tile: slice, runs, out: np.ndarray, order: np.ndarray | None) -> None:
+    """Fill ``out`` with the level positions of columns ``tile``, a row each.
+
+    A word's position is the count of its run's thresholds at or below it,
+    taken over the whole tile at once: one compare and one add per edge, or
+    one ``searchsorted`` where a run has fewer than ``_SEARCHED_WORDS``
+    words per edge (short blocks of many levels).  With ``order`` the tile
+    is drawn into a scratch array and ``out`` receives it permuted.
+    """
+    n = out.shape[1]
+    words = np.empty((tile.stop - tile.start, n), np.uint64)
+    for row, p in zip(words, range(tile.start, tile.stop)):
+        row[...] = sampling.column_words(seed, p, n)
     drawn = out if order is None else np.empty_like(out)
-    start = 0
-    for c, count in enumerate(spec.clusters.counts):
-        block = slice(start, start + count)
-        drawn[block] = sampling.band_indices(edges[c, p, :interior], uniforms[block])
-        start += count
+    for start, stop, thresholds in runs:
+        block, part = drawn[:, start:stop], words[:, start:stop]
+        if part.size < _SEARCHED_WORDS * len(thresholds):
+            block[...] = np.searchsorted(thresholds, part, side="right")
+            continue
+        block[...] = 0
+        for threshold in thresholds:
+            # Added as bytes, the count needs no cast from bool.
+            block += (part >= threshold).view(np.uint8)
     if order is not None:
-        np.take(drawn, order, out=out)
+        np.take(drawn, order, axis=1, out=out, mode="clip")
 
 
 def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
-    """Draw the full dataset, one column per task on ``threads`` (>= 1) workers.
+    """Draw the full dataset, one tile of columns per task on ``threads`` (>= 1) workers.
 
     The output is independent of ``threads``.
 
@@ -141,10 +184,10 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     stream, so the data no longer reveals the allocation through row order;
     the returned assignments are reordered in lockstep.
 
-    Workers write column p into row p of a P x n buffer, each row one
-    contiguous store, shuffling within the column as they go; a single
-    transpose then makes the n x P positions.  The peak is two n x P arrays
-    at that transpose, shuffled or not.
+    Workers write each tile into its rows of a P x n buffer, shuffling
+    within the columns as they go; the pool then transposes that buffer
+    into the n x P positions, a chunk of rows per task.  The peak is two
+    n x P arrays at that transpose, shuffled or not.
     """
     if threads < 1:
         raise SpecError(f"generate: threads must be at least 1, got {threads}")
@@ -156,18 +199,23 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     # Every (cluster, column) cell's edges, from one cumulative sum.
     edges = sampling.band_edges(probability_table(spec.profile))
     order = sampling.shuffle_order(spec.seed, n) if shuffle else None
+    sizes = [domain.size for domain in spec.profile.variables]
     # One byte per cell up to 256 levels, two above.
-    widest = max(domain.size for domain in spec.profile.variables)
-    columns = np.empty((spec.profile.variable_count, n), dtype=np.min_scalar_type(widest - 1))
+    columns = np.empty((len(sizes), n), dtype=np.min_scalar_type(max(sizes) - 1))
+    chunk = max(1, _TILE_WORDS // len(sizes))
 
-    # Workers write straight into rows of one buffer: returned columns would
+    # Workers write straight into rows of one buffer: returned tiles would
     # queue up in the pool faster than the caller copies them out.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         list(pool.map(
-            lambda p: _draw_column(spec, edges, p, columns[p], order), range(len(columns))
+            lambda tile: _draw_tile(spec.seed, tile[0], tile[1], columns[tile[0]], order),
+            _tiles(edges, sizes, spec.clusters.counts, n),
         ))
-
-    positions = np.ascontiguousarray(columns.T)
+        positions = np.empty((n, len(sizes)), dtype=columns.dtype)
+        list(pool.map(
+            lambda a: np.copyto(positions[a : a + chunk], columns[:, a : a + chunk].T),
+            range(0, n, chunk),
+        ))
     del columns
     if shuffle:
         assignments = assignments[order]

@@ -4,15 +4,19 @@ A categorical draw with probabilities (pi_1, ..., pi_M) is realised from a
 uniform u by taking the first level whose cumulative probability exceeds u:
 the band edges are the interior cumulative sums, and u falls in exactly one
 band.  That level's 0-based position is the number of edges at or below u,
-so the draw is a branch-free compare-and-count, one pass per edge: its cost
-is linear in the level count, and it beats a binary search on long blocks
-of uniforms up to about 300 levels (see ``band_indices``).
+so the draw is a branch-free compare-and-count, one pass per edge.
 
 Randomness is counter-based: every (variable, subject) cell has a fixed
 address in a Philox-4x64 stream keyed by (seed, variable index).  Column
 j's draws are independent of every other column's and of the order in which
 columns are generated, so multithreaded generation is bit-identical to
 sequential generation and any single cell can be re-derived in isolation.
+
+The draws are the stream's raw 64-bit words w, not ``Generator.random``'s
+doubles u = (w >> 11) * 2**-53: each edge becomes an integer threshold that
+w reaches exactly when u reaches the edge (``word_thresholds``), so the
+levels are those the doubles give, and they rest on the raw-word stream,
+which NEP 19 keeps stable across numpy versions.
 """
 
 from __future__ import annotations
@@ -38,31 +42,21 @@ def band_edges(probs) -> np.ndarray:
     return np.clip(cum, 0.0, 1.0)
 
 
-def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
-    """Map uniforms to 0-based level indices: the count of edges at or below each.
+def word_thresholds(edges) -> np.ndarray:
+    """The uint64 threshold T = ceil(edge * 2**53) << 11 of each edge below 1.0.
 
-    For non-decreasing edges this is ``searchsorted(edges, uniforms,
-    side="right")`` bit for bit, as the narrowest unsigned integer that
-    holds ``len(edges)``.  The cost is one compare and one add per edge and
-    uniform, so it grows linearly with the level count where a binary search
-    grows with its logarithm but branches on every cell.  Each edge also
-    costs two numpy calls, so the count wins on long arrays only.  Measured
-    against searchsorted on a 2-vCPU Xeon host, it is faster up to about
-    300 levels for 60,000 uniforms (0.04 against 0.97 ms at 3 levels) and
-    up to about 65 levels for 5,000.  For 500 uniforms it is slower at any
-    level count.
+    For a word w and k = w >> 11, u = k * 2**-53 >= edge holds exactly when
+    k >= edge * 2**53 (both sides scale by a power of 2 without rounding),
+    so when k >= ceil(edge * 2**53), so when w >= T.  No u reaches an edge
+    of 1.0, and its T would be 2**64, so it has no threshold.
     """
-    uniforms = np.asarray(uniforms)
-    counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(edges)))
-    for edge in edges:
-        counts += uniforms >= edge
-    return counts
+    edges = np.asarray(edges, dtype=float)
+    return np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
-def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
-    """The uniform draws for one whole column, subjects 0..n-1 in order."""
-    gen = Generator(Philox(key=np.array([seed, variable], dtype=np.uint64)))
-    return gen.random(subjects)
+def column_words(seed: int, variable: int, subjects: int) -> np.ndarray:
+    """The raw 64-bit words for one whole column, subjects 0..n-1 in order."""
+    return Philox(key=np.array([seed, variable], dtype=np.uint64)).random_raw(subjects)
 
 
 def shuffle_order(seed: int, subjects: int) -> np.ndarray:

@@ -1,6 +1,8 @@
-"""Helpers that only the tests use: a dataset tally check and group padding."""
+"""Helpers that only the tests use: a dataset tally check, group padding, and
+the uniform draw the generator's oracle reads."""
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from synthcat.model import Dataset, SpecError
 
@@ -37,3 +39,23 @@ def pad_groups(
     while target < k:
         target *= 2
     return tuple(pairs) + ((pad_size, pad_correlation),) * (target - k)
+
+
+def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
+    """The uniforms ``Generator.random`` makes of one column's stream, subjects 0..n-1."""
+    gen = Generator(Philox(key=np.array([seed, variable], dtype=np.uint64)))
+    return gen.random(subjects)
+
+
+def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
+    """Map uniforms to 0-based level indices: the count of edges at or below each.
+
+    For non-decreasing edges this is ``searchsorted(edges, uniforms,
+    side="right")`` bit for bit, as the narrowest unsigned integer that
+    holds ``len(edges)``.
+    """
+    uniforms = np.asarray(uniforms)
+    counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(edges)))
+    for edge in edges:
+        counts += uniforms >= edge
+    return counts

@@ -1,13 +1,16 @@
 """Generation: allocation, pattern binding, determinism, independence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from helpers import dataset_violations
+from helpers import column_uniforms, dataset_violations
 from closed_forms import hardy_weinberg_probs
+from synthcat import generator, sampling
 from synthcat.generator import (
     GeneratorSpec,
     allocate_subjects,
@@ -26,7 +29,7 @@ from synthcat.model import (
 )
 from synthcat.moments import moment_matrices
 from synthcat.patterns import PatternMatrix, balanced_pattern, grouped_pattern
-from synthcat.sampling import column_uniforms, shuffle_order
+from synthcat.sampling import shuffle_order
 
 H_PROBS = hardy_weinberg_probs(0.95)
 L_PROBS = hardy_weinberg_probs(0.25)
@@ -283,6 +286,74 @@ def test_generate_matches_the_per_column_oracle(spec, threads, shuffle):
     assert data.positions.dtype == positions.dtype
     assert np.array_equal(data.positions, positions)
     assert np.array_equal(data.assignments, assignments)
+
+
+# Cells a tiled spec draws from: dyadic ones whose zero-probability levels put
+# an edge at 0 or at exactly 1.0, and one whose edges are not dyadic.
+TILE_CELLS = {
+    2: ((0.0, 1.0), (1.0, 0.0), (0.25, 0.75)),
+    3: ((0.0, 0.5, 0.5), (0.25, 0.75, 0.0), (0.0, 0.0, 1.0), (0.2, 0.3, 0.5)),
+    4: ((0.0, 0.25, 0.75, 0.0), (0.5, 0.25, 0.25, 0.0), (1.0, 0.0, 0.0, 0.0), (0.1, 0.2, 0.3, 0.4)),
+}
+
+
+@st.composite
+def tiled_specs(draw):
+    """Specs whose adjacent columns and consecutive clusters repeat their cells.
+
+    Columns come in runs of 1-4 of one width that share a cell in every
+    cluster; each cluster either repeats the previous cluster's cells or
+    draws its own, and the uneven counts may leave clusters empty.
+    """
+    run = st.tuples(st.sampled_from(sorted(TILE_CELLS)), st.integers(1, 4))
+    runs = draw(st.lists(run, min_size=1, max_size=4))
+    counts = draw(st.lists(st.integers(0, 40), min_size=1, max_size=6).filter(any))
+    rows = []
+    for c in range(len(counts)):
+        if c and draw(st.booleans()):
+            rows.append(rows[-1])
+            continue
+        cells = [ProbabilityVector(draw(st.sampled_from(TILE_CELLS[m]))) for m, _ in runs]
+        rows.append(tuple(cell for cell, (_, repeat) in zip(cells, runs) for _ in range(repeat)))
+    widths = [m for m, repeat in runs for _ in range(repeat)]
+    variables = tuple(VariableDomain(f"x{p + 1}", tuple(range(m))) for p, m in enumerate(widths))
+    profile = ProfileMatrix(variables, tuple(rows))
+    return GeneratorSpec(ClusterSpec.from_counts(tuple(counts)), profile, draw(st.integers(0, 2**64 - 1)))
+
+
+@pytest.mark.filterwarnings("ignore:identifiability")
+@settings(max_examples=80, deadline=None)
+@given(
+    tiled_specs(), st.integers(1, 3), st.booleans(), st.integers(1, 400), st.sampled_from([0, 128, 2**20])
+)
+def test_tiled_generate_matches_the_per_column_oracle(spec, threads, shuffle, tile_words, searched):
+    """Tiles of every width up to whole runs, ``_TILE_WORDS`` patched to split
+    them, and runs counted, searched or either, ``_SEARCHED_WORDS`` patched."""
+    with (
+        mock.patch.object(generator, "_TILE_WORDS", tile_words),
+        mock.patch.object(generator, "_SEARCHED_WORDS", searched),
+    ):
+        data = generate(spec, threads=threads, shuffle=shuffle)
+    positions, assignments = oracle_generate(spec, shuffle)
+    assert np.array_equal(data.positions, positions)
+    assert np.array_equal(data.assignments, assignments)
+
+
+@pytest.mark.parametrize("searched", [0, 2**20], ids=["counted", "searched"])
+def test_a_word_at_a_threshold_is_at_its_edge(monkeypatch, searched):
+    """Words at, just below and just above every threshold, and at both ends,
+    take the level their uniform (w >> 11) * 2**-53 falls in."""
+    cell = ProbabilityVector((0.0, 0.1, 0.2, 0.3, 0.4, 0.0))
+    edges = sampling.band_edges(cell.as_array())
+    near = [int(t) + d for t in sampling.word_thresholds(edges) for d in (-1, 0, 1, 2**11)]
+    words = np.array([w for w in near if w >= 0] + [0, 2**11 - 1, 2**64 - 1], np.uint64)
+    uniforms = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    monkeypatch.setattr(sampling, "column_words", lambda seed, variable, subjects: words)
+    monkeypatch.setattr(generator, "_SEARCHED_WORDS", searched)
+    profile = ProfileMatrix(domains(1, tuple(range(6))), ((cell,),))
+    spec = GeneratorSpec(ClusterSpec.from_counts((len(words),)), profile, 0)
+    positions = generate(spec).positions[:, 0]
+    assert positions.tolist() == (uniforms[:, None] >= edges).sum(axis=1).tolist()
 
 
 class TestBuildSpec:

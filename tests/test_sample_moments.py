@@ -251,6 +251,20 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
     assert_writers_match_savetxt(dataset, tmp_path)
 
 
+def recorded_blocks(monkeypatch) -> list:
+    """(dtype, rows) of the block buffer of each ``_gram`` call from now on, cast or looked up."""
+    blocks = []
+    for name in ("_cast_blocks", "_lookup_blocks"):
+        make = getattr(association, name)
+
+        def recorded(*args, make=make):
+            blocks.append((args[-1].dtype, len(args[-1])))
+            return make(*args)
+
+        monkeypatch.setattr(association, name, recorded)
+    return blocks
+
+
 def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
     """Level 0 never occurs in one column, nor levels 0 and 1 in another.
 
@@ -265,16 +279,21 @@ def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
     values[:, 1] = rng.integers(1, 3, n)
     values[:, 3] = 2
     variables = tuple(VariableDomain(f"x{p}", (0, 1, 2)) for p in range(4))
-    blocks = []
-    lookup = association._lookup_blocks
-
-    def recorded(positions, columns, table, block):
-        blocks.append(block.dtype)
-        return lookup(positions, columns, table, block)
-
-    monkeypatch.setattr(association, "_lookup_blocks", recorded)
+    blocks = recorded_blocks(monkeypatch)
     assert_matches_oracle(values, variables)
-    assert blocks == [np.float32]
+    assert [dtype for dtype, _ in blocks] == [np.float32]
+
+
+def test_codes_0_to_255_keep_float32_blocks(monkeypatch):
+    """1024 * 255**2 passes the float32 bound; the blocks are lowered to the
+    258 rows that keep it (258 * 255**2 < 2**24), not made float64."""
+    rng = np.random.default_rng(255)
+    values = rng.integers(0, 256, (3 * association._MOMENT_ROWS + 7, 3))
+    values[0] = 0
+    variables = tuple(VariableDomain(f"x{p}", tuple(range(256))) for p in range(3))
+    blocks = recorded_blocks(monkeypatch)
+    assert_matches_oracle(values, variables)
+    assert blocks == [(np.float32, 258)]
 
 
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
@@ -310,19 +329,19 @@ def gram_oracle(positions, columns, table):
     return x.sum(axis=0), x.T @ x
 
 
-@pytest.mark.parametrize("rows, top", [(None, 255), (4096, 100)], ids=["float32", "float64"])
-def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top):
-    """Codes 0..top in blocks of ``rows``, the same codes rotated by one
-    position, and the indicator table ``_pair_tables`` uses.
+@pytest.mark.parametrize("rows, top", [(None, 255), (4096, 200)], ids=["float32", "float64"])
+def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top, monkeypatch):
+    """Codes 0..top in blocks ``rows`` tall or lower, the same codes rotated
+    by one position, and the indicator table ``_pair_tables`` uses.
 
-    256 * 255**2 < 2**24 <= 4096 * 100**2: the first case builds float32
-    blocks, the second float64 ones.  Codes drawn from top/2..top put the
-    second case's block sums past 2**24, where float32 would round them.
-    The codes are cast from the positions; the rotated codes and the
-    indicator table are looked up.
+    The first case's blocks are lowered from 1024 to 258 rows and float32
+    (258 * 255**2 < 2**24).  The second case's cannot be lowered below a
+    quarter of 4096 rows, 1024 * 200**2 >= 2**24, so they are float64.
+    Codes drawn from top/2..top put the second case's block sums past 2**24,
+    where float32 would round them.  The codes are cast from the positions;
+    the rotated codes and the indicator table are looked up.
     """
     rows = rows or association._MOMENT_ROWS
-    assert (rows * top**2 < 2**24) == (top == 255)
     rng = np.random.default_rng(top)
     positions = rng.integers(top // 2, top + 1, (2 * rows + 3, 4)).astype(np.uint8)
     positions[:, 0] = top
@@ -335,38 +354,43 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top)
     level = np.concatenate([np.arange(top), np.arange(top)])
     ramp = np.arange(top + 1)
     indicator = np.vstack([level[:, None] == ramp, np.ones(top + 1), np.zeros(top + 1)])
-    with mock.patch.object(association, "_MOMENT_ROWS", rows):
-        for picked, columns, table in (
-            (slice(None), range(4), codes),
-            (slice(None), range(4), rotated),
-            (owner, owner, indicator),
-        ):
-            sums, cross = association._gram(positions, picked, table)
-            expected_sums, expected_cross = gram_oracle(positions, columns, table)
-            assert sums.tobytes() == expected_sums.astype(float).tobytes()
-            assert cross.tobytes() == expected_cross.astype(float).tobytes()
+    blocks = recorded_blocks(monkeypatch)
+    monkeypatch.setattr(association, "_MOMENT_ROWS", rows)
+    for picked, columns, table in (
+        (slice(None), range(4), codes),
+        (slice(None), range(4), rotated),
+        (owner, owner, indicator),
+    ):
+        sums, cross = association._gram(positions, picked, table)
+        expected_sums, expected_cross = gram_oracle(positions, columns, table)
+        assert sums.tobytes() == expected_sums.astype(float).tobytes()
+        assert cross.tobytes() == expected_cross.astype(float).tobytes()
+    code_blocks = (np.float32, 258) if top == 255 else (np.float64, 1024)
+    assert blocks == [code_blocks, code_blocks, (np.float32, rows)]
 
 
 @pytest.mark.parametrize("rows, width", [(None, 1024), (3, 1100)], ids=["default", "patched"])
-def test_wide_gram_blocks_keep_every_bit(rows, width):
-    """A Gram 4 * 256 or more columns wide is built 4 * _MOMENT_ROWS rows at a time.
+def test_wide_gram_blocks_keep_every_bit(rows, width, monkeypatch):
+    """A Gram 1024 or more columns wide, its blocks lowered to stay float32.
 
-    Codes 100..200 pass the float32 bound at 256 rows (256 * 200**2 < 2**24)
-    but not at the 1024 rows a default block holds at width 1024, where the
-    block sums exceed 2**24; the float64 product is exact here, so it is the
-    oracle.  Patched to 3 rows, the blocks are 12 rows tall.
+    Codes 100..200 pass the float32 bound at the default 1024 rows but not
+    at 419 (419 * 200**2 < 2**24), so the default blocks are lowered to 419
+    rows, whose sums stay below 2**24; the float64 product is exact here,
+    so it is the oracle.  Patched to 3 rows, the blocks are 3 rows tall.
     """
     rows = rows or association._MOMENT_ROWS
     top = 200
-    assert (4 * rows * top**2 < 2**24) == (rows == 3) and rows * top**2 < 2**24
+    assert (rows * top**2 < 2**24) == (rows == 3)
     rng = np.random.default_rng(width)
     positions = rng.integers(top // 2, top + 1, (2 * 4 * rows + 5, width)).astype(np.uint8)
     table = np.tile(np.arange(top + 1.0), (width, 1))
-    with mock.patch.object(association, "_MOMENT_ROWS", rows):
-        sums, cross = association._gram(positions, slice(None), table)
+    blocks = recorded_blocks(monkeypatch)
+    monkeypatch.setattr(association, "_MOMENT_ROWS", rows)
+    sums, cross = association._gram(positions, slice(None), table)
     x = positions.astype(float)
     assert sums.tobytes() == x.sum(axis=0).tobytes()
     assert cross.tobytes() == (x.T @ x).tobytes()
+    assert blocks == [(np.float32, min(rows, 419))]
 
 
 def test_gram_of_a_non_integral_table_is_float64():

@@ -1,10 +1,16 @@
-"""Sampling layer: stream addressing, band edges, draw distribution."""
+"""Sampling layer: stream addressing, band edges, word thresholds, draw distribution."""
+
+import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from synthcat.sampling import band_edges, band_indices, column_uniforms, shuffle_order
+from helpers import band_indices, column_uniforms
+from synthcat.sampling import band_edges, column_words, shuffle_order, word_thresholds
 
 # Philox-4x64 emits 4 doubles per 128-bit counter block; Generator.advance
 # counts blocks, so cell i sits at block i // 4, draw i % 4 within it.
@@ -55,6 +61,13 @@ class TestStreams:
         full = column_uniforms(9, 2, 8)
         assert np.array_equal(skipped, full[4:8])
 
+    @pytest.mark.parametrize("seed, variable", [(0, 0), (7, 3), (2024, 199), (2**64 - 1, 2**60)])
+    def test_raw_words_reproduce_the_uniforms(self, seed, variable):
+        # Generator.random makes each double of one raw word, (w >> 11) * 2**-53.
+        words = column_words(seed, variable, 1001)
+        uniforms = (words >> np.uint64(11)).astype(float) * 2.0**-53
+        assert uniforms.tobytes() == column_uniforms(seed, variable, 1001).tobytes()
+
     def test_shuffle_stream_is_a_permutation_and_seed_stable(self):
         order = shuffle_order(3, 50)
         assert sorted(order) == list(range(50))
@@ -96,3 +109,39 @@ class TestBands:
     def test_indices_respect_right_closed_bands(self):
         edges = np.array([0.25, 0.75])
         assert list(band_indices(edges, np.array([0.0, 0.25, 0.5, 0.75, 0.9]))) == [0, 1, 1, 2, 2]
+
+
+def threshold_of(edge: float) -> int:
+    """ceil(edge * 2**53) << 11 in Python integers, 2**64 at an edge of 1.0."""
+    return math.ceil(edge * 2.0**53) << 11
+
+
+@st.composite
+def edges(draw):
+    """Edges at 0, the smallest subnormal, 1.0, k * 2**-53 and its neighbours, or anywhere."""
+    k = draw(st.integers(0, 2**53))
+    base = k * 2.0**-53
+    near = [0.0, 5e-324, 1.0, base, np.nextafter(base, 0.0), min(np.nextafter(base, 2.0), 1.0)]
+    return float(draw(st.sampled_from(near) | st.floats(0.0, 1.0)))
+
+
+@st.composite
+def edges_and_words(draw):
+    """Sorted edges, and words at and around their thresholds, at both ends, or anywhere."""
+    drawn = sorted(draw(st.lists(edges(), min_size=1, max_size=4)))
+    near = [t + d for t in map(threshold_of, drawn) for d in (-1, 0, 1)] + [0, 2**64 - 1]
+    word = st.sampled_from([w for w in near if 0 <= w < 2**64]) | st.integers(0, 2**64 - 1)
+    return np.array(drawn), np.array(draw(st.lists(word, min_size=1, max_size=20)), np.uint64)
+
+
+@settings(max_examples=500, deadline=None)
+@given(edges_and_words())
+def test_word_thresholds_count_the_edges_each_uniform_reaches(data):
+    """w >= T(edge) exactly when (w >> 11) * 2**-53 >= edge; an edge of 1.0 has no T."""
+    drawn, words = data
+    thresholds = word_thresholds(drawn)
+    assert thresholds.dtype == np.uint64
+    assert thresholds.tolist() == [threshold_of(e) for e in drawn if e < 1.0]
+    uniforms = (words >> np.uint64(11)).astype(float) * 2.0**-53
+    reached = (uniforms[:, None] >= drawn).sum(axis=1)
+    assert ((words[:, None] >= thresholds).sum(axis=1) == reached).all()
