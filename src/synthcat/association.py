@@ -289,18 +289,15 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     sum of the block's sums and Gram is then an integer below 2**24, exact
     in float32 whatever order the BLAS adds them in, and equal to the
     float64 block's (itself exact).  Otherwise the block is float64, cast or
-    looked up alike.  Blocks are ``_MOMENT_ROWS`` rows tall (read at each
-    call), lowered for an integral table to the most rows that keep its
-    blocks float32, but not below ``_MOMENT_ROWS // 4``, and never taller
-    than ``len(positions)``: 1024 rows up to max|table| = 127, 256 at 255.
+    looked up alike.  Blocks are ``_MOMENT_ROWS`` rows (read at each call),
+    or for an integral table the most rows that keep them float32 if fewer,
+    but at least ``_MOMENT_ROWS // 4``: 1024 rows to max|table| = 127, 258 at 255.
     """
     width = len(table)
     integral = (table == np.round(table)).all()
     square = np.abs(table).max() ** 2
-    rows = _MOMENT_ROWS
-    if integral and square:
-        rows = int(max(rows // 4, min(rows, (2**24 - 1) // square)))
-    rows = max(1, min(rows, len(positions)))
+    rows = (2**24 - 1) // max(square, 1) if integral else _MOMENT_ROWS
+    rows = max(1, min(int(np.clip(rows, _MOMENT_ROWS // 4, _MOMENT_ROWS)), len(positions)))
     block = np.empty((rows, width), np.float32 if integral and rows * square < 2**24 else float)
     if (table == np.arange(table.shape[1])).all():
         blocks = _cast_blocks(positions, columns, block)

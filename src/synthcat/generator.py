@@ -11,13 +11,10 @@ PatternMatrix whose H/L labels are bound to concrete probability vectors,
 with any noise columns appended after the pattern's.
 
 Columns are independent streams, so generation can fan out across threads
-with bit-identical output for any thread count.  Each task draws a tile:
-adjacent columns whose profile columns are equal, such as a group's or the
-noise block, whose raw words it compares with the thresholds of each run
-of clusters with equal cells, in as few numpy calls as the tile allows.
-It writes the tile into contiguous rows of a column-major buffer, applying
-the subject shuffle within the columns, and the pool then transposes that
-buffer into the n x P positions.
+with bit-identical output for any thread count.  Each task draws a tile
+of adjacent columns with equal profile columns (a group's, the noise
+block) into contiguous rows of a column-major buffer, shuffled within the
+columns, and the pool then transposes that buffer into the n x P positions.
 """
 
 from __future__ import annotations
@@ -114,7 +111,7 @@ def bind_pattern(
     return ProfileMatrix(variables, rows)
 
 
-# A pool task draws at most this many words: a tile of max(1, _TILE_WORDS // n) columns.
+# A pool task draws a tile of max(1, _TILE_WORDS // n) columns, or transposes as many cells.
 _TILE_WORDS = 2**17
 # A run with fewer words than this per edge is binary-searched, not counted.
 _SEARCHED_WORDS = 128
@@ -123,10 +120,10 @@ _SEARCHED_WORDS = 128
 def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
     """Yield each tile's columns (a slice) and the runs its columns share.
 
-    A tile is adjacent columns with equal level counts and equal edges in
-    every non-empty cluster, at most max(1, ``_TILE_WORDS`` // n) of them.
-    A run is consecutive non-empty clusters with equal edges: its rows
-    start..stop and the thresholds of its edges.
+    A tile is up to max(1, ``_TILE_WORDS`` // n) adjacent columns with equal
+    level counts and edges in every non-empty cluster.  A run is consecutive
+    non-empty clusters with equal edges: rows start..stop and the edges'
+    thresholds.
     """
     most = max(1, _TILE_WORDS // n)
     live = np.flatnonzero(counts)
@@ -134,8 +131,7 @@ def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
     cells = edges[live]
     same = (np.diff(sizes) == 0) & (cells[:, 1:] == cells[:, :-1]).all(axis=(0, 2))
     # fresh[c, p]: column p's edges in live cluster c differ from those in the one before.
-    fresh = np.ones(cells.shape[:2], bool)
-    fresh[1:] = (cells[1:] != cells[:-1]).any(axis=2)
+    fresh = np.insert((cells[1:] != cells[:-1]).any(axis=2), 0, True, axis=0)
     first = 0
     for p in range(1, len(sizes) + 1):
         if p < len(sizes) and same[p - 1] and p - first < most:
@@ -152,10 +148,9 @@ def _draw_tile(seed: int, tile: slice, runs, out: np.ndarray, order: np.ndarray 
     """Fill ``out`` with the level positions of columns ``tile``, a row each.
 
     A word's position is the count of its run's thresholds at or below it,
-    taken over the whole tile at once: one compare and one add per edge, or
-    one ``searchsorted`` where a run has fewer than ``_SEARCHED_WORDS``
-    words per edge (short blocks of many levels).  With ``order`` the tile
-    is drawn into a scratch array and ``out`` receives it permuted.
+    over the whole tile at once: a compare and an add per edge, or one
+    ``searchsorted`` where a run has under ``_SEARCHED_WORDS`` words per
+    edge.  With ``order``, ``out`` receives the drawn tile permuted.
     """
     n = out.shape[1]
     words = np.empty((tile.stop - tile.start, n), np.uint64)

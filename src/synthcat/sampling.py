@@ -3,20 +3,17 @@
 A categorical draw with probabilities (pi_1, ..., pi_M) is realised from a
 uniform u by taking the first level whose cumulative probability exceeds u:
 the band edges are the interior cumulative sums, and u falls in exactly one
-band.  That level's 0-based position is the number of edges at or below u,
-so the draw is a branch-free compare-and-count, one pass per edge.
+band.  That level's 0-based position is the number of edges at or below u.
+The draw reads the raw 64-bit words w of which ``Generator.random`` makes
+u = (w >> 11) * 2**-53, and compares them with integer thresholds that w
+reaches exactly when u reaches the edge (``word_thresholds``): the levels
+are those of u, resting on the raw-word stream that NEP 19 keeps stable.
 
 Randomness is counter-based: every (variable, subject) cell has a fixed
 address in a Philox-4x64 stream keyed by (seed, variable index).  Column
 j's draws are independent of every other column's and of the order in which
 columns are generated, so multithreaded generation is bit-identical to
 sequential generation and any single cell can be re-derived in isolation.
-
-The draws are the stream's raw 64-bit words w, not ``Generator.random``'s
-doubles u = (w >> 11) * 2**-53: each edge becomes an integer threshold that
-w reaches exactly when u reaches the edge (``word_thresholds``), so the
-levels are those the doubles give, and they rest on the raw-word stream,
-which NEP 19 keeps stable across numpy versions.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ def word_thresholds(edges) -> np.ndarray:
     so when k >= ceil(edge * 2**53), so when w >= T.  No u reaches an edge
     of 1.0, and its T would be 2**64, so it has no threshold.
     """
-    edges = np.asarray(edges, dtype=float)
     return np.ceil(edges[edges < 1.0] * 2.0**53).astype(np.uint64) << np.uint64(11)
 
 
