@@ -265,8 +265,7 @@ class AssociationMatrix:
 
 
 # Rows of the table turned into floats at a time, by ``sample_moments`` and
-# ``_pair_tables`` alike.  An integral table whose blocks would pass the
-# float32 bound at this height gets shorter ones, down to a quarter of it.
+# ``_pair_tables`` alike; ``_gram`` lowers it to keep some integral tables float32.
 _MOMENT_ROWS = 1024
 
 
@@ -290,14 +289,16 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     in float32 whatever order the BLAS adds them in, and equal to the
     float64 block's (itself exact).  Otherwise the block is float64, cast or
     looked up alike.  Blocks are ``_MOMENT_ROWS`` rows (read at each call),
-    or for an integral table the most rows that keep them float32 if fewer,
-    but at least ``_MOMENT_ROWS // 4``: 1024 rows to max|table| = 127, 258 at 255.
+    or for an integral table the most rows that keep them float32 where that
+    is fewer but at least ``_MOMENT_ROWS // 4``: 1024 rows to max|table| =
+    127, 258 at 255, 1024 float64 ones from 256.
     """
     width = len(table)
     integral = (table == np.round(table)).all()
     square = np.abs(table).max() ** 2
-    rows = (2**24 - 1) // max(square, 1) if integral else _MOMENT_ROWS
-    rows = max(1, min(int(np.clip(rows, _MOMENT_ROWS // 4, _MOMENT_ROWS)), len(positions)))
+    exact = int((2**24 - 1) // max(square, 1)) if integral else 0
+    rows = exact if _MOMENT_ROWS // 4 <= exact < _MOMENT_ROWS else _MOMENT_ROWS
+    rows = max(1, min(rows, len(positions)))
     block = np.empty((rows, width), np.float32 if integral and rows * square < 2**24 else float)
     if (table == np.arange(table.shape[1])).all():
         blocks = _cast_blocks(positions, columns, block)

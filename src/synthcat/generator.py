@@ -152,10 +152,9 @@ def _draw_tile(seed: int, tile: slice, runs, out: np.ndarray, order: np.ndarray 
     ``searchsorted`` where a run has under ``_SEARCHED_WORDS`` words per
     edge.  With ``order``, ``out`` receives the drawn tile permuted.
     """
-    n = out.shape[1]
-    words = np.empty((tile.stop - tile.start, n), np.uint64)
+    words = np.empty(out.shape, np.uint64)
     for row, p in zip(words, range(tile.start, tile.stop)):
-        row[...] = sampling.column_words(seed, p, n)
+        row[...] = sampling.column_words(seed, p, len(row))
     drawn = out if order is None else np.empty_like(out)
     for start, stop, thresholds in runs:
         block, part = drawn[:, start:stop], words[:, start:stop]

@@ -335,8 +335,8 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
     by one position, and the indicator table ``_pair_tables`` uses.
 
     The first case's blocks are lowered from 1024 to 258 rows and float32
-    (258 * 255**2 < 2**24).  The second case's cannot be lowered below a
-    quarter of 4096 rows, 1024 * 200**2 >= 2**24, so they are float64.
+    (258 * 255**2 < 2**24).  The second case's would need 419 rows, under a
+    quarter of 4096, so they stay 4096 rows tall and are float64.
     Codes drawn from top/2..top put the second case's block sums past 2**24,
     where float32 would round them.  The codes are cast from the positions;
     the rotated codes and the indicator table are looked up.
@@ -365,7 +365,7 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
         expected_sums, expected_cross = gram_oracle(positions, columns, table)
         assert sums.tobytes() == expected_sums.astype(float).tobytes()
         assert cross.tobytes() == expected_cross.astype(float).tobytes()
-    code_blocks = (np.float32, 258) if top == 255 else (np.float64, 1024)
+    code_blocks = (np.float32, 258) if top == 255 else (np.float64, 4096)
     assert blocks == [code_blocks, code_blocks, (np.float32, rows)]
 
 
