@@ -113,8 +113,6 @@ def bind_pattern(
 
 # A pool task draws a tile of max(1, _TILE_WORDS // n) columns, or transposes as many cells.
 _TILE_WORDS = 2**17
-# A run with fewer words than this per edge is binary-searched, not counted.
-_SEARCHED_WORDS = 128
 
 
 def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
@@ -148,23 +146,15 @@ def _draw_tile(seed: int, tile: slice, runs, out: np.ndarray, order: np.ndarray 
     """Fill ``out`` with the level positions of columns ``tile``, a row each.
 
     A word's position is the count of its run's thresholds at or below it,
-    over the whole tile at once: a compare and an add per edge, or one
-    ``searchsorted`` where a run has under ``_SEARCHED_WORDS`` words per
-    edge.  With ``order``, ``out`` receives the drawn tile permuted.
+    one ``band_indices`` call per run over the whole tile.  With ``order``,
+    ``out`` receives the drawn tile permuted.
     """
     words = np.empty(out.shape, np.uint64)
     for row, p in zip(words, range(tile.start, tile.stop)):
         row[...] = sampling.column_words(seed, p, len(row))
     drawn = out if order is None else np.empty_like(out)
     for start, stop, thresholds in runs:
-        block, part = drawn[:, start:stop], words[:, start:stop]
-        if part.size < _SEARCHED_WORDS * len(thresholds):
-            block[...] = np.searchsorted(thresholds, part, side="right")
-            continue
-        block[...] = 0
-        for threshold in thresholds:
-            # Added as bytes, the count needs no cast from bool.
-            block += (part >= threshold).view(np.uint8)
+        drawn[:, start:stop] = sampling.band_indices(thresholds, words[:, start:stop])
     if order is not None:
         np.take(drawn, order, axis=1, out=out, mode="clip")
 

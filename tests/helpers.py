@@ -46,16 +46,3 @@ def column_uniforms(seed: int, variable: int, subjects: int) -> np.ndarray:
     gen = Generator(Philox(key=np.array([seed, variable], dtype=np.uint64)))
     return gen.random(subjects)
 
-
-def band_indices(edges: np.ndarray, uniforms) -> np.ndarray:
-    """Map uniforms to 0-based level indices: the count of edges at or below each.
-
-    For non-decreasing edges this is ``searchsorted(edges, uniforms,
-    side="right")`` bit for bit, as the narrowest unsigned integer that
-    holds ``len(edges)``.
-    """
-    uniforms = np.asarray(uniforms)
-    counts = np.zeros(uniforms.shape, dtype=np.min_scalar_type(len(edges)))
-    for edge in edges:
-        counts += uniforms >= edge
-    return counts

@@ -323,24 +323,17 @@ def tiled_specs(draw):
 
 @pytest.mark.filterwarnings("ignore:identifiability")
 @settings(max_examples=80, deadline=None)
-@given(
-    tiled_specs(), st.integers(1, 3), st.booleans(), st.integers(1, 400), st.sampled_from([0, 128, 2**20])
-)
-def test_tiled_generate_matches_the_per_column_oracle(spec, threads, shuffle, tile_words, searched):
-    """Tiles of every width up to whole runs, ``_TILE_WORDS`` patched to split
-    them, and runs counted, searched or either, ``_SEARCHED_WORDS`` patched."""
-    with (
-        mock.patch.object(generator, "_TILE_WORDS", tile_words),
-        mock.patch.object(generator, "_SEARCHED_WORDS", searched),
-    ):
+@given(tiled_specs(), st.integers(1, 3), st.booleans(), st.integers(1, 400))
+def test_tiled_generate_matches_the_per_column_oracle(spec, threads, shuffle, tile_words):
+    """Tiles of every width up to whole runs, ``_TILE_WORDS`` patched to split them."""
+    with mock.patch.object(generator, "_TILE_WORDS", tile_words):
         data = generate(spec, threads=threads, shuffle=shuffle)
     positions, assignments = oracle_generate(spec, shuffle)
     assert np.array_equal(data.positions, positions)
     assert np.array_equal(data.assignments, assignments)
 
 
-@pytest.mark.parametrize("searched", [0, 2**20], ids=["counted", "searched"])
-def test_a_word_at_a_threshold_is_at_its_edge(monkeypatch, searched):
+def test_a_word_at_a_threshold_is_at_its_edge(monkeypatch):
     """Words at, just below and just above every threshold, and at both ends,
     take the level their uniform (w >> 11) * 2**-53 falls in."""
     cell = ProbabilityVector((0.0, 0.1, 0.2, 0.3, 0.4, 0.0))
@@ -349,7 +342,6 @@ def test_a_word_at_a_threshold_is_at_its_edge(monkeypatch, searched):
     words = np.array([w for w in near if w >= 0] + [0, 2**11 - 1, 2**64 - 1], np.uint64)
     uniforms = (words >> np.uint64(11)).astype(float) * 2.0**-53
     monkeypatch.setattr(sampling, "column_words", lambda seed, variable, subjects: words)
-    monkeypatch.setattr(generator, "_SEARCHED_WORDS", searched)
     profile = ProfileMatrix(domains(1, tuple(range(6))), ((cell,),))
     spec = GeneratorSpec(ClusterSpec.from_counts((len(words),)), profile, 0)
     positions = generate(spec).positions[:, 0]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 from scipy import stats
 
-from helpers import band_indices, column_uniforms
-from synthcat.sampling import band_edges, column_words, shuffle_order, word_thresholds
+from helpers import column_uniforms
+from synthcat.sampling import band_edges, band_indices, column_words, shuffle_order, word_thresholds
 
 # Philox-4x64 emits 4 doubles per 128-bit counter block; Generator.advance
 # counts blocks, so cell i sits at block i // 4, draw i % 4 within it.
