@@ -116,12 +116,10 @@ _TILE_WORDS = 2**17
 
 
 def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
-    """Yield each tile's columns (a slice) and the runs its columns share.
-
-    A tile is up to max(1, ``_TILE_WORDS`` // n) adjacent columns with equal
-    level counts and edges in every non-empty cluster.  A run is consecutive
-    non-empty clusters with equal edges: rows start..stop and the edges'
-    thresholds.
+    """Yield each tile, up to max(1, ``_TILE_WORDS`` // n) adjacent columns
+    (a slice) with equal level counts and edges in every non-empty cluster,
+    and its runs: rows start..stop and the thresholds of consecutive
+    non-empty clusters with equal edges.
     """
     most = max(1, _TILE_WORDS // n)
     live = np.flatnonzero(counts)
@@ -145,9 +143,8 @@ def _tiles(edges: np.ndarray, sizes: list[int], counts, n: int):
 def _draw_tile(seed: int, tile: slice, runs, out: np.ndarray, order: np.ndarray | None) -> None:
     """Fill ``out`` with the level positions of columns ``tile``, a row each.
 
-    A word's position is the count of its run's thresholds at or below it,
-    one ``band_indices`` call per run over the whole tile.  With ``order``,
-    ``out`` receives the drawn tile permuted.
+    One ``band_indices`` call per run counts its thresholds at or below each
+    word of the tile.  With ``order``, ``out`` receives the tile permuted.
     """
     words = np.empty(out.shape, np.uint64)
     for row, p in zip(words, range(tile.start, tile.stop)):
@@ -191,15 +188,11 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     # Workers write straight into rows of one buffer: returned tiles would
     # queue up in the pool faster than the caller copies them out.
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        list(pool.map(
-            lambda tile: _draw_tile(spec.seed, tile[0], tile[1], columns[tile[0]], order),
-            _tiles(edges, sizes, spec.clusters.counts, n),
-        ))
+        tiles = _tiles(edges, sizes, spec.clusters.counts, n)
+        list(pool.map(lambda t: _draw_tile(spec.seed, *t, columns[t[0]], order), tiles))
         positions = np.empty((n, len(sizes)), dtype=columns.dtype)
-        list(pool.map(
-            lambda a: np.copyto(positions[a : a + chunk], columns[:, a : a + chunk].T),
-            range(0, n, chunk),
-        ))
+        chunks = [slice(a, a + chunk) for a in range(0, n, chunk)]
+        list(pool.map(lambda r: np.copyto(positions[r], columns[:, r].T), chunks))
     del columns
     if shuffle:
         assignments = assignments[order]

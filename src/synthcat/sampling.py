@@ -4,11 +4,11 @@ A categorical draw with probabilities (pi_1, ..., pi_M) is realised from a
 uniform u by taking the first level whose cumulative probability exceeds u:
 the band edges are the interior cumulative sums, and u falls in exactly one
 band.  That level's 0-based position is the number of edges at or below u,
-so the draw is a branch-free compare-and-count, one pass per edge (see
-``band_indices``).  The draw reads the raw 64-bit words w of which ``Generator.random`` makes
-u = (w >> 11) * 2**-53, and compares them with integer thresholds that w
-reaches exactly when u reaches the edge (``word_thresholds``): the levels
-are those of u, resting on the raw-word stream that NEP 19 keeps stable.
+a compare-and-count (``band_indices``) of the raw 64-bit words w, of which
+``Generator.random`` makes u = (w >> 11) * 2**-53, against integer
+thresholds that w reaches exactly when u reaches the edge
+(``word_thresholds``): the levels are those of u, resting on the raw-word
+stream that NEP 19 keeps stable.
 
 Randomness is counter-based: every (variable, subject) cell has a fixed
 address in a Philox-4x64 stream keyed by (seed, variable index).  Column
@@ -45,20 +45,13 @@ def band_indices(edges: np.ndarray, values) -> np.ndarray:
 
     For non-decreasing edges this is ``searchsorted(edges, values,
     side="right")`` bit for bit, as the narrowest unsigned integer that
-    holds ``len(edges)``; the draw passes raw words and their
-    ``word_thresholds``.  The cost is one compare and one add per edge and
-    value, so it grows linearly with the level count where a binary search
-    grows with its logarithm but branches on every cell.  Each edge also
-    costs two numpy calls, so the count wins on long arrays only.  Measured
-    against searchsorted on uniforms on a 2-vCPU Xeon host, it is faster up
-    to about 300 levels for 60,000 values (0.04 against 0.97 ms at 3
-    levels) and up to about 65 levels for 5,000.  For 500 values it is
-    slower at any level count.
+    holds ``len(edges)``.  It costs a compare, an add and two numpy calls
+    per edge, so it beats a binary search on long arrays of few levels only.
     """
     values = np.asarray(values)
     counts = np.zeros(values.shape, dtype=np.min_scalar_type(len(edges)))
     for edge in edges:
-        # Added as bytes, the count needs no cast from bool.
+        # Viewed as bytes, the flags add into a uint8 count with no cast.
         counts += (values >= edge).view(np.uint8)
     return counts
 
