@@ -75,8 +75,8 @@ def digit_levels():
 
 @st.composite
 def datasets(draw):
-    """1-7 columns, each of 1-4 levels in [-1500, 1500] or consecutive levels
-    inside 0..9, and C in 1..15.  Half the files hold digit columns only."""
+    """0-13 rows of 1-7 columns, each of 1-4 levels in [-1500, 1500] or consecutive
+    levels inside 0..9, and C in 1..15.  Half the files hold digit columns only."""
     columns = draw(st.integers(1, 7))
     any_levels = st.sets(st.integers(-1500, 1500), min_size=1, max_size=4).map(sorted)
     digits_only = draw(st.booleans())
@@ -87,7 +87,7 @@ def datasets(draw):
     names = [
         draw(st.text("abcxyz_0123456789", min_size=1, max_size=4)) for _ in range(columns)
     ]
-    rows = draw(st.integers(1, 13))
+    rows = draw(st.integers(0, 13))
     values = [
         [draw(st.sampled_from(levels[p])) for p in range(columns)] for _ in range(rows)
     ]
@@ -98,6 +98,8 @@ def datasets(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(dataset=datasets(), block=st.integers(1, 4))
+@example(dataset=make_dataset([], [(0, 1, 2), (0, 1)], [], 3), block=1)
+@example(dataset=make_dataset([], [(-1500, 42), (0, 1)], [], 12), block=4)
 @example(dataset=make_dataset([[42]], [(-1500, -7, 0, 42)], [1], 1), block=1)
 @example(dataset=make_dataset([[-7]] * 9, [(-1500, -7, 0, 42)], [12] * 9, 12), block=4)
 @example(dataset=make_dataset([[1, 200, 5]], [(0, 1), (-3, 10, 200), (5,)], [10], 12), block=2)
@@ -110,9 +112,11 @@ def datasets(draw):
 @example(dataset=make_dataset([[2, 10], [0, 11], [1, 10]], [(0, 1, 2), (10, 11)], [10, 1, 9], 10), block=2)
 def test_writers_match_savetxt(dataset, block):
     """Row counts below, at and across a block of 1-4 rows; the examples
-    pin a single row, a single column and mixed token widths, then the digit
-    levels 0..2, 7..9 and 0..9 with C = 9 (every file written as digits),
-    and a digit column next to a two-digit one with C = 10 (looked up)."""
+    pin zero rows (a header-only dataset.csv and an empty allocation.txt)
+    in a digit and a token file, a single row, a single column and mixed
+    token widths, then the digit levels 0..2, 7..9 and 0..9 with C = 9
+    (every file written as digits), and a digit column next to a two-digit
+    one with C = 10 (looked up)."""
     with mock.patch.object(report, "_ROWS_PER_BLOCK", block), tempfile.TemporaryDirectory() as d:
         assert_writers_match_savetxt(dataset, Path(d))
 
