@@ -280,8 +280,10 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
 
     When every row of ``table`` is its own positions (``table[c, k] == k``),
     x_c is the positions themselves, and each block is cast from them
-    (``_cast_blocks``); any other table is looked up (``_lookup_blocks``).
-    The choice is read from ``table`` alone, and both give the same floats.
+    (``_cast_blocks`` at offset 0); any other table is looked up
+    (``_lookup_blocks``).  The choice is read from ``table`` alone, and both
+    give the same floats.  ``report`` writes level codes through the same
+    two readers.
 
     A block is float32 when ``table`` is integral and rows * max|table|**2 <
     2**24, with rows the block's row count: every product and every partial
@@ -301,7 +303,7 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     rows = max(1, min(rows, len(positions)))
     block = np.empty((rows, width), np.float32 if integral and rows * square < 2**24 else float)
     if (table == np.arange(table.shape[1])).all():
-        blocks = _cast_blocks(positions, columns, block)
+        blocks = _cast_blocks(positions, columns, 0, block)
     else:
         blocks = _lookup_blocks(positions, columns, table, block)
     sums = np.zeros(width)
@@ -312,24 +314,28 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     return sums, cross
 
 
-def _cast_blocks(positions: np.ndarray, columns, block: np.ndarray):
-    """Yield ``positions[:, columns]`` as floats, ``len(block)`` rows at a time, in ``block``."""
+def _cast_blocks(positions: np.ndarray, columns, offset, block: np.ndarray):
+    """Yield ``positions[:, columns] + offset``, ``len(block)`` rows at a time, cast into ``block``.
+
+    ``offset`` is a number or one per column; ``block`` may be a strided view.
+    """
     for start in range(0, len(positions), len(block)):
         part = positions[start : start + len(block), columns]
-        np.copyto(block[: len(part)], part)
+        np.add(part, offset, out=block[: len(part)], casting="unsafe")
         yield block[: len(part)]
 
 
 def _lookup_blocks(positions: np.ndarray, columns, table: np.ndarray, block: np.ndarray):
     """Yield x_c = ``table[c, positions[:, columns[c]]]``, ``len(block)`` rows at a time, in ``block``.
 
-    Each block's flat table indices go into one index buffer, made once.
-    ``take`` runs in ``mode="clip"``: its default bounds check would write
-    every block to a temporary first, and no index is out of bounds.  Every
-    caller's positions are already checked to lie below their column's level
-    count (a ``Dataset`` and a ``LevelPositions`` at construction, a
-    ``(codes, variables)`` pair by ``_level_positions``), and ``table`` has
-    a column for every level.
+    ``table`` takes ``block``'s dtype: floats in the Gram, byte tokens in the
+    code writer.  Each block's flat table indices go into one index buffer,
+    made once.  ``take`` runs in ``mode="clip"``: its default bounds check
+    would write every block to a temporary first, and no index is out of
+    bounds.  Every caller's positions are already checked to lie below their
+    column's level count (a ``Dataset`` and a ``LevelPositions`` at
+    construction, a ``(codes, variables)`` pair by ``_level_positions``), and
+    ``table`` has a column for every level.
     """
     # Row c of the C-order width x M table starts at flat index c * M.
     flat = table.astype(block.dtype).ravel()

@@ -23,7 +23,7 @@ import numpy as np
 
 from .association import MEASURES, VARIANTS, LevelPositions, _level_positions, association_matrix
 from .model import InfeasibleTargetError, SpecError, VariableDomain
-from .report import RunResult, run_pipeline, write_artifacts, write_association
+from .report import RunResult, _digit_line, run_pipeline, write_artifacts, write_association
 
 # The artifact files each subcommand writes; ``report.ARTIFACTS`` knows
 # which stages of the run feed each one.  ``pipeline`` is ``run_pipeline``.
@@ -55,7 +55,8 @@ def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarr
     """``association._level_positions`` of a body of ``d,d,...,d\\n`` lines ``width`` wide, or None.
 
     Each field and the byte after it, read as one little-endian uint16 less
-    the pair ``0,`` (``0\\n`` in the last column), is the field's digit
+    its pair of ``report._digit_line`` (``0,``, or ``0\\n`` in the last
+    column), is the field's digit
     0..9 exactly when the field is one digit and the byte its separator; any
     other body gives None.  Bit d of a column's presence mask is set where
     digit d occurs in it, so the masks hold every column's levels, and a
@@ -64,9 +65,8 @@ def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarr
     """
     if not body or len(body) % (2 * width):
         return None
-    pairs = np.full(width, ord(",") << 8 | ord("0"), np.uint16)
-    pairs[-1] = ord("\n") << 8 | ord("0")
-    codes = np.subtract(np.frombuffer(body, "<u2").reshape(-1, width), pairs)
+    zeros = np.frombuffer(_digit_line(width), "<u2")
+    codes = np.subtract(np.frombuffer(body, "<u2").reshape(-1, width), zeros)
     if codes.max() > 9:
         return None
     masks = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=0).tolist()

@@ -14,7 +14,7 @@ Columns are independent streams, so generation can fan out across threads
 with bit-identical output for any thread count.  Each task draws a tile
 of adjacent columns with equal profile columns (a group's, the noise
 block) into contiguous rows of a column-major buffer, shuffled within the
-columns, and the pool then transposes that buffer into the n x P positions.
+columns, and one transpose call then makes that buffer the n x P positions.
 """
 
 from __future__ import annotations
@@ -111,7 +111,7 @@ def bind_pattern(
     return ProfileMatrix(variables, rows)
 
 
-# A pool task draws a tile of max(1, _TILE_WORDS // n) columns, or transposes as many cells.
+# A pool task draws a tile of max(1, _TILE_WORDS // n) columns.
 _TILE_WORDS = 2**17
 
 
@@ -166,9 +166,9 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     the returned assignments are reordered in lockstep.
 
     Workers write each tile into its rows of a P x n buffer, shuffling
-    within the columns as they go; the pool then transposes that buffer
-    into the n x P positions, a chunk of rows per task.  The peak is two
-    n x P arrays at that transpose, shuffled or not.
+    within the columns as they go; one transpose call then copies that
+    buffer into the n x P positions (a pooled transpose measured no faster).
+    The peak is two n x P arrays at that transpose, shuffled or not.
     """
     if threads < 1:
         raise SpecError(f"generate: threads must be at least 1, got {threads}")
@@ -183,16 +183,13 @@ def generate(spec: GeneratorSpec, threads: int = 1, shuffle: bool = False):
     sizes = [domain.size for domain in spec.profile.variables]
     # One byte per cell up to 256 levels, two above.
     columns = np.empty((len(sizes), n), dtype=np.min_scalar_type(max(sizes) - 1))
-    chunk = max(1, _TILE_WORDS // len(sizes))
 
     # Workers write straight into rows of one buffer: returned tiles would
     # queue up in the pool faster than the caller copies them out.
     with ThreadPoolExecutor(max_workers=threads) as pool:
         tiles = _tiles(edges, sizes, spec.clusters.counts, n)
         list(pool.map(lambda t: _draw_tile(spec.seed, *t, columns[t[0]], order), tiles))
-        positions = np.empty((n, len(sizes)), dtype=columns.dtype)
-        chunks = [slice(a, a + chunk) for a in range(0, n, chunk)]
-        list(pool.map(lambda r: np.copyto(positions[r], columns[:, r].T), chunks))
+    positions = np.ascontiguousarray(columns.T)
     del columns
     if shuffle:
         assignments = assignments[order]

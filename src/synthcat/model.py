@@ -336,8 +336,9 @@ def validate_spec(profile: ProfileMatrix, clusters: ClusterSpec) -> ValidationRe
         )
 
     warnings = []
-    if profile.variables and not any("level" in v for v in violations):
-        min_levels = min(domain.size for domain in profile.variables)
+    # Below 2 levels the guideline's log has no base (its loop would not end).
+    min_levels = min((domain.size for domain in profile.variables), default=0)
+    if min_levels >= 2:
         need = minimum_identifiable_variables(clusters.cluster_count, min_levels)
         if profile.variable_count < need:
             warnings.append(

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .association import AssociationMatrix, sample_moments
+from .association import AssociationMatrix, _cast_blocks, _lookup_blocks, sample_moments
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
 from .model import (
@@ -261,9 +261,14 @@ def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...
     _write_lines(path, *_matrix_files(values, names)[0])
 
 
-# Rows per block of the code writer: the block's token indices (8 bytes per
+# Rows per block of the code writer: the block's table indices (8 bytes per
 # cell) and gathered bytes stay a few MB however long the table is.
 _ROWS_PER_BLOCK = 4096
+
+
+def _digit_line(width: int) -> bytes:
+    """The line of ``width`` zero digits: ``0,`` in each column, ``0\\n`` in the last."""
+    return b"0," * (width - 1) + b"0\n"
 
 
 def _write_codes(
@@ -271,10 +276,15 @@ def _write_codes(
 ) -> None:
     """Write an n x P array of level positions as comma-separated level codes.
 
-    When every column's levels are consecutive integers inside 0..9, each
-    code is one digit, its position plus the column's lowest level
-    (``_digit_blocks``); any other file has its codes looked up as byte
-    tokens (``_token_blocks``).  The choice is read from ``columns`` alone.
+    Blocks of ``_ROWS_PER_BLOCK`` rows (at least one) are read by the Gram's
+    two readers.  When every column's levels are consecutive integers inside
+    0..9, ``_cast_blocks`` writes each digit, ``ord("0")`` plus the column's
+    lowest level plus the position, into a reused rows x P x 2 buffer of
+    ``_digit_line``s.  Any other file goes through ``_lookup_blocks`` with a
+    P x M table of byte tokens, ``str(level)`` and a comma, or a newline in
+    the last column, NUL-padded to the widest; no token holds a NUL byte, so
+    a block's nonzero bytes are its tokens'.  The choice is read from
+    ``columns`` alone.
 
     The bytes equal numpy's ``savetxt(path, codes, fmt="%d", delimiter=",",
     header=<column names> if header else "", comments="")`` (except that
@@ -288,59 +298,34 @@ def _write_codes(
         and 0 <= c.levels[0] <= 10 - c.size
         for c in columns
     )
+    rows = max(1, min(_ROWS_PER_BLOCK, len(positions)))
+    if digits:
+        line = np.frombuffer(_digit_line(len(columns)), np.uint8).reshape(-1, 2)
+        lines = np.tile(line, (rows, 1, 1))
+        zero = np.array([ord("0") + c.levels[0] for c in columns], np.uint8)
+        cells = _cast_blocks(positions, slice(None), zero, lines[:, :, 0])
+        blocks = (lines[: len(block)] for block in cells)
+    else:
+        width = max(c.size for c in columns)
+        ends = [b","] * (len(columns) - 1) + [b"\n"]
+        table = np.array([
+            [str(level).encode() + end for level in c.levels] + [b""] * (width - c.size)
+            for c, end in zip(columns, ends)
+        ])
+        buffer = np.empty((rows, len(columns)), table.dtype)
+        cells = (b.view(np.uint8) for b in _lookup_blocks(positions, slice(None), table, buffer))
+        blocks = (cell[cell != 0] for cell in cells)
     path = Path(path)
     f = path.open("wb")
     try:
         with f:
             if header:
                 f.write((",".join(c.name for c in columns) + "\n").encode())
-            blocks = _digit_blocks if digits else _token_blocks
-            for block in blocks(positions, columns):
+            for block in blocks:
                 f.write(block)
     except BaseException:
         path.unlink(missing_ok=True)
         raise
-
-
-def _digit_blocks(positions: np.ndarray, columns: tuple[VariableDomain, ...]):
-    """Yield the lines of one-digit codes, ``_ROWS_PER_BLOCK`` rows at a time.
-
-    Every cell is two bytes of one reused rows x P x 2 buffer: its digit,
-    ``ord("0")`` plus its column's lowest level plus its position, then a
-    comma, or a newline in the last column.  The separators are set once.
-    """
-    lines = np.empty((min(_ROWS_PER_BLOCK, len(positions)), len(columns), 2), np.uint8)
-    lines[:, :, 1] = ord(",")
-    lines[:, -1, 1] = ord("\n")
-    zero = np.array([ord("0") + column.levels[0] for column in columns], np.uint8)
-    for start in range(0, len(positions), _ROWS_PER_BLOCK):
-        block = positions[start : start + _ROWS_PER_BLOCK]
-        np.add(block, zero, out=lines[: len(block), :, 0], casting="unsafe")
-        yield lines[: len(block)]
-
-
-def _token_blocks(positions: np.ndarray, columns: tuple[VariableDomain, ...]):
-    """Yield the lines of any codes, ``_ROWS_PER_BLOCK`` rows at a time.
-
-    Each column's declared levels become byte tokens once: ``str(level)``
-    followed by a comma, or by a newline in the last column.  A block of
-    rows is made by gathering each cell's token at its column's offset plus
-    its position.  Tokens are padded to the widest one and the padding is
-    dropped by a mask, so mixed widths need no second path.
-    """
-    tokens: list[bytes] = []
-    for p, column in enumerate(columns):
-        end = b"\n" if p == len(columns) - 1 else b","
-        tokens.extend(str(level).encode() + end for level in column.levels)
-    sizes = np.array([column.size for column in columns])
-    offsets = np.cumsum(sizes) - sizes
-    # One fixed-width item per token, NUL-padded to the widest.  No token
-    # holds a NUL byte, so the nonzero bytes are exactly each token's own.
-    table = np.array(tokens, dtype=np.bytes_)
-    for start in range(0, len(positions), _ROWS_PER_BLOCK):
-        block = positions[start : start + _ROWS_PER_BLOCK]
-        cells = table[block + offsets].view(np.uint8)
-        yield cells[cells != 0]
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:

@@ -158,6 +158,16 @@ class TestValidateSpec:
         assert report.ok
         assert any("identifiability" in w for w in report.warnings)
 
+    def test_warnings_do_not_depend_on_column_names(self):
+        """A violation naming a column ``level_a`` leaves the warning as it is for ``x1``."""
+
+        def warnings(name):
+            variables = (VariableDomain(name, (0, 1), "unknown"),)
+            rows = ((ProbabilityVector((0.5, 0.5)),),) * 8
+            return validate_spec(ProfileMatrix(variables, rows), ClusterSpec.uniform(8, 80)).warnings
+
+        assert warnings("level_a") == warnings("x1") == ("identifiability: P=1 < 7 for C=8, M=2",)
+
 
 class TestDataset:
     def make(self, positions, assignments, dtype=np.uint8):

@@ -226,15 +226,16 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
 
     Their levels are consecutive from 0, so the sample moments cast the
     positions (the binary column's padding included) and the dataset and
-    allocation files are written as digits; either lookup raises here, and
-    the results still match their oracles.
+    allocation files are written as digits; ``_lookup_blocks`` raises here,
+    where the Gram and where the writer call it, and the results still
+    match their oracles.
     """
 
     def looked_up(*args):
         raise AssertionError("a lookup ran")
 
     monkeypatch.setattr(association, "_lookup_blocks", looked_up)
-    monkeypatch.setattr(report, "_token_blocks", looked_up)
+    monkeypatch.setattr(report, "_lookup_blocks", looked_up)
     config = {
         "seed": 6,
         "clusters": {"n": 400},

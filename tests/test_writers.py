@@ -256,6 +256,24 @@ def test_write_association_makes_each_matrix_texts_once(tmp_path, monkeypatch):
     assert len(calls) == 3
 
 
+def test_twelve_clusters_look_the_allocation_up(tmp_path, monkeypatch):
+    """Digit columns with C = 12: dataset.csv is cast, allocation.txt's codes up to 12 are looked up."""
+    lookups = []
+    lookup = report._lookup_blocks
+
+    def counted(positions, columns, table, block):
+        lookups.append(table.shape)
+        return lookup(positions, columns, table, block)
+
+    monkeypatch.setattr(report, "_lookup_blocks", counted)
+    rng = np.random.default_rng(12)
+    levels = [(0, 1, 2), (0, 1)]
+    values = np.column_stack([rng.choice(lv, 50) for lv in levels])
+    dataset = make_dataset(values, levels, rng.integers(1, 13, 50), 12)
+    assert_writers_match_savetxt(dataset, tmp_path)
+    assert lookups == [(1, 12)]
+
+
 def test_equal_width_tokens_match_savetxt(tmp_path):
     """Every token of a file one width, so none is padded; rows span three blocks."""
     levels = [(-9, -1), (10, 42, 99), (-3, -2)]
