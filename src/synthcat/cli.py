@@ -56,12 +56,12 @@ def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarr
 
     Each field and the byte after it, read as one little-endian uint16 less
     its pair of ``report._digit_line`` (``0,``, or ``0\\n`` in the last
-    column), is the field's digit
-    0..9 exactly when the field is one digit and the byte its separator; any
-    other body gives None.  Bit d of a column's presence mask is set where
-    digit d occurs in it, so the masks hold every column's levels, and a
-    cell's position is its digit less its column's lowest one; only a column
-    with a gap among its digits (0 and 2, say) looks its cells up.
+    column), is the field's digit 0..9 exactly when the field is one digit
+    and the byte its separator; any other body gives None.  Bit d of a
+    column's presence mask is set where digit d occurs in it, so the masks
+    hold every column's levels, and a cell's position is its digit less its
+    column's lowest one; only a column with a gap among its digits (0 and 2,
+    say) looks its cells up.
     """
     if not body or len(body) % (2 * width):
         return None

@@ -257,7 +257,8 @@ def test_write_association_makes_each_matrix_texts_once(tmp_path, monkeypatch):
 
 
 def test_twelve_clusters_look_the_allocation_up(tmp_path, monkeypatch):
-    """Digit columns with C = 12: dataset.csv is cast, allocation.txt's codes up to 12 are looked up."""
+    """Digit columns with C = 12: dataset.csv is cast, and allocation.txt,
+    whose codes reach 12, is the one file looked up."""
     lookups = []
     lookup = report._lookup_blocks
 
