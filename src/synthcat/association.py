@@ -54,7 +54,7 @@ class LevelPositions:
 
     The measures take it as they take a ``Dataset``, without a lookup.
     Construction raises SpecError unless ``positions`` is an n x P array of
-    unsigned integers, each below its column's level count.
+    unsigned integers, P > 0, each below its column's level count.
     """
 
     positions: np.ndarray
@@ -63,7 +63,7 @@ class LevelPositions:
     def __post_init__(self) -> None:
         sizes = [v.size for v in self.variables]
         shape = self.positions.shape
-        if self.positions.ndim != 2 or shape[1] != len(sizes) or self.positions.dtype.kind != "u":
+        if self.positions.ndim != 2 or not 0 < len(sizes) == shape[1] or self.positions.dtype.kind != "u":
             raise SpecError(f"association: positions {shape} do not fit {len(sizes)} columns")
         if len(self.positions) and (self.positions.max(axis=0) >= sizes).any():
             raise SpecError("association: a position is past its column's levels")
@@ -73,8 +73,8 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     """Each cell's position among its column's levels, and the columns' domains.
 
     ``data`` is a Dataset, a LevelPositions or a (codes, variables) pair.
-    Only a pair is looked up, by ``_level_positions``; codes that are not
-    n x P for P > 0 variables, or not declared levels, raise SpecError.
+    Only a pair is looked up, by ``_level_positions``; codes that are not n x P
+    for P > 0 variables, or not strictly increasing declared levels, raise SpecError.
     """
     if isinstance(data, Dataset):
         return data.positions, data.profile.variables
@@ -83,6 +83,9 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     codes, variables = np.asarray(data[0]), tuple(data[1])
     if codes.ndim != 2 or codes.shape[1] != len(variables) or not variables:
         raise SpecError(f"association: codes {codes.shape} do not fit {len(variables)} columns")
+    for v in variables:
+        if any(a >= b for a, b in zip(v.levels, v.levels[1:])):
+            raise SpecError(f"association: variable {v.name!r}: level codes must be strictly increasing")
     return _level_positions(codes, variables)[1], variables
 
 
@@ -275,15 +278,17 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     ``columns`` is a list of column indices, or ``slice(None)`` for every
     column (each block then reads a view of ``positions``, not a copy).  X
     is made a block of rows at a time, and every block is written into one
-    block buffer, made once per call.  Each block's sums and Gram are added
-    to the float64 totals in block order.
+    block buffer, made once per call: column-major for a list, as numpy
+    gathers the columns, so each block is written in one contiguous loop.
+    Each block's sums and Gram are added to the float64 totals in block order.
 
     When every row of ``table`` is its own positions (``table[c, k] == k``),
-    x_c is the positions themselves, and each block is cast from them
-    (``_cast_blocks`` at offset 0); any other table is looked up
-    (``_lookup_blocks``).  The choice is read from ``table`` alone, and both
-    give the same floats.  ``report`` writes level codes through the same
-    two readers.
+    each block is cast from them (``_cast_blocks`` adding 0); when every row
+    is a unit vector, 1 at level l_c, each block is compared (``_cast_blocks``
+    by ``np.equal`` with the l_c, in the positions' dtype where it holds them);
+    any other table is looked up (``_lookup_blocks``).  The choice is read
+    from ``table`` alone, and all three give the same floats.  ``report``
+    writes level codes through the cast and the lookup.
 
     A block is float32 when ``table`` is integral and rows * max|table|**2 <
     2**24, with rows the block's row count: every product and every partial
@@ -297,13 +302,18 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     """
     width = len(table)
     integral = (table == np.round(table)).all()
-    square = np.abs(table).max() ** 2
+    square = np.abs(table).max(initial=0) ** 2
     exact = int((2**24 - 1) // max(square, 1)) if integral else 0
     rows = exact if _MOMENT_ROWS // 4 <= exact < _MOMENT_ROWS else _MOMENT_ROWS
     rows = max(1, min(rows, len(positions)))
-    block = np.empty((rows, width), np.float32 if integral and rows * square < 2**24 else float)
-    if (table == np.arange(table.shape[1])).all():
+    dtype = np.float32 if integral and rows * square < 2**24 else float
+    block = np.empty((rows, width), dtype, "C" if isinstance(columns, slice) else "F")
+    ramp, unit = np.arange(table.shape[1]), table.argmax(axis=1)
+    if (table == ramp).all():
         blocks = _cast_blocks(positions, columns, 0, block)
+    elif (table == (unit[:, None] == ramp)).all():
+        level = unit.astype(np.promote_types(positions.dtype, np.min_scalar_type(ramp[-1])))
+        blocks = _cast_blocks(positions, columns, level, block, np.equal)
     else:
         blocks = _lookup_blocks(positions, columns, table, block)
     sums = np.zeros(width)
@@ -314,14 +324,14 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     return sums, cross
 
 
-def _cast_blocks(positions: np.ndarray, columns, offset, block: np.ndarray):
-    """Yield ``positions[:, columns] + offset``, ``len(block)`` rows at a time, cast into ``block``.
+def _cast_blocks(positions: np.ndarray, columns, operand, block: np.ndarray, ufunc=np.add):
+    """Yield ``ufunc(positions[:, columns], operand)`` cast into ``block``, ``len(block)`` rows at a time.
 
-    ``offset`` is a number or one per column; ``block`` may be a strided view.
+    ``operand`` (offsets to add, levels to compare) is a scalar or one per column; ``block`` may be strided.
     """
     for start in range(0, len(positions), len(block)):
         part = positions[start : start + len(block), columns]
-        np.add(part, offset, out=block[: len(part)], casting="unsafe")
+        ufunc(part, operand, out=block[: len(part)], casting="unsafe")
         yield block[: len(part)]
 
 
@@ -413,25 +423,25 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
 
     ``sizes`` holds their level counts.  One indicator matrix Z (a row per
     subject) has a column per declared level of every picked column but its
-    last, then an all-ones and a zero column.  Block (p, q) of Z^T Z is the
-    p-by-q crosstab without its last row and column; those read the ones
-    column's margins and become, in int64, the margins less the other cells.
-    ``_gram`` accumulates Z^T Z over row blocks of rows x width floats, width
-    being the total level count less one per column, plus two.  Z holds 0
-    and 1, so its blocks are float32 (while a block has fewer than 2**24 rows)
-    and each block's counts are exact integers in any BLAS order; the float64
-    totals are exact below 2**53, and the tables do not depend on the machine.
+    last.  Block (p, q) of Z^T Z is the p-by-q crosstab without its last row
+    and column; those read the margins, Z's column sums and n, and become, in
+    int64, the margins less the other cells.  ``_gram`` compares Z out of the
+    positions in row blocks of rows x width floats, width (0 or more) being
+    the total level count less one per column.  Z holds 0 and 1, so its
+    blocks are float32 (while a block has fewer than 2**24 rows) and each
+    block's counts are exact integers in any BLAS order; the float64 totals
+    are exact below 2**53, and the tables do not depend on the machine.
     Returns int64 tables (pairs, M, M), M the largest level count, in ``np.triu_indices`` order.
     """
     count, m, last = len(columns), max(sizes), np.asarray(sizes) - 1
     width = int(last.sum())
-    # Z's column c < width is 1 where the picked column owner[c] holds level
-    # position level[c].  index[p, l] is the Gram row of picked column p's
-    # level l: the ones column for its last level, the zero one for padding.
-    owner = np.repeat([*columns, columns[0], columns[0]], [*last, 1, 1])
+    # Z's column c is 1 where the picked column owner[c] holds level position
+    # level[c].  index[p, l] is the Gram row of picked column p's level l: row
+    # width (Z's sums, then n) for its last level, the zero row for padding.
+    owner = np.repeat(columns, last)
     level = np.concatenate([np.arange(size) for size in last])
-    indicator = np.vstack([level[:, None] == np.arange(m), np.ones(m), np.zeros(m)])
-    gram = _gram(positions, owner, indicator)[1].astype(np.int64)
+    sums, cross = _gram(positions, owner, np.equal.outer(level, np.arange(m)).astype(float))
+    gram = np.pad(np.block([[cross, sums[:, None]], [sums, len(positions)]]), (0, 1)).astype(np.int64)
     index = np.full((count, m), width + 1)
     index[np.repeat(np.arange(count), last), level] = np.arange(width)
     index[np.arange(count), last] = width

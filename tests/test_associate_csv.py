@@ -235,8 +235,9 @@ def test_level_positions_index_the_unique_levels(csv):
         (np.array([[0, 1]], np.int64), (2, 2)),
         (np.array([0, 1], np.uint8), (2, 2)),
         (np.array([[0]], np.uint8), (2, 2)),
+        (np.zeros((5, 0), np.uint8), ()),
     ],
-    ids=["past-the-levels", "signed", "one-dimensional", "too-few-columns"],
+    ids=["past-the-levels", "signed", "one-dimensional", "too-few-columns", "no-columns"],
 )
 def test_level_positions_refuse_what_cannot_index_the_levels(positions, sizes):
     variables = tuple(VariableDomain(f"x{p}", tuple(range(size))) for p, size in enumerate(sizes))

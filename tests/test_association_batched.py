@@ -14,13 +14,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import association_oracles as oracle
 from synthcat import association
 from synthcat.association import (
     ContingencyTable,
+    LevelPositions,
     association_matrix,
     chi_square,
     crosstab,
@@ -139,6 +140,20 @@ def test_value_outside_declared_levels(measure):
         association_matrix((values, variables), measure)
 
 
+@pytest.mark.parametrize("levels", [(1, 0), (0, 0, 1)], ids=["descending", "repeated"])
+def test_crosstab_refuses_levels_that_do_not_increase(levels):
+    """Every value is declared, but the levels are out of order or repeated."""
+    with pytest.raises(SpecError, match="strictly increasing"):
+        crosstab([1, 0, 1], [0, 1, 1], levels, (0, 1))
+
+
+@pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
+def test_pair_refuses_levels_that_do_not_increase(measure):
+    variables = (VariableDomain("a", (2, 1, 0)), VariableDomain("b", (0, 1)))
+    with pytest.raises(SpecError, match="'a': level codes must be strictly increasing"):
+        association_matrix((np.array([[0, 1], [2, 0], [1, 1]]), variables), measure)
+
+
 @pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
 def test_zero_subjects_are_refused(measure):
     variables = (VariableDomain("a", (0, 1), "interval"), VariableDomain("b", (0, 1), "interval"))
@@ -158,7 +173,9 @@ def picked_positions(draw):
     """(positions, columns, sizes): n 1-30 rows of 2-5 columns with 1-300 levels each.
 
     Each column's first and last levels may never occur, and ``columns``
-    picks two or more of them in any order.
+    picks two or more of them in any order.  Positions are uint16, or uint8
+    (as ``generate`` and ``associate --data`` give them) where every drawn
+    position fits, so a uint8 column may declare more levels than uint8 holds.
     """
     n = draw(st.integers(1, 30))
     size = st.one_of(st.integers(1, 4), st.integers(5, 300))
@@ -169,12 +186,15 @@ def picked_positions(draw):
         high = draw(st.integers(max(low, size - 2), size - 1))
         columns.append(draw(st.lists(st.integers(low, high), min_size=n, max_size=n)))
     picked = draw(st.permutations(range(len(sizes))))[: draw(st.integers(2, len(sizes)))]
-    positions = np.array(columns, dtype=np.uint16).T
+    dtypes = [np.uint8, np.uint16] if max(map(max, columns)) < 256 else [np.uint16]
+    positions = np.array(columns, dtype=draw(st.sampled_from(dtypes))).T
     return positions, picked, [sizes[c] for c in picked]
 
 
 @settings(max_examples=200, deadline=None)
 @given(picked_positions(), st.integers(1, 5))
+@example((np.zeros((3, 3), np.uint8), [2, 0], [1, 1]), 2)
+@example((np.array([[4, 0], [255, 1], [4, 1]], np.uint8), [0, 1], [300, 2]), 2)
 def test_pair_tables_match_the_counted_tables(data, rows):
     """Every table of ``_pair_tables``, padding included, against ``np.add.at`` counts."""
     positions, columns, sizes = data
@@ -188,6 +208,37 @@ def test_pair_tables_match_the_counted_tables(data, rows):
         expected[k, : sizes[a], : sizes[b]] = table.counts
     assert tables.dtype == np.int64
     assert (tables == expected).all()
+
+
+def test_pair_tables_look_nothing_up(monkeypatch):
+    """v, vcc and tauc on a uint8 ``LevelPositions`` compare each block of Z.
+
+    ``_lookup_blocks`` raises here, and every cell still matches its oracle.
+    One column declares 300 levels and holds positions below 256 only, so
+    its levels past 255 are compared as such, not as uint8 positions.
+    """
+
+    def looked_up(*args):
+        raise AssertionError("a lookup ran")
+
+    monkeypatch.setattr(association, "_lookup_blocks", looked_up)
+    rng = np.random.default_rng(26)
+    n = 2 * association._MOMENT_ROWS + 7
+    sizes = (2, 3, 5, 300, 3)
+    variables = tuple(
+        VariableDomain(f"x{p}", tuple(range(size)), "ordinal") for p, size in enumerate(sizes)
+    )
+    positions = np.column_stack([rng.integers(0, min(size, 256), n) for size in sizes])
+    data = LevelPositions(positions.astype(np.uint8), variables)
+    v, vcc, tauc = (association_matrix(data, measure).values for measure in ("v", "vcc", "tauc"))
+    for p, q in pairs(variables):
+        x, y = positions[:, p], positions[:, q]
+        table = counted(x, y, range(sizes[p]), range(sizes[q]))
+        expected = oracle.cramers_v(table, "paper")
+        assert same(v[p, q], expected) or abs(v[p, q] - expected) <= 1e-12
+        assert same(vcc[p, q], oracle.concentration_coefficient(table))
+        assert same(vcc[q, p], oracle.concentration_coefficient(ContingencyTable(table.counts.T)))
+        assert tauc[p, q] == tau_c_pair_scan(x, y, sizes[p], sizes[q])
 
 
 def test_mixed_widths_over_several_blocks():

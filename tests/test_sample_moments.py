@@ -253,13 +253,13 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
 
 
 def recorded_blocks(monkeypatch) -> list:
-    """(dtype, rows) of the block buffer of each ``_gram`` call from now on, cast or looked up."""
+    """(dtype, rows) of each ``_gram`` call's block buffer from now on, whichever reader fills it."""
     blocks = []
     for name in ("_cast_blocks", "_lookup_blocks"):
         make = getattr(association, name)
 
         def recorded(*args, make=make):
-            blocks.append((args[-1].dtype, len(args[-1])))
+            blocks.append((args[3].dtype, len(args[3])))
             return make(*args)
 
         monkeypatch.setattr(association, name, recorded)
@@ -339,8 +339,8 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
     (258 * 255**2 < 2**24).  The second case's would need 419 rows, under a
     quarter of 4096, so they stay 4096 rows tall and are float64.
     Codes drawn from top/2..top put the second case's block sums past 2**24,
-    where float32 would round them.  The codes are cast from the positions;
-    the rotated codes and the indicator table are looked up.
+    where float32 would round them.  The codes are cast from the positions,
+    the rotated codes are looked up and the indicator table is compared.
     """
     rows = rows or association._MOMENT_ROWS
     rng = np.random.default_rng(top)
@@ -349,12 +349,10 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
     codes = np.tile(np.arange(top + 1.0), (4, 1))
     # Not a ramp, so looked up; position k reads k - 1 (position 0 reads top).
     rotated = np.roll(codes, 1, axis=1)
-    # One indicator column per level of picked columns 1 and 2 but the last,
-    # then the all-ones and the zero column.
-    owner = np.repeat([1, 2, 1, 1], [top, top, 1, 1])
+    # One indicator column per level of picked columns 1 and 2 but the last.
+    owner = np.repeat([1, 2], [top, top])
     level = np.concatenate([np.arange(top), np.arange(top)])
-    ramp = np.arange(top + 1)
-    indicator = np.vstack([level[:, None] == ramp, np.ones(top + 1), np.zeros(top + 1)])
+    indicator = np.equal.outer(level, np.arange(top + 1)).astype(float)
     blocks = recorded_blocks(monkeypatch)
     monkeypatch.setattr(association, "_MOMENT_ROWS", rows)
     for picked, columns, table in (
