@@ -89,8 +89,9 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     return _level_positions(codes, variables)[1], variables
 
 
-# Cells of a code table turned into mask slots at a time by ``_level_positions``.
-_SLOT_CELLS = 2**16
+# Rows per block of ``_gram``, ``_level_positions`` and ``report``'s code writer, read at
+# each call.  Only the bits of ``sample_moments``' centred pass depend on it.
+_BLOCK_ROWS = 1024
 
 
 def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]], np.ndarray]:
@@ -100,7 +101,7 @@ def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]]
     the codes each column holds; a code that is not declared raises SpecError
     naming the first such column.  Integer codes whose columns each span
     fewer integers than there are rows mark one mask over all the spans,
-    filled and then read ``_SLOT_CELLS`` cells at a time; other codes go
+    filled and then read ``_BLOCK_ROWS`` rows at a time; other codes go
     through ``np.unique`` per column.  Declared levels rank each column's
     observed codes by a ``searchsorted`` on those few.  Positions are the
     narrowest unsigned type that holds every column's level count.
@@ -118,8 +119,7 @@ def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]]
         length = span.astype(np.intp) + 1
         start = np.cumsum(length) - length
         offset = start - low.astype(np.intp)
-        rows = max(1, _SLOT_CELLS // codes.shape[1])
-        blocks = [slice(a, a + rows) for a in range(0, n, rows)]
+        blocks = [slice(a, a + _BLOCK_ROWS) for a in range(0, n, _BLOCK_ROWS)]
         present = np.zeros(start[-1] + length[-1], bool)
         for block in blocks:
             present[np.add(codes[block], offset, dtype=np.intp, casting="unsafe")] = True
@@ -267,11 +267,6 @@ class AssociationMatrix:
         return len(self.names)
 
 
-# Rows of the table turned into floats at a time, by ``sample_moments`` and
-# ``_pair_tables`` alike; ``_gram`` lowers it to keep some integral tables float32.
-_MOMENT_ROWS = 1024
-
-
 def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``, in float64.
 
@@ -290,23 +285,18 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
     from ``table`` alone, and all three give the same floats.  ``report``
     writes level codes through the cast and the lookup.
 
-    A block is float32 when ``table`` is integral and rows * max|table|**2 <
-    2**24, with rows the block's row count: every product and every partial
-    sum of the block's sums and Gram is then an integer below 2**24, exact
-    in float32 whatever order the BLAS adds them in, and equal to the
-    float64 block's (itself exact).  Otherwise the block is float64, cast or
-    looked up alike.  Blocks are ``_MOMENT_ROWS`` rows (read at each call),
-    or for an integral table the most rows that keep them float32 where that
-    is fewer but at least ``_MOMENT_ROWS // 4``: 1024 rows to max|table| =
-    127, 258 at 255, 1024 float64 ones from 256.
+    Blocks are ``_BLOCK_ROWS`` rows (read at each call), or every row where
+    there are fewer.  A block is float32 when ``table`` is integral and rows *
+    max|table|**2 < 2**24, with rows the block's row count: every product
+    and every partial sum of the block's sums and Gram is then an integer
+    below 2**24, exact in float32 whatever order the BLAS adds them in, and
+    equal to the float64 block's (itself exact).  At 1024 rows that holds to
+    max|table| = 127.  Otherwise the block is float64, cast or looked up alike.
     """
     width = len(table)
     integral = (table == np.round(table)).all()
-    square = np.abs(table).max(initial=0) ** 2
-    exact = int((2**24 - 1) // max(square, 1)) if integral else 0
-    rows = exact if _MOMENT_ROWS // 4 <= exact < _MOMENT_ROWS else _MOMENT_ROWS
-    rows = max(1, min(rows, len(positions)))
-    dtype = np.float32 if integral and rows * square < 2**24 else float
+    rows = max(1, min(_BLOCK_ROWS, len(positions)))
+    dtype = np.float32 if integral and rows * np.abs(table).max(initial=0) ** 2 < 2**24 else float
     block = np.empty((rows, width), dtype, "C" if isinstance(columns, slice) else "F")
     ramp, unit = np.arange(table.shape[1]), table.argmax(axis=1)
     if (table == ramp).all():
@@ -373,13 +363,11 @@ def sample_moments(data) -> MomentMatrices:
     level position itself, and ``_gram`` casts the positions instead of
     looking each one up; a column whose lowest level never occurs is looked
     up, its unread positions below the lowest observed one as zeros.  The
-    first pass's blocks are float32 while rows max x'^2 < 2**24, which
-    ``_gram`` keeps for every x' < 256 by lowering its 1024-row blocks to as
-    few as 256 rows (x' < 128 keeps all 1024): each block's sums are then
-    exact integers in float32 too, so the bytes are those of float64 blocks on
-    any machine, which ``test_ladder_digests_hold_under_other_blas_kernels``
-    checks under other BLAS kernels.  Non-interval and constant columns get
-    NaN correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a
+    first pass's 1024-row blocks are float32 while every x' < 128, else
+    float64; their sums are exact integers either way, so the bytes do not
+    depend on the machine (``test_ladder_digests_hold_under_other_blas_kernels``
+    checks other BLAS kernels).  Non-interval and constant columns get NaN
+    correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a
     code outside its column's declared levels, raise SpecError.
     """
     return _sample_moments(*_columns(data))

@@ -15,13 +15,14 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, association
 from .association import AssociationMatrix, _cast_blocks, _lookup_blocks, sample_moments
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
@@ -216,16 +217,30 @@ def _format(value) -> str:
     return "" if value is None else str(value)
 
 
+@contextmanager
+def _created(path: str | Path, mode: str = "w"):
+    """Open ``path`` to write, as UTF-8 text unless ``mode`` is binary.
+
+    Every artifact writer opens its file here.  A write that fails removes the
+    file, so neither a partial file nor the one it replaced is left behind.
+    """
+    f = Path(path).open(mode, encoding=None if "b" in mode else "utf-8")
+    try:
+        with f:
+            yield f
+    except BaseException:
+        Path(path).unlink(missing_ok=True)
+        raise
+
+
 def _write_lines(path: str | Path, header: str, lines) -> None:
     """Write the header, then each line, each followed by a newline, as UTF-8.
 
-    ``path`` is a str or Path.  Lines are written as they come, so a
-    generator of lines is never held whole.
+    Lines are written as they come, so a generator of lines is never held whole.
     """
-    with Path(path).open("w", encoding="utf-8") as f:
+    with _created(path) as f:
         f.write(header + "\n")
-        for line in lines:
-            f.write(line + "\n")
+        f.writelines(line + "\n" for line in lines)
 
 
 def _write_table(path: str | Path, header: str, rows) -> None:
@@ -261,11 +276,6 @@ def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...
     _write_lines(path, *_matrix_files(values, names)[0])
 
 
-# Rows per block of the code writer: the block's table indices (8 bytes per
-# cell) and gathered bytes stay a few MB however long the table is.
-_ROWS_PER_BLOCK = 4096
-
-
 def _digit_line(width: int) -> bytes:
     """The line of ``width`` zero digits: ``0,`` in each column, ``0\\n`` in the last."""
     return b"0," * (width - 1) + b"0\n"
@@ -276,29 +286,28 @@ def _write_codes(
 ) -> None:
     """Write an n x P array of level positions as comma-separated level codes.
 
-    Blocks of ``_ROWS_PER_BLOCK`` rows (at least one) are read by the Gram's
-    two readers.  When every column's levels are consecutive integers inside
-    0..9, ``_cast_blocks`` writes each digit, ``ord("0")`` plus the column's
-    lowest level plus the position, into a reused rows x P x 2 buffer of
-    ``_digit_line``s.  Any other file goes through ``_lookup_blocks`` with a
-    P x M table of byte tokens, ``str(level)`` and a comma, or a newline in
-    the last column, NUL-padded to the widest; no token holds a NUL byte, so
-    a block's nonzero bytes are its tokens'.  The choice is read from
-    ``columns`` alone.
+    Blocks of ``association._BLOCK_ROWS`` rows (at least one) are read by
+    the Gram's two readers.  When every column's levels are consecutive
+    integers inside 0..9, ``_cast_blocks`` writes each digit, ``ord("0")``
+    plus the column's lowest level plus the position, into a reused rows x
+    P x 2 buffer of ``_digit_line``s.  Any other file goes through
+    ``_lookup_blocks`` with a P x M table of byte tokens, ``str(level)`` and
+    a comma, or a newline in the last column, NUL-padded to the widest; no
+    token holds a NUL byte, so a block's nonzero bytes are its tokens'.  The
+    choice is read from ``columns`` alone.
 
     The bytes equal numpy's ``savetxt(path, codes, fmt="%d", delimiter=",",
     header=<column names> if header else "", comments="")`` (except that
     savetxt leaves out an empty header line), with ``codes`` the levels at
     ``positions``, which must lie in [0, size) of their column (a Dataset
-    guarantees it).  A write that fails removes the file, so no partial
-    file is left behind.
+    guarantees it).
     """
     digits = all(
         tuple(c.levels) == tuple(range(c.levels[0], c.levels[0] + c.size))
         and 0 <= c.levels[0] <= 10 - c.size
         for c in columns
     )
-    rows = max(1, min(_ROWS_PER_BLOCK, len(positions)))
+    rows = max(1, min(association._BLOCK_ROWS, len(positions)))
     if digits:
         line = np.frombuffer(_digit_line(len(columns)), np.uint8).reshape(-1, 2)
         lines = np.tile(line, (rows, 1, 1))
@@ -315,17 +324,10 @@ def _write_codes(
         buffer = np.empty((rows, len(columns)), table.dtype)
         cells = (b.view(np.uint8) for b in _lookup_blocks(positions, slice(None), table, buffer))
         blocks = (cell[cell != 0] for cell in cells)
-    path = Path(path)
-    f = path.open("wb")
-    try:
-        with f:
-            if header:
-                f.write((",".join(c.name for c in columns) + "\n").encode())
-            for block in blocks:
-                f.write(block)
-    except BaseException:
-        path.unlink(missing_ok=True)
-        raise
+    with _created(path, "wb") as f:
+        if header:
+            f.write((",".join(c.name for c in columns) + "\n").encode())
+        f.writelines(blocks)
 
 
 def write_dataset_csv(path: str | Path, dataset: Dataset) -> None:
@@ -377,11 +379,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_long_format(path: str | Path, matrix: AssociationMatrix) -> None:
-    """Heatmap-ready triplets, row-major: variable_p, variable_q, repr(value)."""
-    _write_lines(path, *_matrix_files(matrix.values, matrix.names)[1])
-
-
 def write_association(out_dir, matrix: AssociationMatrix) -> None:
     """Write ``<measure>_matrix.csv`` and ``<measure>_long.csv``, their texts made once for both."""
     out = Path(out_dir)
@@ -392,8 +389,9 @@ def write_association(out_dir, matrix: AssociationMatrix) -> None:
 
 
 def write_comparison(path: str | Path, comparison: ComparisonReport) -> None:
-    text = json.dumps(asdict(comparison), indent=2, sort_keys=True) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    with _created(path) as f:
+        json.dump(asdict(comparison), f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 # Each artifact file: the name of its writer in this module, and the writer's
@@ -470,11 +468,10 @@ def run_pipeline(
         },
         "artifacts": {name: _sha256(path) for name, path in sorted(paths.items())},
     }
-    manifest_path = Path(out_dir) / "manifest.json"
-    manifest_path.write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    paths["manifest.json"] = manifest_path
+    paths["manifest.json"] = Path(out_dir) / "manifest.json"
+    with _created(paths["manifest.json"]) as f:
+        json.dump(manifest, f, indent=2, sort_keys=True)
+        f.write("\n")
     return paths
 
 

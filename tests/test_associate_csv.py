@@ -272,14 +272,14 @@ def declared_pairs(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(declared_pairs(), st.sampled_from([1, 5, 64, association._SLOT_CELLS]))
-def test_level_positions_match_the_oracle(pair, cells):
+@given(declared_pairs(), st.sampled_from([1, 5, 64, association._BLOCK_ROWS]))
+def test_level_positions_match_the_oracle(pair, rows):
     """Declared or observed levels, one block or many: the oracle's positions, dtype and levels.
 
     On a code outside its declared levels both raise the same SpecError.
     """
     codes, variables = pair
-    with mock.patch.object(association, "_SLOT_CELLS", cells):
+    with mock.patch.object(association, "_BLOCK_ROWS", rows):
         try:
             expected = pair_positions(codes, variables)
         except SpecError as err:

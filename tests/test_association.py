@@ -27,7 +27,7 @@ from synthcat.model import (
     SpecError,
     VariableDomain,
 )
-from synthcat.report import write_long_format
+from synthcat.report import write_association
 
 
 def table(rows):
@@ -315,7 +315,7 @@ class TestAssociationMatrix:
         """The long file: row-major triplets, each value as its float repr."""
         values = np.array([[1.0, -0.0, math.nan], [math.inf, 0.1, -math.inf], [2 / 3, 0.0, 1e-300]])
         matrix = AssociationMatrix(values, ("a", "été", "b"), "v")
-        write_long_format(tmp_path / "v_long.csv", matrix)
+        write_association(tmp_path, matrix)
         expected = (
             "p,q,value\n"
             "a,a,1.0\na,été,-0.0\na,b,nan\n"

@@ -198,7 +198,7 @@ def picked_positions(draw):
 def test_pair_tables_match_the_counted_tables(data, rows):
     """Every table of ``_pair_tables``, padding included, against ``np.add.at`` counts."""
     positions, columns, sizes = data
-    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+    with mock.patch.object(association, "_BLOCK_ROWS", rows):
         tables = association._pair_tables(positions, columns, sizes)
     first, second = np.triu_indices(len(columns), 1)
     expected = np.zeros((len(first), max(sizes), max(sizes)), np.int64)
@@ -223,7 +223,7 @@ def test_pair_tables_look_nothing_up(monkeypatch):
 
     monkeypatch.setattr(association, "_lookup_blocks", looked_up)
     rng = np.random.default_rng(26)
-    n = 2 * association._MOMENT_ROWS + 7
+    n = 2 * association._BLOCK_ROWS + 7
     sizes = (2, 3, 5, 300, 3)
     variables = tuple(
         VariableDomain(f"x{p}", tuple(range(size)), "ordinal") for p, size in enumerate(sizes)
@@ -244,7 +244,7 @@ def test_pair_tables_look_nothing_up(monkeypatch):
 def test_mixed_widths_over_several_blocks():
     """2, 3, 5 and 17 declared levels, some unobserved, over more rows than one block."""
     rng = np.random.default_rng(17)
-    n = 2 * association._MOMENT_ROWS + 7
+    n = 2 * association._BLOCK_ROWS + 7
     variables = tuple(
         VariableDomain(f"x{p}", tuple(range(-3, 2 * size - 3, 2)), "ordinal")
         for p, size in enumerate((2, 3, 5, 17, 17, 5, 3, 2))

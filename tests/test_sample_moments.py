@@ -96,7 +96,7 @@ def test_large_codes_keep_bits(data, shift):
 
 def test_codes_near_1e8_over_two_blocks():
     """Sum x^2 of the raw codes is past 2**53 here; the shifted sums are not."""
-    n = 2 * association._MOMENT_ROWS + 1
+    n = 2 * association._BLOCK_ROWS + 1
     rng = np.random.default_rng(8)
     a = rng.integers(0, 2, n)
     values = 10**8 + np.column_stack([a, a + rng.integers(0, 3, n), np.ones(n, dtype=np.int64)])
@@ -113,7 +113,7 @@ def test_codes_near_1e8_over_two_blocks():
 def test_past_the_exact_bound_centres_on_the_means():
     """One low outlier puts Sum x'^2 past 2**53; S is taken about the means."""
     rng = np.random.default_rng(10)
-    n = 2 * association._MOMENT_ROWS
+    n = 2 * association._BLOCK_ROWS
     u = rng.integers(0, 1000, n)
     values = 2**40 + np.column_stack([u, u + rng.integers(0, 1000, n)])
     values[0] = 0
@@ -159,7 +159,7 @@ def test_block_size_never_changes_bits(data, rows):
     """The moments and the pair tables of every measure, over blocks of 1-5 rows."""
     expected = sample_moments(data)
     expected_measures = table_measures(data)
-    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+    with mock.patch.object(association, "_BLOCK_ROWS", rows):
         actual = sample_moments(data)
         assert table_measures(data) == expected_measures
     for field in ("means", "variances", "covariance", "correlation"):
@@ -168,7 +168,7 @@ def test_block_size_never_changes_bits(data, rows):
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_default_block_boundaries(offset):
-    rows = association._MOMENT_ROWS + offset
+    rows = association._BLOCK_ROWS + offset
     rng = np.random.default_rng(rows)
     values = np.column_stack([rng.choice([-1500, 0, 7], rows), rng.integers(0, 3, rows)])
     variables = (VariableDomain("a", (-1500, 0, 7)), VariableDomain("b", (0, 1, 2)))
@@ -275,7 +275,7 @@ def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
     the oracle bit for bit.
     """
     rng = np.random.default_rng(21)
-    n = 3 * association._MOMENT_ROWS + 7
+    n = 3 * association._BLOCK_ROWS + 7
     values = rng.integers(0, 3, (n, 4))
     values[:, 1] = rng.integers(1, 3, n)
     values[:, 3] = 2
@@ -285,16 +285,16 @@ def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
     assert [dtype for dtype, _ in blocks] == [np.float32]
 
 
-def test_codes_0_to_255_keep_float32_blocks(monkeypatch):
-    """1024 * 255**2 passes the float32 bound; the blocks are lowered to the
-    258 rows that keep it (258 * 255**2 < 2**24), not made float64."""
+def test_codes_0_to_255_take_float64_blocks(monkeypatch):
+    """1024 * 255**2 passes the float32 bound, so the 1024-row blocks are
+    float64; their sums are exact integers all the same."""
     rng = np.random.default_rng(255)
-    values = rng.integers(0, 256, (3 * association._MOMENT_ROWS + 7, 3))
+    values = rng.integers(0, 256, (3 * association._BLOCK_ROWS + 7, 3))
     values[0] = 0
     variables = tuple(VariableDomain(f"x{p}", tuple(range(256))) for p in range(3))
     blocks = recorded_blocks(monkeypatch)
     assert_matches_oracle(values, variables)
-    assert blocks == [(np.float32, 258)]
+    assert blocks == [(np.float64, 1024)]
 
 
 def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
@@ -330,19 +330,18 @@ def gram_oracle(positions, columns, table):
     return x.sum(axis=0), x.T @ x
 
 
-@pytest.mark.parametrize("rows, top", [(None, 255), (4096, 200)], ids=["float32", "float64"])
-def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top, monkeypatch):
-    """Codes 0..top in blocks ``rows`` tall or lower, the same codes rotated
-    by one position, and the indicator table ``_pair_tables`` uses.
+@pytest.mark.parametrize("top, dtype", [(127, np.float32), (255, np.float64)], ids=["float32", "float64"])
+def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(top, dtype, monkeypatch):
+    """Codes 0..top in 1024-row blocks, the same codes rotated by one
+    position, and the indicator table ``_pair_tables`` uses.
 
-    The first case's blocks are lowered from 1024 to 258 rows and float32
-    (258 * 255**2 < 2**24).  The second case's would need 419 rows, under a
-    quarter of 4096, so they stay 4096 rows tall and are float64.
-    Codes drawn from top/2..top put the second case's block sums past 2**24,
-    where float32 would round them.  The codes are cast from the positions,
-    the rotated codes are looked up and the indicator table is compared.
+    The first case's code blocks are float32 (1024 * 127**2 < 2**24), the
+    second case's float64.  Codes drawn from top/2..top put the second
+    case's block sums past 2**24, where float32 would round them.  The codes
+    are cast from the positions, the rotated codes are looked up and the
+    indicator table is compared.
     """
-    rows = rows or association._MOMENT_ROWS
+    rows = association._BLOCK_ROWS
     rng = np.random.default_rng(top)
     positions = rng.integers(top // 2, top + 1, (2 * rows + 3, 4)).astype(np.uint8)
     positions[:, 0] = top
@@ -354,7 +353,6 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
     level = np.concatenate([np.arange(top), np.arange(top)])
     indicator = np.equal.outer(level, np.arange(top + 1)).astype(float)
     blocks = recorded_blocks(monkeypatch)
-    monkeypatch.setattr(association, "_MOMENT_ROWS", rows)
     for picked, columns, table in (
         (slice(None), range(4), codes),
         (slice(None), range(4), rotated),
@@ -364,38 +362,36 @@ def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(rows, top,
         expected_sums, expected_cross = gram_oracle(positions, columns, table)
         assert sums.tobytes() == expected_sums.astype(float).tobytes()
         assert cross.tobytes() == expected_cross.astype(float).tobytes()
-    code_blocks = (np.float32, 258) if top == 255 else (np.float64, 4096)
-    assert blocks == [code_blocks, code_blocks, (np.float32, rows)]
+    assert blocks == [(dtype, rows), (dtype, rows), (np.float32, rows)]
 
 
 @pytest.mark.parametrize("rows, width", [(None, 1024), (3, 1100)], ids=["default", "patched"])
 def test_wide_gram_blocks_keep_every_bit(rows, width, monkeypatch):
-    """A Gram 1024 or more columns wide, its blocks lowered to stay float32.
+    """A Gram 1024 or more columns wide, over float64 or float32 blocks.
 
-    Codes 100..200 pass the float32 bound at the default 1024 rows but not
-    at 419 (419 * 200**2 < 2**24), so the default blocks are lowered to 419
-    rows, whose sums stay below 2**24; the float64 product is exact here,
-    so it is the oracle.  Patched to 3 rows, the blocks are 3 rows tall.
+    Codes 100..200 pass the float32 bound at the default 1024 rows, so those
+    blocks are float64; patched to 3 rows (3 * 200**2 < 2**24), they are
+    float32.  The float64 product is exact here, so it is the oracle.
     """
-    rows = rows or association._MOMENT_ROWS
+    rows = rows or association._BLOCK_ROWS
     top = 200
     assert (rows * top**2 < 2**24) == (rows == 3)
     rng = np.random.default_rng(width)
     positions = rng.integers(top // 2, top + 1, (2 * 4 * rows + 5, width)).astype(np.uint8)
     table = np.tile(np.arange(top + 1.0), (width, 1))
     blocks = recorded_blocks(monkeypatch)
-    monkeypatch.setattr(association, "_MOMENT_ROWS", rows)
+    monkeypatch.setattr(association, "_BLOCK_ROWS", rows)
     sums, cross = association._gram(positions, slice(None), table)
     x = positions.astype(float)
     assert sums.tobytes() == x.sum(axis=0).tobytes()
     assert cross.tobytes() == (x.T @ x).tobytes()
-    assert blocks == [(np.float32, min(rows, 419))]
+    assert blocks == [(np.float32 if rows == 3 else np.float64, rows)]
 
 
 def test_gram_of_a_non_integral_table_is_float64():
     """Thirds are not exact in float32, so one block must equal the float64 product."""
     rng = np.random.default_rng(9)
-    positions = rng.integers(0, 4, (association._MOMENT_ROWS, 3)).astype(np.uint8)
+    positions = rng.integers(0, 4, (association._BLOCK_ROWS, 3)).astype(np.uint8)
     table = np.tile(np.arange(4) / 3, (3, 1))
     x = np.column_stack([table[c, positions[:, c]] for c in range(3)])
     sums, cross = association._gram(positions, slice(None), table)
@@ -444,7 +440,7 @@ def gram_inputs(draw):
 def test_gram_matches_int64_oracle_on_any_table(data, rows):
     """Cast or looked up, float32 or float64, over blocks of 1-5 rows."""
     positions, columns, table = data
-    with mock.patch.object(association, "_MOMENT_ROWS", rows):
+    with mock.patch.object(association, "_BLOCK_ROWS", rows):
         sums, cross = association._gram(positions, columns, table)
     read = range(len(table)) if isinstance(columns, slice) else columns
     expected_sums, expected_cross = gram_oracle(positions, read, table)

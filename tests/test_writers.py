@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from synthcat import report
+from synthcat import association, report
 from synthcat.association import AssociationMatrix, association_matrix
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import (
@@ -22,7 +22,7 @@ from synthcat.model import (
     SpecError,
     VariableDomain,
 )
-from synthcat.report import write_allocation, write_dataset_csv
+from synthcat.report import ComparisonReport, GroupSummary, write_allocation, write_dataset_csv
 
 
 def make_dataset(values, levels, assignments, cluster_count, names=None):
@@ -117,13 +117,13 @@ def test_writers_match_savetxt(dataset, block):
     token widths, then the digit levels 0..2, 7..9 and 0..9 with C = 9
     (every file written as digits), and a digit column next to a two-digit
     one with C = 10 (looked up)."""
-    with mock.patch.object(report, "_ROWS_PER_BLOCK", block), tempfile.TemporaryDirectory() as d:
+    with mock.patch.object(association, "_BLOCK_ROWS", block), tempfile.TemporaryDirectory() as d:
         assert_writers_match_savetxt(dataset, Path(d))
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
 def test_default_block_size_boundaries(tmp_path, offset):
-    rows = report._ROWS_PER_BLOCK + offset
+    rows = association._BLOCK_ROWS + offset
     rng = np.random.default_rng(rows)
     levels = [(0, 1, 2), (-10, 5, 100)]
     values = np.column_stack([rng.choice(lv, rows) for lv in levels])
@@ -177,6 +177,12 @@ class _FullDisk(io.FileIO):
         return super().write(data)
 
 
+def _full_disk(path, mode, encoding=None, errors=None, newline=None):
+    """``Path.open`` onto a ``_FullDisk``; text is passed on to it a write at a time."""
+    raw = _FullDisk(path, mode)
+    return raw if "b" in mode else io.TextIOWrapper(raw, encoding, errors, newline, write_through=True)
+
+
 @pytest.mark.parametrize(
     "writer, top",
     [(write_dataset_csv, 2), (write_allocation, 2), (write_dataset_csv, 10), (write_allocation, 10)],
@@ -193,11 +199,28 @@ def test_failed_write_leaves_no_file(tmp_path, writer, top):
     rows = [[0, 1], [2, 0], [1, 1], [2, top]]
     dataset = make_dataset(rows, [(0, 1, 2), (0, 1, top)], [1, 1, top, top], top)
     # Blocks of one row: the error comes after one or two rows were written.
-    with mock.patch.object(report, "_ROWS_PER_BLOCK", 1), mock.patch.object(
-        Path, "open", lambda self, mode: _FullDisk(self, mode)
-    ):
+    with mock.patch.object(association, "_BLOCK_ROWS", 1), mock.patch.object(Path, "open", _full_disk):
         with pytest.raises(OSError, match="No space left"):
             writer(path, dataset)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "writer, args",
+    [
+        (report.write_matrix_csv, (np.eye(3), ("a", "b", "c"))),
+        (report.write_group_summary, ([GroupSummary(g, 2, None, None, 0.5, 0.25) for g in (1, 2, 3)],)),
+        (report.write_comparison, (ComparisonReport(0.5, 0.25, 1.0),)),
+    ],
+    ids=["matrix", "group-summary", "comparison"],
+)
+def test_failed_table_write_leaves_no_file(tmp_path, writer, args):
+    """A text file that fails on its third write is removed, as the stale one it replaced."""
+    path = tmp_path / "out"
+    path.write_text("a stale file from an earlier run\n")
+    with mock.patch.object(Path, "open", _full_disk):
+        with pytest.raises(OSError, match="No space left"):
+            writer(path, *args)
     assert not path.exists()
 
 
@@ -229,14 +252,14 @@ def association_matrices():
 
 
 def test_write_association_writes_the_bytes_of_both_writers_alone(tmp_path):
+    """The matrix file holds ``write_matrix_csv``'s bytes; the long file, which
+    no other writer makes, is pinned line by line here and by the ASSOCIATE digests."""
     for matrix in association_matrices():
         report.write_association(tmp_path / "both", matrix)
         report.write_matrix_csv(tmp_path / "matrix.csv", matrix.values, matrix.names)
-        report.write_long_format(tmp_path / "long.csv", matrix)
         square = (tmp_path / "both" / f"{matrix.measure}_matrix.csv").read_bytes()
         long = (tmp_path / "both" / f"{matrix.measure}_long.csv").read_bytes()
         assert square == (tmp_path / "matrix.csv").read_bytes()
-        assert long == (tmp_path / "long.csv").read_bytes()
     assert square.decode().splitlines()[2] == "grün,0.0,1.0,inf,0.5"
     assert long.decode().splitlines()[1:3] == ["a,a,1.0", "a,grün,-0.0"]
     assert long.decode().splitlines()[-5] == "β,x_3,0.30000000000000004"
@@ -278,7 +301,7 @@ def test_twelve_clusters_look_the_allocation_up(tmp_path, monkeypatch):
 def test_equal_width_tokens_match_savetxt(tmp_path):
     """Every token of a file one width, so none is padded; rows span three blocks."""
     levels = [(-9, -1), (10, 42, 99), (-3, -2)]
-    rows = 2 * report._ROWS_PER_BLOCK + 5
+    rows = 2 * association._BLOCK_ROWS + 5
     rng = np.random.default_rng(rows)
     values = np.column_stack([rng.choice(lv, rows) for lv in levels])
     dataset = make_dataset(values, levels, rng.integers(1, 10, rows), 9)
