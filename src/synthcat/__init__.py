@@ -13,7 +13,6 @@ __version__ = "0.1.0"
 
 from .association import (
     AssociationMatrix,
-    ContingencyTable,
     association_matrix,
     chi_square,
     concentration_coefficient,
@@ -41,9 +40,9 @@ from .model import (
     DependenceTarget,
     GroupStructure,
     InfeasibleTargetError,
-    KindError,
     ProbabilityVector,
     ProfileMatrix,
+    ReproductionError,
     SpecError,
     ValidationReport,
     VariableDomain,
@@ -70,7 +69,6 @@ __all__ = [
     "CalibrationResult",
     "ClusterSpec",
     "ComparisonReport",
-    "ContingencyTable",
     "Dataset",
     "DependenceTarget",
     "GeneratorSpec",
@@ -78,11 +76,11 @@ __all__ = [
     "GroupStructure",
     "GroupSummary",
     "InfeasibleTargetError",
-    "KindError",
     "MomentMatrices",
     "PatternMatrix",
     "ProbabilityVector",
     "ProfileMatrix",
+    "ReproductionError",
     "RunResult",
     "SpecError",
     "ValidationReport",

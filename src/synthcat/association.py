@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, KindError, SpecError, VariableDomain, level_table
+from .model import Dataset, SpecError, VariableDomain, level_table
 from .moments import MomentMatrices
 
 MEASURES = ("v", "vcc", "tauc", "pearson")
@@ -35,17 +35,6 @@ _COMPATIBLE = {
     "tauc": ("ordinal", "interval"),
     "pearson": ("interval",),
 }
-
-
-@dataclass(frozen=True, eq=False)
-class ContingencyTable:
-    """Cross-tabulation counts, rows = first variable's levels."""
-
-    counts: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return int(self.counts.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,49 +140,44 @@ def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]]
     return [column.tolist() for column in levels], positions
 
 
-def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> ContingencyTable:
-    """Cross-tabulate two code columns over their declared levels.
+def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> np.ndarray:
+    """Cross-tabulate two code columns over their declared levels: R x S int64 counts.
 
     The table has one row per declared x level and one column per declared
     y level, in declared order, so levels never observed still appear as
     zero margins.  It is the batched build of ``association_matrix`` on one
-    pair.
+    pair.  Columns that differ in shape raise SpecError.
     """
-    domains = (VariableDomain("x", tuple(levels_x)), VariableDomain("y", tuple(levels_y)))
-    positions = _columns((_stacked(x, y), domains))[0]
-    rows, cols = len(levels_x), len(levels_y)
-    return ContingencyTable(_pair_tables(positions, [0, 1], [rows, cols])[0, :rows, :cols])
-
-
-def _stacked(x, y) -> np.ndarray:
-    """Two code columns side by side; columns that differ in shape raise SpecError."""
     x, y = np.asarray(x), np.asarray(y)
     if x.shape != y.shape:
         raise SpecError("crosstab: columns differ in length")
-    return np.column_stack([x, y])
+    domains = (VariableDomain("x", tuple(levels_x)), VariableDomain("y", tuple(levels_y)))
+    positions = _columns((np.column_stack([x, y]), domains))[0]
+    rows, cols = len(levels_x), len(levels_y)
+    return _pair_tables(positions, [0, 1], [rows, cols])[0, :rows, :cols]
 
 
-def _check_arguments(measure: str, n: int, sizes=(), variant: str = "paper") -> None:
-    """Refuse ``n`` subjects, level counts ``sizes`` or ``variant`` that ``measure`` cannot take."""
-    if measure == "tauc":
-        if n < 2:
-            raise SpecError("tau_c: need at least two subjects")
-        if min(sizes) < 2:
-            raise SpecError("tau_c: need at least two levels per variable")
-    elif measure == "v" and variant not in VARIANTS:
-        raise SpecError(f"cramers_v: unknown variant {variant!r}")
+def _checked(table, measure: str) -> tuple[np.ndarray, int | float]:
+    """``table`` as an array and its total n; SpecError unless it is a 2-D table ``measure`` takes."""
+    table = np.asarray(table)
+    n = table.sum().item()
+    if table.ndim != 2:
+        raise SpecError(f"association: a contingency table is 2-D, not of shape {table.shape}")
+    if measure == "tauc" and (n < 2 or min(table.shape) < 2):
+        raise SpecError("tau_c: need at least two subjects and two levels per variable")
     if n == 0:
         raise SpecError("association: all-zero contingency table")
+    return table, n
 
 
-def chi_square(table: ContingencyTable) -> float:
-    """Pearson chi-square statistic, zero-margin rows/columns dropped."""
-    _check_arguments("v", table.n)
-    return float(_chi_square_tables(table.counts[None], table.n)[0][0])
+def chi_square(table) -> float:
+    """Pearson chi-square statistic of an R x S table, zero-margin rows/columns dropped."""
+    table, n = _checked(table, "v")
+    return float(_chi_square_tables(table[None], n)[0][0])
 
 
-def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
-    """Cramer's V in two flavours.
+def cramers_v(table, variant: str = "paper") -> float:
+    """Cramer's V of an R x S table, in two flavours.
 
     variant='paper' computes chi2 / (n * min(R, S)) with no square root;
     variant='standard' computes sqrt(chi2 / (n * (min(R, S) - 1))).  R and
@@ -201,36 +185,35 @@ def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
     with a single row or column has no association to measure, which the
     standard variant reports as NaN (0/0) and the paper variant as 0.
     """
-    _check_arguments("v", table.n, variant=variant)
-    return float(_cramers_v_tables(table.counts[None], table.n, variant)[0])
+    if variant not in VARIANTS:
+        raise SpecError(f"cramers_v: unknown variant {variant!r}")
+    table, n = _checked(table, "v")
+    return float(_cramers_v_tables(table[None], n, variant)[0])
 
 
-def concentration_coefficient(table: ContingencyTable) -> float:
-    """Proportional reduction in column-variable variation given the row.
+def concentration_coefficient(table) -> float:
+    """Proportional reduction in column-variable variation given the row, of an R x S table.
 
         V_cc = [sum_ij pi_ij^2 / pi_i+  -  sum_j pi_+j^2] / [1 - sum_j pi_+j^2]
 
     Directed: the row variable is the predictor.  A degenerate column
     margin makes the denominator vanish; reported as NaN.
     """
-    _check_arguments("vcc", table.n)
-    return float(_concentration_tables(table.counts[None], table.n)[0])
+    table, n = _checked(table, "vcc")
+    return float(_concentration_tables(table[None], n)[0])
 
 
-def stuart_kendall_tau_c(x, y, m_x: int, m_y: int) -> float:
-    """Stuart-Kendall tau_c over two code columns.
+def stuart_kendall_tau_c(table) -> float:
+    """Stuart-Kendall tau_c of an R x S table, rows and columns in level order.
 
-        tau_c = 2 (n_c - n_d) / [n^2 (m - 1) / m],   m = min(m_x, m_y)
+        tau_c = 2 (n_c - n_d) / [n^2 (m - 1) / m],   m = min(R, S)
 
     with n_c and n_d the concordant and discordant unordered pair counts.
-    m comes from the declared level counts, not the observed ones, because
-    the correction is for the table's rectangular shape.
+    Zero margins count towards m (``crosstab`` keeps every declared level),
+    because the correction is for the table's rectangular shape.
     """
-    n = len(x)
-    _check_arguments("tauc", n, (m_x, m_y))
-    levels, positions = _level_positions(_stacked(x, y))
-    tables = _pair_tables(positions, [0, 1], list(map(len, levels)))
-    return float(_tau_c_tables(tables, n, min(m_x, m_y))[0])
+    table, n = _checked(table, "tauc")
+    return float(_tau_c_tables(table[None], n, min(table.shape))[0])
 
 
 def tau_c_pair_scan(x, y, m_x: int, m_y: int) -> float:
@@ -520,8 +503,8 @@ def association_matrix(
     wrap; the reference arithmetic the kernels are tested against lives in
     ``tests/``.  Pearson is the correlation of ``sample_moments``.
     """
-    if measure not in MEASURES:
-        raise KindError(f"unknown measure {measure!r}")
+    if measure not in MEASURES or variant not in VARIANTS:
+        raise SpecError(f"association: unknown measure {measure!r} or variant {variant!r}")
     positions, variables = _columns(data)
     names = tuple(v.name for v in variables)
     if measure == "pearson":
@@ -529,14 +512,15 @@ def association_matrix(
     p_count = len(variables)
     out = np.full((p_count, p_count), np.nan)
     np.fill_diagonal(out, 1.0)
-    keep = [p for p, v in enumerate(variables) if v.kind in _COMPATIBLE[measure]]
+    # A one-level column has no order for tau_c: its cells are NaN, as an incompatible kind's.
+    keep = [p for p, v in enumerate(variables)
+            if v.kind in _COMPATIBLE[measure] and (v.size > 1 or measure != "tauc")]
     if len(keep) < 2:
         return AssociationMatrix(out, names, measure)
-    kept = tuple(variables[p] for p in keep)
-    sizes = [v.size for v in kept]
-    n = len(positions)
-    _check_arguments(measure, n, sizes, variant)
+    sizes = [variables[p].size for p in keep]
     tables = _pair_tables(positions, keep, sizes)
+    # Each table holds every subject, so the first is refused where the per-pair functions refuse it.
+    n = _checked(tables[0], measure)[1]
     first, second = np.triu_indices(len(keep), 1)
     p, q = np.asarray(keep)[first], np.asarray(keep)[second]
     if measure == "v":

@@ -1,10 +1,10 @@
 """Command line entry points.
 
 Each config subcommand writes a set of artifact files of one staged run
-(``report.RunResult``); ``pipeline`` writes the full set and a manifest.
-``associate`` writes measure matrices of a CSV file or of a run's dataset.
-Exit codes: 0 success, 2 bad spec, config or input file, 3 infeasible
-calibration target.
+(``report.RunResult``); ``pipeline`` writes the full set and a manifest,
+which ``verify`` re-runs.  ``associate`` writes measure matrices of a CSV
+file or of a run's dataset.  Exit codes: 0 success, 2 bad spec, config,
+manifest or input file, 3 infeasible target or unreproduced manifest.
 """
 
 from __future__ import annotations
@@ -22,8 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .association import MEASURES, VARIANTS, LevelPositions, _level_positions, association_matrix
-from .model import InfeasibleTargetError, SpecError, VariableDomain
-from .report import RunResult, _digit_line, run_pipeline, write_artifacts, write_association
+from .model import InfeasibleTargetError, ReproductionError, SpecError, VariableDomain
+from .report import (RunResult, _digit_line, run_from_manifest, run_pipeline, write_artifacts,
+                     write_association)
 
 # The artifact files each subcommand writes; ``report.ARTIFACTS`` knows
 # which stages of the run feed each one.  ``pipeline`` is ``run_pipeline``.
@@ -146,6 +147,12 @@ def _cmd_associate(args) -> int:
     return 0
 
 
+def _cmd_verify(args) -> int:
+    paths = run_from_manifest(args.manifest, args.out, args.threads)
+    print(f"re-ran {args.manifest} into {args.out}: all {len(paths)} files reproduced")
+    return 0
+
+
 # One parser per process, shared by every call, so no caller may change it.
 # It is a graph of about 1000 objects in reference cycles, which would
 # otherwise be left for the cyclic collector on every call.
@@ -185,6 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
     config_command("report", "theoretical vs sample comparison and group summary", shuffle=True)
     config_command("pipeline", "run everything and write a manifest", shuffle=True)
 
+    p = sub.add_parser("verify", help="re-run a pipeline manifest and check every hash")
+    p.add_argument("--manifest", required=True, help="manifest.json of a pipeline run")
+    p.add_argument("--out", required=True, help="output directory of the re-run")
+    p.add_argument("--threads", type=int, default=1, help="generation threads")
+    p.set_defaults(handler=_cmd_verify)
+
     return parser
 
 
@@ -192,7 +205,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except InfeasibleTargetError as err:
+    except (InfeasibleTargetError, ReproductionError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
     except (SpecError, OSError, json.JSONDecodeError) as err:

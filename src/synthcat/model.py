@@ -41,12 +41,12 @@ class SpecError(ValueError):
     """A specification cannot be generated as declared."""
 
 
-class KindError(SpecError):
-    """An operation was applied to a variable kind that does not support it."""
-
-
 class InfeasibleTargetError(ValueError):
     """A dependence target cannot be met by any admissible profile."""
+
+
+class ReproductionError(ValueError):
+    """A re-run does not reproduce the run its manifest records."""
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .generator import BuiltSpec, build_spec, generate
 from .model import (
     Dataset,
     GroupStructure,
+    ReproductionError,
     SpecError,
     VariableDomain,
     checked_seed,
@@ -476,20 +477,21 @@ def run_pipeline(
 
 
 def run_from_manifest(manifest_path, out_dir, threads: int = 1) -> dict[str, Path]:
-    """Reproduce a run from its manifest and verify artifact hashes.
+    """Re-run a manifest's run into ``out_dir``; a clean return certifies bit-exact reproduction.
 
-    Raises SpecError if any regenerated artifact's hash disagrees with the
-    manifest, so a clean return certifies bit-exact reproduction.
+    A manifest that is not a JSON object with ``config`` and a boolean
+    ``options.shuffle`` is a SpecError.  The re-run's manifest must equal it in
+    every field but ``versions``, else ReproductionError names the fields that differ.
     """
-    manifest = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    paths = run_pipeline(
-        manifest["config"],
-        out_dir,
-        threads=threads,
-        shuffle=manifest["options"]["shuffle"],
-    )
-    for name, recorded in manifest["artifacts"].items():
-        actual = _sha256(paths[name])
-        if actual != recorded:
-            raise SpecError(f"manifest: artifact {name} hash mismatch after re-run")
+    recorded = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
+    options = recorded.get("options") if isinstance(recorded, dict) else None
+    shuffle = options.get("shuffle") if isinstance(options, dict) else None
+    if not isinstance(shuffle, bool) or "config" not in recorded:
+        raise SpecError(f"manifest: {manifest_path} has no config or no boolean options.shuffle")
+    paths = run_pipeline(recorded["config"], out_dir, threads=threads, shuffle=shuffle)
+    rerun = json.loads(paths["manifest.json"].read_text(encoding="utf-8"))
+    fields = sorted((recorded.keys() | rerun.keys()) - {"versions"})
+    wrong = [key for key in fields if recorded.get(key) != rerun.get(key)]
+    if wrong:
+        raise ReproductionError(f"manifest: the re-run does not reproduce {', '.join(wrong)}")
     return paths

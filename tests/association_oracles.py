@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from synthcat.association import ContingencyTable
 from synthcat.model import SpecError
 
 
@@ -36,16 +35,16 @@ def pair_positions(codes, variables) -> np.ndarray:
     return positions
 
 
-def _dropped(table: ContingencyTable) -> np.ndarray:
+def _dropped(table: np.ndarray) -> np.ndarray:
     """Counts with zero-margin rows and columns removed."""
-    counts = table.counts
+    counts = np.asarray(table)
     if counts.sum() == 0:
         raise SpecError("association: all-zero contingency table")
     counts = counts[counts.sum(axis=1) > 0]
     return counts[:, counts.sum(axis=0) > 0]
 
 
-def chi_square(table: ContingencyTable) -> float:
+def chi_square(table: np.ndarray) -> float:
     """Pearson chi-square statistic, zero-margin rows/columns dropped."""
     counts = _dropped(table).astype(float)
     n = counts.sum()
@@ -53,7 +52,7 @@ def chi_square(table: ContingencyTable) -> float:
     return float(((counts - expected) ** 2 / expected).sum())
 
 
-def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
+def cramers_v(table: np.ndarray, variant: str = "paper") -> float:
     """chi2 / (n min(R, S)) ('paper') or sqrt(chi2 / (n (min(R, S) - 1))) ('standard')."""
     if variant not in ("paper", "standard"):
         raise SpecError(f"cramers_v: unknown variant {variant!r}")
@@ -68,9 +67,9 @@ def cramers_v(table: ContingencyTable, variant: str = "paper") -> float:
     return float(math.sqrt(chi2 / (n * (smaller - 1))))
 
 
-def concentration_coefficient(table: ContingencyTable) -> float:
+def concentration_coefficient(table: np.ndarray) -> float:
     """[sum_ij pi_ij^2 / pi_i+ - sum_j pi_+j^2] / [1 - sum_j pi_+j^2], rows predicting."""
-    counts = table.counts
+    counts = np.asarray(table)
     n = int(counts.sum())
     if n == 0:
         raise SpecError("association: all-zero contingency table")

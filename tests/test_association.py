@@ -9,7 +9,6 @@ from scipy import stats
 import association_oracles as oracle
 from synthcat.association import (
     AssociationMatrix,
-    ContingencyTable,
     association_matrix,
     chi_square,
     concentration_coefficient,
@@ -21,7 +20,6 @@ from synthcat.association import (
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import (
     ClusterSpec,
-    KindError,
     ProbabilityVector,
     ProfileMatrix,
     SpecError,
@@ -31,19 +29,20 @@ from synthcat.report import write_association
 
 
 def table(rows):
-    return ContingencyTable(np.asarray(rows, dtype=np.int64))
+    return np.asarray(rows, dtype=np.int64)
 
 
 class TestCrosstab:
     def test_counts_over_declared_levels(self):
         t = crosstab([0, 0, 1, 2], [1, 1, 0, 1], (0, 1, 2), (0, 1))
-        assert t.counts.tolist() == [[0, 2], [1, 0], [0, 1]]
-        assert t.n == 4
+        assert t.tolist() == [[0, 2], [1, 0], [0, 1]]
+        assert t.dtype == np.int64
+        assert t.sum() == 4
 
     def test_unobserved_levels_keep_zero_margins(self):
         t = crosstab([0, 0], [1, 1], (0, 1, 2), (0, 1))
-        assert t.counts.shape == (3, 2)
-        assert t.counts.sum(axis=1).tolist() == [2, 0, 0]
+        assert t.shape == (3, 2)
+        assert t.sum(axis=1).tolist() == [2, 0, 0]
 
     def test_length_mismatch(self):
         with pytest.raises(SpecError, match="length"):
@@ -56,7 +55,7 @@ class TestCrosstab:
     def test_integral_float_codes_are_looked_up(self):
         """1.0 is level 1; 0.5 is no declared level."""
         t = crosstab([0.0, 1.0, 1.0], [1.0, 1.0, 0.0], (0, 1), (0, 1))
-        assert t.counts.tolist() == [[0, 1], [1, 1]]
+        assert t.tolist() == [[0, 1], [1, 1]]
         variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
         floats = np.array([[0.0, 1.0], [1.0, 1.0], [1.0, 0.0], [0.0, 0.0]])
         halves = floats.copy()
@@ -73,14 +72,43 @@ class TestCrosstab:
     def test_no_subjects_give_an_all_zero_table(self):
         """An empty crosstab is all zeros, and every measure refuses zero subjects."""
         t = crosstab([], [], (0, 1), (0, 1))
-        assert t.counts.tolist() == [[0, 0], [0, 0]]
-        for measure in (chi_square, cramers_v, concentration_coefficient):
+        assert t.tolist() == [[0, 0], [0, 0]]
+        for measure in (chi_square, cramers_v, concentration_coefficient, stuart_kendall_tau_c):
             with pytest.raises(SpecError):
                 measure(t)
         variables = (VariableDomain("a", (0, 1)), VariableDomain("b", (0, 1)))
         for measure in ("v", "vcc", "tauc", "pearson"):
             with pytest.raises(SpecError):
                 association_matrix((np.empty((0, 2)), variables), measure)
+
+
+class TestTables:
+    """Every per-pair measure takes one 2-D table, of counts or of weights."""
+
+    @pytest.mark.parametrize(
+        "measure", [chi_square, cramers_v, concentration_coefficient, stuart_kendall_tau_c]
+    )
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2), ()])
+    def test_a_table_that_is_not_2d_is_refused(self, measure, shape):
+        with pytest.raises(SpecError, match="2-D"):
+            measure(np.ones(shape))
+
+    def test_fractional_table_takes_its_total_as_n(self):
+        """The total 0.9999999999999999 is n itself, not truncated to 0."""
+        weights = [[0.7, 0.1], [0.1, 0.1]]
+        counts = table([[7, 1], [1, 1]])
+        assert cramers_v(weights) == pytest.approx(cramers_v(counts), rel=1e-12)
+        standard = cramers_v(counts, "standard")
+        assert cramers_v(weights, "standard") == pytest.approx(standard, rel=1e-12)
+        assert concentration_coefficient(weights) == pytest.approx(
+            concentration_coefficient(counts), rel=1e-12
+        )
+        assert chi_square(weights) == pytest.approx(chi_square(counts) / 10, rel=1e-12)
+
+    def test_lists_and_arrays_agree(self):
+        rows = [[3, 1, 0], [1, 3, 2]]
+        for measure in (chi_square, cramers_v, concentration_coefficient, stuart_kendall_tau_c):
+            assert measure(rows) == measure(table(rows))
 
 
 class TestChiSquare:
@@ -154,7 +182,7 @@ class TestConcentrationCoefficient:
         # Rows predict columns perfectly here, but not the reverse.
         t = table([[5, 0, 0], [0, 3, 2]])
         forward = concentration_coefficient(t)
-        backward = concentration_coefficient(ContingencyTable(t.counts.T))
+        backward = concentration_coefficient(t.T)
         assert forward < 1.0
         assert backward == 1.0
 
@@ -169,43 +197,56 @@ class TestConcentrationCoefficient:
                 assert -1e-12 <= value <= 1.0 + 1e-12
 
 
+def tau_c(x, y, levels_x, levels_y):
+    return stuart_kendall_tau_c(crosstab(x, y, levels_x, levels_y))
+
+
 class TestTauC:
     def test_perfect_agreement(self):
-        assert stuart_kendall_tau_c([1, 2, 3], [1, 2, 3], 3, 3) == 1.0
+        assert tau_c([1, 2, 3], [1, 2, 3], (1, 2, 3), (1, 2, 3)) == 1.0
 
     def test_perfect_reversal(self):
-        assert stuart_kendall_tau_c([1, 2, 3], [3, 2, 1], 3, 3) == -1.0
+        assert tau_c([1, 2, 3], [3, 2, 1], (1, 2, 3), (1, 2, 3)) == -1.0
 
     def test_constant_column(self):
-        assert stuart_kendall_tau_c([1, 2, 3, 1], [2, 2, 2, 2], 3, 3) == 0.0
+        assert tau_c([1, 2, 3, 1], [2, 2, 2, 2], (1, 2, 3), (1, 2, 3)) == 0.0
 
     def test_m_comes_from_declared_levels(self):
         x = [0, 0, 1, 1]
         y = [0, 1, 0, 1]
         # Same data, different declared level counts, different scaling.
-        loose = stuart_kendall_tau_c(x, y, 3, 3)
-        tight = stuart_kendall_tau_c(x, y, 2, 2)
+        loose = tau_c(x, y, (0, 1, 2), (0, 1, 2))
+        tight = tau_c(x, y, (0, 1), (0, 1))
         assert loose == tau_c_pair_scan(x, y, 3, 3)
         assert tight == tau_c_pair_scan(x, y, 2, 2)
 
+    def test_m_is_the_table_shape(self):
+        """A zero row still counts towards min(R, S)."""
+        counts = [[2, 0, 1], [0, 0, 0], [0, 1, 2]]
+        x, y = [0, 0, 0, 2, 2, 2], [0, 0, 2, 1, 2, 2]
+        assert stuart_kendall_tau_c(counts) == tau_c(x, y, (0, 1, 2), (0, 1, 2))
+        assert stuart_kendall_tau_c(counts) == tau_c_pair_scan(x, y, 3, 3)
+        assert stuart_kendall_tau_c(counts) != stuart_kendall_tau_c([[2, 0, 1], [0, 1, 2]])
+
     def test_rejects_tiny_inputs(self):
         with pytest.raises(SpecError, match="two subjects"):
-            stuart_kendall_tau_c([1], [1], 2, 2)
+            tau_c([1], [1], (1, 2), (1, 2))
         with pytest.raises(SpecError, match="two levels"):
-            stuart_kendall_tau_c([1, 2], [1, 2], 1, 3)
+            stuart_kendall_tau_c([[1, 1, 0]])
 
     def test_rejects_columns_of_different_lengths_and_nan_codes(self):
         with pytest.raises(SpecError, match="columns differ in length"):
-            stuart_kendall_tau_c([1, 2, 3], [1, 2], 3, 3)
+            tau_c([1, 2, 3], [1, 2], (1, 2, 3), (1, 2, 3))
         with pytest.raises(SpecError, match="outside its declared levels"):
-            stuart_kendall_tau_c([1.0, np.nan, 2.0], [1, 2, 2], 3, 3)
+            tau_c([1.0, np.nan, 2.0], [1, 2, 2], (1, 2, 3), (1, 2, 3))
 
     def test_wide_sparse_codes_equal_pair_scan(self):
         """Codes spanning more integers than rows, and floats, take ``np.unique``."""
         rng = np.random.default_rng(8)
-        x = rng.choice([-10**12, -5, 7, 10**15], 50)
-        y = rng.choice([0.5, 1.25, 9.0], 50)
-        assert stuart_kendall_tau_c(x, y, 4, 3) == tau_c_pair_scan(x, y, 4, 3)
+        levels_x, levels_y = (-10**12, -5, 7, 10**15), (0.5, 1.25, 9.0)
+        x = rng.choice(levels_x, 50)
+        y = rng.choice(levels_y, 50)
+        assert tau_c(x, y, levels_x, levels_y) == tau_c_pair_scan(x, y, 4, 3)
 
     def test_production_equals_pair_scan(self):
         rng = np.random.default_rng(99)
@@ -215,16 +256,14 @@ class TestTauC:
             m_y = int(rng.integers(2, 5))
             x = rng.integers(0, m_x, size=n)
             y = rng.integers(0, m_y, size=n)
-            assert stuart_kendall_tau_c(x, y, m_x, m_y) == tau_c_pair_scan(x, y, m_x, m_y)
+            assert tau_c(x, y, range(m_x), range(m_y)) == tau_c_pair_scan(x, y, m_x, m_y)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(3)
         x = rng.integers(0, 3, size=60)
         y = rng.integers(0, 4, size=60)
         order = rng.permutation(60)
-        assert stuart_kendall_tau_c(x, y, 3, 4) == stuart_kendall_tau_c(
-            x[order], y[order], 3, 4
-        )
+        assert tau_c(x, y, range(3), range(4)) == tau_c(x[order], y[order], range(3), range(4))
 
 
 def mixed_dataset(n=300, seed=17):
@@ -248,8 +287,17 @@ def mixed_dataset(n=300, seed=17):
 
 class TestAssociationMatrix:
     def test_unknown_measure(self):
-        with pytest.raises(KindError, match="measure"):
+        with pytest.raises(SpecError, match="measure"):
             association_matrix(mixed_dataset(), "phi")
+
+    @pytest.mark.parametrize("measure", ["v", "vcc", "tauc", "pearson"])
+    def test_unknown_variant_is_refused_before_the_data_is_read(self, measure):
+        """Whatever the measure, and however few columns would take it."""
+        one_column = (np.zeros((3, 1), np.int64), (VariableDomain("a", (0, 1)),))
+        with pytest.raises(SpecError, match="variant 'bogus'"):
+            association_matrix(one_column, measure, variant="bogus")
+        with pytest.raises(SpecError, match="variant 'bogus'"):
+            association_matrix("not data", measure, variant="bogus")
 
     def test_kind_gating(self):
         data = mixed_dataset()
@@ -286,7 +334,7 @@ class TestAssociationMatrix:
             data.values[:, 0], data.values[:, 1], (0, 1, 2), (0, 1, 2)
         )
         assert out[0, 1] == oracle.concentration_coefficient(t)
-        assert out[1, 0] == oracle.concentration_coefficient(ContingencyTable(t.counts.T))
+        assert out[1, 0] == oracle.concentration_coefficient(t.T)
 
     def test_diagonal_is_one(self):
         data = mixed_dataset()

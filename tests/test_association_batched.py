@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 import association_oracles as oracle
 from synthcat import association
 from synthcat.association import (
-    ContingencyTable,
     LevelPositions,
     association_matrix,
     chi_square,
@@ -108,7 +107,7 @@ def test_vcc_matches_concentration_coefficient(data, symmetrize):
     for p, q in cells:
         table = crosstab(values[:, p], values[:, q], variables[p].levels, variables[q].levels)
         forward = oracle.concentration_coefficient(table)
-        backward = oracle.concentration_coefficient(ContingencyTable(table.counts.T))
+        backward = oracle.concentration_coefficient(table.T)
         if symmetrize:
             forward = backward = 0.5 * (forward + backward)
         assert same(out[p, q], forward)
@@ -118,14 +117,16 @@ def test_vcc_matches_concentration_coefficient(data, symmetrize):
 @settings(max_examples=100, deadline=None)
 @given(datasets())
 def test_tauc_matches_table_and_pair_scan(data):
+    """tau_c of each pair's crosstab equals the O(n^2) scan exactly, and the matrix cell."""
     values, variables = data
     out = association_matrix((values, variables), "tauc").values
     cells = pairs(variables, ORDERED)
     assert_only_cells(out, cells)
     for p, q in cells:
-        args = (values[:, p], values[:, q], variables[p].size, variables[q].size)
-        expected = stuart_kendall_tau_c(*args)
-        assert expected == tau_c_pair_scan(*args)
+        x, y = values[:, p], values[:, q]
+        levels_x, levels_y = variables[p].levels, variables[q].levels
+        expected = stuart_kendall_tau_c(crosstab(x, y, levels_x, levels_y))
+        assert expected == tau_c_pair_scan(x, y, len(levels_x), len(levels_y))
         assert out[p, q] == expected
         assert out[q, p] == expected
 
@@ -161,11 +162,11 @@ def test_zero_subjects_are_refused(measure):
         association_matrix((np.empty((0, 2), np.int64), variables), measure)
 
 
-def counted(x, y, levels_x, levels_y) -> ContingencyTable:
+def counted(x, y, levels_x, levels_y) -> np.ndarray:
     """The crosstab of two code columns, counted one subject at a time by numpy."""
     counts = np.zeros((len(levels_x), len(levels_y)), np.int64)
     np.add.at(counts, (np.searchsorted(levels_x, x), np.searchsorted(levels_y, y)), 1)
-    return ContingencyTable(counts)
+    return counts
 
 
 @st.composite
@@ -205,7 +206,7 @@ def test_pair_tables_match_the_counted_tables(data, rows):
     for k, (a, b) in enumerate(zip(first, second)):
         x, y = positions[:, columns[a]], positions[:, columns[b]]
         table = counted(x, y, range(sizes[a]), range(sizes[b]))
-        expected[k, : sizes[a], : sizes[b]] = table.counts
+        expected[k, : sizes[a], : sizes[b]] = table
     assert tables.dtype == np.int64
     assert (tables == expected).all()
 
@@ -237,7 +238,7 @@ def test_pair_tables_look_nothing_up(monkeypatch):
         expected = oracle.cramers_v(table, "paper")
         assert same(v[p, q], expected) or abs(v[p, q] - expected) <= 1e-12
         assert same(vcc[p, q], oracle.concentration_coefficient(table))
-        assert same(vcc[q, p], oracle.concentration_coefficient(ContingencyTable(table.counts.T)))
+        assert same(vcc[q, p], oracle.concentration_coefficient(table.T))
         assert tauc[p, q] == tau_c_pair_scan(x, y, sizes[p], sizes[q])
 
 
@@ -259,23 +260,29 @@ def test_mixed_widths_over_several_blocks():
     for p, q in pairs(variables):
         levels = variables[p].levels, variables[q].levels
         table = counted(values[:, p], values[:, q], *levels)
-        assert (crosstab(values[:, p], values[:, q], *levels).counts == table.counts).all()
+        assert (crosstab(values[:, p], values[:, q], *levels) == table).all()
         for variant, v in (("paper", paper), ("standard", standard)):
             expected = oracle.cramers_v(table, variant)
             assert same(v[p, q], expected) or abs(v[p, q] - expected) <= 1e-12
         assert same(vcc[p, q], oracle.concentration_coefficient(table))
-        assert same(vcc[q, p], oracle.concentration_coefficient(ContingencyTable(table.counts.T)))
+        assert same(vcc[q, p], oracle.concentration_coefficient(table.T))
         sizes = variables[p].size, variables[q].size
         assert tauc[p, q] == tau_c_pair_scan(values[:, p], values[:, q], *sizes)
 
 
 def test_tauc_rejects_one_level_column():
+    """The per-pair tau_c refuses a one-level table; the matrix gives its column NaN cells."""
     values = np.array([[0, 1], [0, 0], [0, 1]])
     variables = (VariableDomain("a", (0,), "ordinal"), VariableDomain("b", (0, 1), "ordinal"))
     with pytest.raises(SpecError, match="two levels"):
-        stuart_kendall_tau_c(values[:, 0], values[:, 1], 1, 2)
-    with pytest.raises(SpecError, match="two levels"):
-        association_matrix((values, variables), "tauc")
+        stuart_kendall_tau_c(crosstab(values[:, 0], values[:, 1], (0,), (0, 1)))
+    assert_only_cells(association_matrix((values, variables), "tauc").values, [])
+    # The other columns' pairs are still computed.
+    wide = np.column_stack([values, values[::-1, 1]])
+    third = (*variables, VariableDomain("c", (0, 1), "interval"))
+    out = association_matrix((wide, third), "tauc").values
+    assert_only_cells(out, [(1, 2)])
+    assert out[1, 2] == stuart_kendall_tau_c(crosstab(wide[:, 1], wide[:, 2], (0, 1), (0, 1)))
     # A one-level nominal column is not a tau_c pair, so nothing is raised.
     nominal = (VariableDomain("a", (0,), "nominal"), variables[1])
     assert np.isnan(association_matrix((values, nominal), "tauc").values[0, 1])

@@ -16,7 +16,7 @@ import synthcat
 from synthcat.association import AssociationMatrix, association_matrix
 from synthcat import generator, report
 from synthcat.cli import build_parser, main
-from synthcat.model import GroupStructure, SpecError, VariableDomain, load_config
+from synthcat.model import GroupStructure, ReproductionError, SpecError, VariableDomain, load_config
 from synthcat.moments import moment_matrices
 from synthcat.generator import build_spec, generate
 from synthcat.report import (
@@ -347,8 +347,56 @@ class TestPipeline:
         manifest["artifacts"]["dataset.csv"] = "0" * 64
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(manifest))
-        with pytest.raises(SpecError, match="hash mismatch"):
+        with pytest.raises(ReproductionError, match="reproduce artifacts"):
             run_from_manifest(bad, tmp_path / "b")
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("artifacts", lambda recorded: {}),
+            ("artifacts", lambda recorded: {**recorded, "extra.csv": "0" * 64}),
+            ("config_sha256", lambda recorded: "0" * 64),
+            ("seed", lambda recorded: recorded + 1),
+        ],
+        ids=["no-artifacts", "extra-artifact", "config-hash", "seed"],
+    )
+    def test_every_recorded_field_is_checked(self, tmp_path, field, change):
+        """No artifacts, one the re-run does not write, or another config hash or seed is a mismatch."""
+        paths = run_pipeline(explicit_config(), tmp_path / "a")
+        manifest = json.loads(paths["manifest.json"].read_text())
+        manifest[field] = change(manifest[field])
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(manifest))
+        with pytest.raises(ReproductionError, match=f"reproduce {field}$"):
+            run_from_manifest(bad, tmp_path / "b")
+
+    def test_versions_are_not_compared(self, tmp_path):
+        paths = run_pipeline(explicit_config(), tmp_path / "a")
+        manifest = json.loads(paths["manifest.json"].read_text())
+        manifest["versions"] = {"numpy": "0.0"}
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(manifest))
+        rerun = run_from_manifest(good, tmp_path / "b")
+        assert rerun["dataset.csv"].read_bytes() == paths["dataset.csv"].read_bytes()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[]",
+            '{"options": {"shuffle": false}}',
+            '{"config": {}}',
+            '{"config": {}, "options": []}',
+            '{"config": {}, "options": {"shuffle": 0}}',
+        ],
+        ids=["not-an-object", "no-config", "no-options", "options-not-an-object",
+             "shuffle-not-boolean"],
+    )
+    def test_malformed_manifest_is_a_spec_error(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(SpecError, match="boolean options.shuffle"):
+            run_from_manifest(bad, tmp_path / "b")
+        assert not (tmp_path / "b").exists()
 
 
 # Malformed configs: (path to the key, new value or DELETE, text the error
@@ -555,6 +603,47 @@ class TestCli:
         out = tmp_path / "o"
         assert main(["pipeline", "--config", config, "--out", str(out)]) == 0
         assert (out / "manifest.json").exists()
+
+    def test_verify_exits_zero_two_or_three(self, tmp_path, capsys):
+        """0 on a fresh run's manifest, 2 on a malformed one, 3 on a mismatch."""
+        config = write_config(tmp_path, explicit_config())
+        run, rerun = tmp_path / "run", tmp_path / "rerun"
+        assert main(["pipeline", "--config", config, "--out", str(run), "--shuffle"]) == 0
+        manifest = run / "manifest.json"
+        assert main(["verify", "--manifest", str(manifest), "--out", str(rerun), "--threads", "2"]) == 0
+        for name in os.listdir(run):
+            assert (rerun / name).read_bytes() == (run / name).read_bytes()
+        recorded = json.loads(manifest.read_text())
+        recorded["artifacts"]["allocation.txt"] = "0" * 64
+        tampered = tmp_path / "tampered.json"
+        tampered.write_text(json.dumps(recorded))
+        assert main(["verify", "--manifest", str(tampered), "--out", str(tmp_path / "t")]) == 3
+        assert "does not reproduce artifacts" in capsys.readouterr().err
+        malformed = tmp_path / "malformed.json"
+        malformed.write_text('{"config": {}}')
+        out = str(tmp_path / "m")
+        assert main(["verify", "--manifest", str(malformed), "--out", out]) == 2
+        assert "options.shuffle" in capsys.readouterr().err
+        malformed.write_text("{")
+        assert main(["verify", "--manifest", str(malformed), "--out", out]) == 2
+        assert main(["verify", "--manifest", str(tmp_path / "none.json"), "--out", out]) == 2
+        capsys.readouterr()
+
+    def test_tauc_gives_nan_for_a_constant_column(self, tmp_path, capsys):
+        """A one-level column has NaN tau_c cells; the other measures still see it."""
+        data = tmp_path / "f.csv"
+        data.write_text("a,b,c\n0,1,0\n1,1,1\n0,1,0\n1,1,1\n")
+        for measure in ("v", "vcc", "pearson", "tauc"):
+            argv = ["associate", "--data", str(data), "--measure", measure]
+            assert main([*argv, "--out", str(tmp_path / measure)]) == 0
+        rows = (tmp_path / "tauc" / "tauc_matrix.csv").read_text().splitlines()
+        assert rows == [
+            ",a,b,c",
+            "a,1.0,nan,1.0",
+            "b,nan,1.0,nan",
+            "c,1.0,nan,1.0",
+        ]
+        capsys.readouterr()
 
     def test_seed_flag_changes_output(self, tmp_path):
         config = write_config(tmp_path, explicit_config())
