@@ -78,7 +78,7 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
     return _level_positions(codes, variables)[1], variables
 
 
-# Rows per block of ``_gram``, ``_level_positions`` and ``report``'s code writer, read at
+# Rows per block of ``_block``, ``_level_positions`` and ``report``'s code writer, read at
 # each call.  Only the bits of ``sample_moments``' centred pass depend on it.
 _BLOCK_ROWS = 1024
 
@@ -158,11 +158,14 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> np.n
 
 
 def _checked(table, measure: str) -> tuple[np.ndarray, int | float]:
-    """``table`` as an array and its total n; SpecError unless it is a 2-D table ``measure`` takes."""
+    """``table`` as an array and its total n; SpecError unless it is a 2-D table of
+    finite, non-negative counts that ``measure`` takes."""
     table = np.asarray(table)
     n = table.sum().item()
     if table.ndim != 2:
         raise SpecError(f"association: a contingency table is 2-D, not of shape {table.shape}")
+    if not (np.isfinite(table) & (table >= 0)).all():
+        raise SpecError("association: a contingency table's cells must be finite and non-negative")
     if measure == "tauc" and (n < 2 or min(table.shape) < 2):
         raise SpecError("tau_c: need at least two subjects and two levels per variable")
     if n == 0:
@@ -250,45 +253,26 @@ class AssociationMatrix:
         return len(self.names)
 
 
-def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums and X^T X of x_c = ``table[c, positions[:, columns[c]]]``, in float64.
+def _block(n: int, width: int, values, order: str = "C") -> np.ndarray:
+    """An empty block buffer, ``width`` columns wide, for a reader to refill with ``values``.
 
-    ``columns`` is a list of column indices, or ``slice(None)`` for every
-    column (each block then reads a view of ``positions``, not a copy).  X
-    is made a block of rows at a time, and every block is written into one
-    block buffer, made once per call: column-major for a list, as numpy
-    gathers the columns, so each block is written in one contiguous loop.
-    Each block's sums and Gram are added to the float64 totals in block order.
-
-    When every row of ``table`` is its own positions (``table[c, k] == k``),
-    each block is cast from them (``_cast_blocks`` adding 0); when every row
-    is a unit vector, 1 at level l_c, each block is compared (``_cast_blocks``
-    by ``np.equal`` with the l_c, in the positions' dtype where it holds them);
-    any other table is looked up (``_lookup_blocks``).  The choice is read
-    from ``table`` alone, and all three give the same floats.  ``report``
-    writes level codes through the cast and the lookup.
-
-    Blocks are ``_BLOCK_ROWS`` rows (read at each call), or every row where
-    there are fewer.  A block is float32 when ``table`` is integral and rows *
-    max|table|**2 < 2**24, with rows the block's row count: every product
-    and every partial sum of the block's sums and Gram is then an integer
-    below 2**24, exact in float32 whatever order the BLAS adds them in, and
-    equal to the float64 block's (itself exact).  At 1024 rows that holds to
-    max|table| = 127.  Otherwise the block is float64, cast or looked up alike.
+    It has ``_BLOCK_ROWS`` rows (read at each call), or ``n`` where there are
+    fewer, and at least one.  It is float32 when ``values`` are integral and
+    rows * max|values|**2 < 2**24: every product and every partial sum of a
+    block's sums and Gram is then an integer below 2**24, exact in float32
+    whatever order the BLAS adds them in, and equal to the float64 block's
+    (itself exact).  At 1024 rows that holds to max|values| = 127.  Otherwise
+    it is float64.  ``order`` "F" suits a reader that gathers a list of columns.
     """
-    width = len(table)
-    integral = (table == np.round(table)).all()
-    rows = max(1, min(_BLOCK_ROWS, len(positions)))
-    dtype = np.float32 if integral and rows * np.abs(table).max(initial=0) ** 2 < 2**24 else float
-    block = np.empty((rows, width), dtype, "C" if isinstance(columns, slice) else "F")
-    ramp, unit = np.arange(table.shape[1]), table.argmax(axis=1)
-    if (table == ramp).all():
-        blocks = _cast_blocks(positions, columns, 0, block)
-    elif (table == (unit[:, None] == ramp)).all():
-        level = unit.astype(np.promote_types(positions.dtype, np.min_scalar_type(ramp[-1])))
-        blocks = _cast_blocks(positions, columns, level, block, np.equal)
-    else:
-        blocks = _lookup_blocks(positions, columns, table, block)
+    rows = max(1, min(_BLOCK_ROWS, n))
+    values = np.asarray(values, float)
+    top = np.abs(values).max(initial=0)
+    exact = (values == np.round(values)).all() and rows * top**2 < 2**24
+    return np.empty((rows, width), np.float32 if exact else float, order)
+
+
+def _gram(blocks, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums and X^T X, in float64, of the row blocks of X; each block is added in turn."""
     sums = np.zeros(width)
     cross = np.zeros((width, width))
     for x in blocks:
@@ -300,7 +284,10 @@ def _gram(positions: np.ndarray, columns, table: np.ndarray) -> tuple[np.ndarray
 def _cast_blocks(positions: np.ndarray, columns, operand, block: np.ndarray, ufunc=np.add):
     """Yield ``ufunc(positions[:, columns], operand)`` cast into ``block``, ``len(block)`` rows at a time.
 
-    ``operand`` (offsets to add, levels to compare) is a scalar or one per column; ``block`` may be strided.
+    ``columns`` is a list of column indices, or ``slice(None)`` for every
+    column (each block then reads a view of ``positions``, not a copy).
+    ``operand`` (offsets to add or subtract, levels to compare) is a scalar or
+    one per column; ``block`` may be strided.
     """
     for start in range(0, len(positions), len(block)):
         part = positions[start : start + len(block), columns]
@@ -312,22 +299,19 @@ def _lookup_blocks(positions: np.ndarray, columns, table: np.ndarray, block: np.
     """Yield x_c = ``table[c, positions[:, columns[c]]]``, ``len(block)`` rows at a time, in ``block``.
 
     ``table`` takes ``block``'s dtype: floats in the Gram, byte tokens in the
-    code writer.  Each block's flat table indices go into one index buffer,
-    made once.  ``take`` runs in ``mode="clip"``: its default bounds check
-    would write every block to a temporary first, and no index is out of
-    bounds.  Every caller's positions are already checked to lie below their
-    column's level count (a ``Dataset`` and a ``LevelPositions`` at
+    code writer.  Each block's flat table indices are cast into one index
+    buffer, made once.  ``take`` runs in ``mode="clip"``: its default bounds
+    check would write every block to a temporary first, and no index is out
+    of bounds.  Every caller's positions are already checked to lie below
+    their column's level count (a ``Dataset`` and a ``LevelPositions`` at
     construction, a ``(codes, variables)`` pair by ``_level_positions``), and
     ``table`` has a column for every level.
     """
-    # Row c of the C-order width x M table starts at flat index c * M.
     flat = table.astype(block.dtype).ravel()
+    # Row c of the C-order width x M table starts at flat index c * M.
     offsets = np.arange(len(table)) * table.shape[1]
-    index = np.empty(block.shape, np.intp)
-    for start in range(0, len(positions), len(block)):
-        part = positions[start : start + len(block), columns]
-        np.add(part, offsets, out=index[: len(part)])
-        yield flat.take(index[: len(part)], out=block[: len(part)], mode="clip")
+    for index in _cast_blocks(positions, columns, offsets, np.empty(block.shape, np.intp)):
+        yield flat.take(index, out=block[: len(index)], mode="clip")
 
 
 def sample_moments(data) -> MomentMatrices:
@@ -342,16 +326,16 @@ def sample_moments(data) -> MomentMatrices:
     centres on the float means.  Both passes go through ``_gram``, whose row
     blocks of P floats each are never larger than the P x P result once P is at
     least the block's row count.  Where every column's levels are consecutive
-    integers and its lowest level occurs (SNP 0/1/2, binary 0/1), x' is the
-    level position itself, and ``_gram`` casts the positions instead of
-    looking each one up; a column whose lowest level never occurs is looked
-    up, its unread positions below the lowest observed one as zeros.  The
-    first pass's 1024-row blocks are float32 while every x' < 128, else
-    float64; their sums are exact integers either way, so the bytes do not
-    depend on the machine (``test_ladder_digests_hold_under_other_blas_kernels``
-    checks other BLAS kernels).  Non-interval and constant columns get NaN
-    correlations, the diagonal 1; n = 1 gives NaN.  Zero subjects, or a
-    code outside its column's declared levels, raise SpecError.
+    integers (SNP 0/1/2, binary 0/1), x' is the position less the column's
+    lowest observed one, and the first pass casts that difference out of the
+    positions, whether or not the lowest declared level occurs; other columns
+    look x' up in the shifted level table.  The first pass's 1024-row blocks
+    are float32 while every x' < 128, else float64; their sums are exact
+    integers either way, so the bytes do not depend on the machine
+    (``test_ladder_digests_hold_under_other_blas_kernels`` checks other BLAS
+    kernels).  Non-interval and constant columns get NaN correlations, the
+    diagonal 1; n = 1 gives NaN.  Zero subjects, or a code outside its
+    column's declared levels, raise SpecError.
     """
     return _sample_moments(*_columns(data))
 
@@ -366,19 +350,22 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     low = table[np.arange(len(table)), lowest]
     # At every observed position x - min lies in [0, 2**64): its uint64 difference never wraps.
     shifted = np.subtract(table, low[:, None], dtype=np.uint64, casting="unsafe")
+    # Positions below a column's lowest observed one, and the padding, are never
+    # read; zeroed, they cannot wrap to about 2**64 and make the blocks float64.
     ramp = np.arange(table.shape[1])
-    # No position below a column's lowest observed one is read; zeroed, it cannot
-    # wrap to about 2**64 and push every block past _gram's float32 bound.
-    shifted[ramp < lowest[:, None]] = 0
-    # Nor does any reach the padding; it holds its own position, so consecutive
-    # levels of any width stay a ramp.  That raises _gram's max|table| only where
-    # the widest column's lowest level never occurs; else it holds size - 1 or more.
-    padding = ramp >= np.array([[v.size] for v in variables])
-    sums, cross = _gram(positions, slice(None), np.where(padding, ramp, shifted.astype(float)))
+    shifted[(ramp < lowest[:, None]) | (ramp >= np.array([[v.size] for v in variables]))] = 0
+    block = _block(n, len(table), shifted)
+    if all(tuple(v.levels) == tuple(range(v.levels[0], v.levels[0] + v.size)) for v in variables):
+        blocks = _cast_blocks(positions, slice(None), lowest, block, np.subtract)
+    else:
+        blocks = _lookup_blocks(positions, slice(None), shifted, block)
+    sums, cross = _gram(blocks, len(table))
     centre = low.astype(float)
     if not n * cross.diagonal().max() < 2**53:
         centre = low + sums / n
-        sums, cross = _gram(positions, slice(None), table - centre[:, None])
+        centred = table - centre[:, None]
+        blocks = _lookup_blocks(positions, slice(None), centred, _block(n, len(table), centred))
+        sums, cross = _gram(blocks, len(table))
     scaled = n * cross - np.outer(sums, sums)
     interval = np.array([v.kind == "interval" for v in variables], dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -396,9 +383,9 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     subject) has a column per declared level of every picked column but its
     last.  Block (p, q) of Z^T Z is the p-by-q crosstab without its last row
     and column; those read the margins, Z's column sums and n, and become, in
-    int64, the margins less the other cells.  ``_gram`` compares Z out of the
-    positions in row blocks of rows x width floats, width (0 or more) being
-    the total level count less one per column.  Z holds 0 and 1, so its
+    int64, the margins less the other cells.  Z is compared (``np.equal``)
+    out of the positions in row blocks of rows x width floats, width (0 or
+    more) being the total level count less one per column.  Z holds 0 and 1, so its
     blocks are float32 (while a block has fewer than 2**24 rows) and each
     block's counts are exact integers in any BLAS order; the float64 totals
     are exact below 2**53, and the tables do not depend on the machine.
@@ -409,9 +396,12 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     # Z's column c is 1 where the picked column owner[c] holds level position
     # level[c].  index[p, l] is the Gram row of picked column p's level l: row
     # width (Z's sums, then n) for its last level, the zero row for padding.
+    # level is compared in a dtype that holds it, whatever the positions' width.
     owner = np.repeat(columns, last)
     level = np.concatenate([np.arange(size) for size in last])
-    sums, cross = _gram(positions, owner, np.equal.outer(level, np.arange(m)).astype(float))
+    level = level.astype(np.promote_types(positions.dtype, np.min_scalar_type(m)))
+    block = _block(len(positions), width, (0, 1), "F")
+    sums, cross = _gram(_cast_blocks(positions, owner, level, block, np.equal), width)
     gram = np.pad(np.block([[cross, sums[:, None]], [sums, len(positions)]]), (0, 1)).astype(np.int64)
     index = np.full((count, m), width + 1)
     index[np.repeat(np.arange(count), last), level] = np.arange(width)

@@ -136,67 +136,52 @@ def calibrate_group(
             raise SpecError("explicit family: both H and L vectors are required")
         if len(high) != len(low):
             raise SpecError("explicit family: H and L lengths disagree")
-        levels = tuple(range(len(high)))
-        high_vec = ProbabilityVector(tuple(high))
-        low_vec = ProbabilityVector(tuple(low))
-        solved = tuple(
-            GroupCalibration(
-                v, None, high_vec, low_vec, None, *pair_dependence(levels, high, low, w_h)
+        levels, high, low = tuple(range(len(high))), tuple(high), tuple(low)
+    else:
+        if family not in PARAMETRIC_FAMILIES:
+            raise SpecError(f"unknown family {family!r}")
+        if high is not None or low is not None:
+            raise SpecError(f"{family} family: H and L are solved from pH and the targets, not given")
+        if high_prob is None:
+            raise SpecError(f"{family} family: the shared high parameter is required")
+        if not 0.0 < high_prob < 1.0:
+            raise SpecError(
+                f"{family} family: the high parameter must lie strictly inside (0, 1), "
+                f"got {high_prob!r}"
             )
-            for v, w_h in enumerate(high_weights, start=1)
-        )
-        return CalibrationResult(family, levels, solved)
+        if groups.targets is None:
+            raise SpecError(f"{family} family: per-group targets are required")
+        levels, vector = PARAMETRIC_FAMILIES[family]
+        high = vector(high_prob)
 
-    if family not in PARAMETRIC_FAMILIES:
-        raise SpecError(f"unknown family {family!r}")
-    if high is not None or low is not None:
-        raise SpecError(f"{family} family: H and L are solved from pH and the targets, not given")
-    if high_prob is None:
-        raise SpecError(f"{family} family: the shared high parameter is required")
-    if not 0.0 < high_prob < 1.0:
-        raise SpecError(
-            f"{family} family: the high parameter must lie strictly inside (0, 1), "
-            f"got {high_prob!r}"
-        )
-    if groups.targets is None:
-        raise SpecError(f"{family} family: per-group targets are required")
-
-    levels, vector = PARAMETRIC_FAMILIES[family]
-    high_probs = vector(high_prob)
     solved = []
-    for v, (target, w_h) in enumerate(zip(groups.targets, high_weights), start=1):
-        which = 0 if target.kind == "covariance" else 1
+    targets = groups.targets or (None,) * groups.group_count
+    for v, (target, w_h) in enumerate(zip(targets, high_weights), start=1):
+        low_param = None
+        if target is not None:
+            which = 0 if target.kind == "covariance" else 1
 
-        def dependence(t: float) -> float:
-            return pair_dependence(levels, high_probs, vector(t), w_h)[which]
+            def dependence(t: float) -> float:
+                return pair_dependence(levels, high, vector(t), w_h)[which]
 
-        # A target within the solver tolerance of the ceiling cannot be told
-        # apart from it, and the ceiling itself needs a degenerate low profile.
-        ceiling = dependence(0.0)
-        if not 0.0 < target.value < ceiling - RESIDUAL_TOLERANCE:
-            raise InfeasibleTargetError(
-                f"group {v}: {family} {target.kind} target {target.value!r} is "
-                f"infeasible: it must be positive and more than {RESIDUAL_TOLERANCE} "
-                f"below the ceiling {ceiling!r}, the {target.kind} at low parameter 0"
-            )
-        low_param = _bisect(dependence, target.value, high_prob)
-        low_probs = vector(low_param)
-        cov, cor = pair_dependence(levels, high_probs, low_probs, w_h)
-        residual = abs((cov, cor)[which] - target.value)
-        if not residual < RESIDUAL_TOLERANCE:
-            raise InfeasibleTargetError(
-                f"group {v}: {family} {target.kind} solver residual {residual!r} "
-                f"exceeds {RESIDUAL_TOLERANCE}"
-            )
-        solved.append(
-            GroupCalibration(
-                group=v,
-                target=target,
-                high=ProbabilityVector(high_probs),
-                low=ProbabilityVector(low_probs),
-                low_parameter=low_param,
-                covariance=cov,
-                correlation=cor,
-            )
-        )
+            # A target within the solver tolerance of the ceiling cannot be told
+            # apart from it, and the ceiling itself needs a degenerate low profile.
+            ceiling = dependence(0.0)
+            if not 0.0 < target.value < ceiling - RESIDUAL_TOLERANCE:
+                raise InfeasibleTargetError(
+                    f"group {v}: {family} {target.kind} target {target.value!r} is "
+                    f"infeasible: it must be positive and more than {RESIDUAL_TOLERANCE} "
+                    f"below the ceiling {ceiling!r}, the {target.kind} at low parameter 0"
+                )
+            low_param = _bisect(dependence, target.value, high_prob)
+            low = vector(low_param)
+            residual = abs(dependence(low_param) - target.value)
+            if not residual < RESIDUAL_TOLERANCE:
+                raise InfeasibleTargetError(
+                    f"group {v}: {family} {target.kind} solver residual {residual!r} "
+                    f"exceeds {RESIDUAL_TOLERANCE}"
+                )
+        solved.append(GroupCalibration(
+            v, target, ProbabilityVector(high), ProbabilityVector(low), low_param,
+            *pair_dependence(levels, high, low, w_h)))
     return CalibrationResult(family, levels, tuple(solved))

@@ -82,26 +82,26 @@ class GroupSummary:
 
 def summarize_groups(
     groups: GroupStructure,
-    theoretical: AssociationMatrix,
-    sample: AssociationMatrix,
+    theoretical: MomentMatrices,
+    sample: MomentMatrices,
+    names: tuple[str, ...],
 ) -> list[GroupSummary]:
-    """Per-group theoretical and sample averages, side by side."""
-    theo = within_group_averages(theoretical, groups)
-    samp = within_group_averages(sample, groups)
-    out = []
-    for v in range(groups.group_count):
-        target = groups.targets[v] if groups.targets is not None else None
-        out.append(
-            GroupSummary(
-                group=v + 1,
-                size=groups.sizes[v],
-                target_kind=target.kind if target else None,
-                target_value=target.value if target else None,
-                theoretical=theo[v],
-                sample=samp[v],
-            )
-        )
-    return out
+    """Per-group theoretical and sample averages, side by side.
+
+    Each group is read on its target's scale, covariance or correlation
+    (correlation without targets); ``names`` label the moment matrices' columns.
+    """
+    targets = groups.targets or (None,) * groups.group_count
+    kinds = [target.kind if target else "correlation" for target in targets]
+    averages = {}
+    for kind in dict.fromkeys(kinds):
+        theo, samp = (AssociationMatrix(getattr(m, kind), names, kind) for m in (theoretical, sample))
+        averages[kind] = within_group_averages(theo, groups), within_group_averages(samp, groups)
+    return [
+        GroupSummary(v + 1, groups.sizes[v], target and target.kind, target and target.value,
+                     averages[kind][0][v], averages[kind][1][v])
+        for v, (target, kind) in enumerate(zip(targets, kinds))
+    ]
 
 
 @dataclass(frozen=True)
@@ -184,15 +184,7 @@ class RunResult:
     def summaries(self) -> list[GroupSummary] | None:
         """Each group on its target's scale (correlation without targets); None without groups."""
         groups = self.built.groups
-        if groups is None:
-            return None
-        kinds = [t.kind for t in groups.targets or ()] or ["correlation"] * groups.group_count
-        by_kind = {}
-        for kind in set(kinds):
-            theory, sample = (AssociationMatrix(getattr(m, kind), self.names, kind)
-                              for m in (self.moments, self.sample))
-            by_kind[kind] = summarize_groups(groups, theory, sample)
-        return [by_kind[kind][v] for v, kind in enumerate(kinds)]
+        return None if groups is None else summarize_groups(groups, self.moments, self.sample, self.names)
 
     @cached_property
     def calibration(self) -> CalibrationResult:

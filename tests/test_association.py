@@ -93,6 +93,15 @@ class TestTables:
         with pytest.raises(SpecError, match="2-D"):
             measure(np.ones(shape))
 
+    @pytest.mark.parametrize(
+        "measure", [chi_square, cramers_v, concentration_coefficient, stuart_kendall_tau_c]
+    )
+    @pytest.mark.parametrize("cell", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+    def test_a_negative_or_non_finite_cell_is_refused(self, measure, cell):
+        """A count table holds no such cell; cramers_v once returned 0.595 for [[-1, 2], [3, 4]]."""
+        with pytest.raises(SpecError, match="finite and non-negative"):
+            measure([[cell, 2.0], [3.0, 4.0]])
+
     def test_fractional_table_takes_its_total_as_n(self):
         """The total 0.9999999999999999 is n itself, not truncated to 0."""
         weights = [[0.7, 0.1], [0.1, 0.1]]

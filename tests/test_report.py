@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import synthcat
-from synthcat.association import AssociationMatrix, association_matrix
+from synthcat.association import AssociationMatrix, association_matrix, sample_moments
 from synthcat import generator, report
 from synthcat.cli import build_parser, main
 from synthcat.model import GroupStructure, ReproductionError, SpecError, VariableDomain, load_config
@@ -103,8 +103,7 @@ class TestSummaries:
         built = build_spec(load_config(snp_config()))
         moments = moment_matrices(built.spec.profile, built.spec.clusters)
         names = tuple(v.name for v in built.spec.profile.variables)
-        theoretical = AssociationMatrix(moments.correlation, names, "pearson")
-        rows = summarize_groups(built.groups, theoretical, theoretical)
+        rows = summarize_groups(built.groups, moments, moments, names)
         assert [s.group for s in rows] == [1, 2, 3, 4]
         assert [s.size for s in rows] == [2, 2, 2, 2]
         assert [s.target_kind for s in rows] == ["correlation"] * 4
@@ -112,6 +111,21 @@ class TestSummaries:
         for s in rows:
             assert s.theoretical == pytest.approx(s.target_value, abs=1e-9)
             assert s.gap == 0.0
+
+    def test_mixed_target_kinds_are_each_read_on_their_own_scale(self):
+        """One call reads the covariance group in covariance and the correlation group in correlation."""
+        config = snp_config()
+        config["groups"].update(k=2, sizes=[3, 2], targets=[{"covariance": 0.3}, {"correlation": 0.5}])
+        built = build_spec(load_config(config))
+        moments = moment_matrices(built.spec.profile, built.spec.clusters)
+        sample = sample_moments(generate(built.spec))
+        names = tuple(v.name for v in built.spec.profile.variables)
+        rows = summarize_groups(built.groups, moments, sample, names)
+        assert [(s.target_kind, s.target_value) for s in rows] == [("covariance", 0.3), ("correlation", 0.5)]
+        for s, kind in zip(rows, ("covariance", "correlation")):
+            assert s.theoretical == pytest.approx(s.target_value, abs=1e-9)
+            averages = within_group_averages(AssociationMatrix(getattr(sample, kind), names, kind), built.groups)
+            assert s.sample == averages[s.group - 1]
 
     def test_explicit_groups_have_no_target(self):
         result = RunResult(load_config(explicit_config()))

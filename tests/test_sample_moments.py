@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synthcat import association, report
-from synthcat.association import association_matrix, sample_moments
+from synthcat.association import LevelPositions, association_matrix, sample_moments
 from synthcat.generator import GeneratorSpec, generate
 from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, SpecError, VariableDomain
 from synthcat.report import RunResult, write_artifacts, write_dataset_csv
@@ -70,8 +70,9 @@ def reprs(array) -> list:
     return [repr(float(x)) for x in np.ravel(array)]
 
 
-def assert_matches_oracle(values, variables):
-    moments = sample_moments((values, variables))
+def assert_matches_oracle(values, variables, data=None):
+    """The moments of ``data``, by default the (values, variables) pair, equal the oracle's."""
+    moments = sample_moments((values, variables) if data is None else data)
     means, cov, cor = oracle(values, variables)
     assert reprs(moments.means) == reprs(means)
     assert reprs(moments.covariance) == reprs(cov)
@@ -253,16 +254,16 @@ def test_snp_data_look_nothing_up(tmp_path, monkeypatch):
 
 
 def recorded_blocks(monkeypatch) -> list:
-    """(dtype, rows) of each ``_gram`` call's block buffer from now on, whichever reader fills it."""
+    """(dtype, rows) of each block buffer ``association._block`` makes from now on."""
     blocks = []
-    for name in ("_cast_blocks", "_lookup_blocks"):
-        make = getattr(association, name)
+    make = association._block
 
-        def recorded(*args, make=make):
-            blocks.append((args[3].dtype, len(args[3])))
-            return make(*args)
+    def recorded(*args):
+        block = make(*args)
+        blocks.append((block.dtype, len(block)))
+        return block
 
-        monkeypatch.setattr(association, name, recorded)
+    monkeypatch.setattr(association, "_block", recorded)
     return blocks
 
 
@@ -283,6 +284,32 @@ def test_an_unobserved_lowest_level_keeps_float32_blocks(monkeypatch):
     blocks = recorded_blocks(monkeypatch)
     assert_matches_oracle(values, variables)
     assert [dtype for dtype, _ in blocks] == [np.float32]
+
+
+@pytest.mark.parametrize("container", ["LevelPositions", "Dataset"])
+def test_an_unobserved_lowest_level_is_cast(container, monkeypatch):
+    """Column b's lowest level 3 never occurs, and c's levels start at 1.
+
+    Every column's levels are consecutive, so each x' is cast as the
+    position less the column's lowest observed one; ``_lookup_blocks``
+    raises here, and the moments still match the oracle bit for bit.
+    """
+
+    def looked_up(*args):
+        raise AssertionError("a lookup ran")
+
+    variables = (
+        VariableDomain("a", (0, 1, 2)),
+        VariableDomain("b", (3, 4, 5, 6)),
+        VariableDomain("c", (1, 2)),
+    )
+    probs = ((0.2, 0.3, 0.5), (0.0, 0.1, 0.6, 0.3), (0.5, 0.5))
+    rows = (tuple(ProbabilityVector(p) for p in probs),) * 2
+    dataset = generate(GeneratorSpec(ClusterSpec.uniform(2, 3000), ProfileMatrix(variables, rows), 5))
+    assert (dataset.positions[:, 1] > 0).all()
+    data = dataset if container == "Dataset" else LevelPositions(dataset.positions, variables)
+    monkeypatch.setattr(association, "_lookup_blocks", looked_up)
+    assert_matches_oracle(dataset.values, variables, data)
 
 
 def test_codes_0_to_255_take_float64_blocks(monkeypatch):
@@ -324,44 +351,59 @@ def test_a_run_makes_one_sample_pass(tmp_path, monkeypatch):
 
 
 def gram_oracle(positions, columns, table):
-    """Column sums and X^T X in int64, X gathered as ``association._gram`` defines it."""
+    """Column sums and X^T X in int64, X the columns x_c = ``table[c, positions[:, columns[c]]]``."""
     x = np.column_stack([table[c, positions[:, p]] for c, p in enumerate(columns)])
     x = x.astype(np.int64)
     return x.sum(axis=0), x.T @ x
 
 
+def gram(positions, columns, table, cast=None):
+    """``association._gram`` of the x_c that ``gram_oracle`` reads, in blocks from
+    ``association._block``: cast by ``cast``, a (ufunc, operand) pair, or else
+    looked up in ``table``."""
+    order = "C" if isinstance(columns, slice) else "F"
+    block = association._block(len(positions), len(table), table, order)
+    if cast is None:
+        blocks = association._lookup_blocks(positions, columns, table, block)
+    else:
+        blocks = association._cast_blocks(positions, columns, cast[1], block, cast[0])
+    return association._gram(blocks, len(table))
+
+
+def assert_gram_is(result, expected):
+    for got, want in zip(result, expected):
+        assert got.tobytes() == want.astype(float).tobytes()
+
+
 @pytest.mark.parametrize("top, dtype", [(127, np.float32), (255, np.float64)], ids=["float32", "float64"])
 def test_gram_matches_int64_oracle_on_both_sides_of_the_float32_bound(top, dtype, monkeypatch):
     """Codes 0..top in 1024-row blocks, the same codes rotated by one
-    position, and the indicator table ``_pair_tables`` uses.
+    position, and the indicator table ``_pair_tables`` compares.
 
     The first case's code blocks are float32 (1024 * 127**2 < 2**24), the
     second case's float64.  Codes drawn from top/2..top put the second
     case's block sums past 2**24, where float32 would round them.  The codes
     are cast from the positions, the rotated codes are looked up and the
-    indicator table is compared.
+    indicator columns are compared with their levels.
     """
     rows = association._BLOCK_ROWS
     rng = np.random.default_rng(top)
     positions = rng.integers(top // 2, top + 1, (2 * rows + 3, 4)).astype(np.uint8)
     positions[:, 0] = top
     codes = np.tile(np.arange(top + 1.0), (4, 1))
-    # Not a ramp, so looked up; position k reads k - 1 (position 0 reads top).
+    # Position k reads k - 1 (position 0 reads top).
     rotated = np.roll(codes, 1, axis=1)
     # One indicator column per level of picked columns 1 and 2 but the last.
     owner = np.repeat([1, 2], [top, top])
-    level = np.concatenate([np.arange(top), np.arange(top)])
+    level = np.concatenate([np.arange(top), np.arange(top)]).astype(np.uint8)
     indicator = np.equal.outer(level, np.arange(top + 1)).astype(float)
     blocks = recorded_blocks(monkeypatch)
-    for picked, columns, table in (
-        (slice(None), range(4), codes),
-        (slice(None), range(4), rotated),
-        (owner, owner, indicator),
+    for picked, columns, table, cast in (
+        (slice(None), range(4), codes, (np.add, 0)),
+        (slice(None), range(4), rotated, None),
+        (owner, owner, indicator, (np.equal, level)),
     ):
-        sums, cross = association._gram(positions, picked, table)
-        expected_sums, expected_cross = gram_oracle(positions, columns, table)
-        assert sums.tobytes() == expected_sums.astype(float).tobytes()
-        assert cross.tobytes() == expected_cross.astype(float).tobytes()
+        assert_gram_is(gram(positions, picked, table, cast), gram_oracle(positions, columns, table))
     assert blocks == [(dtype, rows), (dtype, rows), (np.float32, rows)]
 
 
@@ -381,22 +423,24 @@ def test_wide_gram_blocks_keep_every_bit(rows, width, monkeypatch):
     table = np.tile(np.arange(top + 1.0), (width, 1))
     blocks = recorded_blocks(monkeypatch)
     monkeypatch.setattr(association, "_BLOCK_ROWS", rows)
-    sums, cross = association._gram(positions, slice(None), table)
+    sums, cross = gram(positions, slice(None), table, (np.add, 0))
     x = positions.astype(float)
     assert sums.tobytes() == x.sum(axis=0).tobytes()
     assert cross.tobytes() == (x.T @ x).tobytes()
     assert blocks == [(np.float32 if rows == 3 else np.float64, rows)]
 
 
-def test_gram_of_a_non_integral_table_is_float64():
+def test_gram_of_a_non_integral_table_is_float64(monkeypatch):
     """Thirds are not exact in float32, so one block must equal the float64 product."""
     rng = np.random.default_rng(9)
     positions = rng.integers(0, 4, (association._BLOCK_ROWS, 3)).astype(np.uint8)
     table = np.tile(np.arange(4) / 3, (3, 1))
     x = np.column_stack([table[c, positions[:, c]] for c in range(3)])
-    sums, cross = association._gram(positions, slice(None), table)
+    blocks = recorded_blocks(monkeypatch)
+    sums, cross = gram(positions, slice(None), table)
     assert cross.tobytes() == (x.T @ x).tobytes()
     assert sums.tobytes() == x.sum(axis=0).tobytes()
+    assert blocks == [(np.float64, association._BLOCK_ROWS)]
 
 
 @st.composite
@@ -404,10 +448,10 @@ def gram_inputs(draw):
     """(positions, columns, table): uint8 positions of up to 6 columns, read by a
     P x M integral table through ``columns`` (every column or a permutation).
 
-    Tables are ramps (every row k at k, so ``_gram`` casts the positions),
-    ramps with one cell changed, mixed level counts with the padding at zero
-    or at its own position, and columns whose lowest position never occurs.
-    A changed cell up to 3000 puts some blocks past the float32 bound.
+    Tables are ramps (every row k at k), ramps with one cell changed, mixed
+    level counts with the padding at zero or at its own position, and
+    columns whose lowest position never occurs.  A changed cell up to 3000
+    puts some blocks past the float32 bound.
     """
     n = draw(st.integers(1, 40))
     p_count = draw(st.integers(1, 6))
@@ -438,11 +482,16 @@ def gram_inputs(draw):
 @settings(max_examples=300, deadline=None)
 @given(gram_inputs(), st.integers(1, 5))
 def test_gram_matches_int64_oracle_on_any_table(data, rows):
-    """Cast or looked up, float32 or float64, over blocks of 1-5 rows."""
+    """Looked up, float32 or float64, over blocks of 1-5 rows; and where every
+    cell reads its own position, cast as ``sample_moments`` casts it: less
+    each column's lowest observed position."""
     positions, columns, table = data
+    read = list(range(len(table))) if isinstance(columns, slice) else list(columns)
+    picked = positions[:, read]
+    lowest = picked.min(axis=0)
+    shifted = table - lowest[:, None]
     with mock.patch.object(association, "_BLOCK_ROWS", rows):
-        sums, cross = association._gram(positions, columns, table)
-    read = range(len(table)) if isinstance(columns, slice) else columns
-    expected_sums, expected_cross = gram_oracle(positions, read, table)
-    assert sums.tobytes() == expected_sums.astype(float).tobytes()
-    assert cross.tobytes() == expected_cross.astype(float).tobytes()
+        assert_gram_is(gram(positions, columns, table), gram_oracle(positions, read, table))
+        if (np.take_along_axis(table, picked.T.astype(np.intp), axis=1) == picked.T).all():
+            cast = gram(positions, columns, shifted, (np.subtract, lowest))
+            assert_gram_is(cast, gram_oracle(positions, read, shifted))
