@@ -63,19 +63,25 @@ def _columns(data) -> tuple[np.ndarray, tuple[VariableDomain, ...]]:
 
     ``data`` is a Dataset, a LevelPositions or a (codes, variables) pair.
     Only a pair is looked up, by ``_level_positions``; codes that are not n x P
-    for P > 0 variables, or not strictly increasing declared levels, raise SpecError.
+    for P > 0 variables raise SpecError.  Declared levels that do not strictly
+    increase raise SpecError for all three.
     """
     if isinstance(data, Dataset):
-        return data.positions, data.profile.variables
+        return data.positions, _increasing(data.profile.variables)
     if isinstance(data, LevelPositions):
-        return data.positions, data.variables
+        return data.positions, _increasing(data.variables)
     codes, variables = np.asarray(data[0]), tuple(data[1])
     if codes.ndim != 2 or codes.shape[1] != len(variables) or not variables:
         raise SpecError(f"association: codes {codes.shape} do not fit {len(variables)} columns")
+    return _level_positions(codes, _increasing(variables))[1], variables
+
+
+def _increasing(variables: tuple[VariableDomain, ...]) -> tuple[VariableDomain, ...]:
+    """``variables``, once each one's declared levels strictly increase."""
     for v in variables:
         if any(a >= b for a, b in zip(v.levels, v.levels[1:])):
             raise SpecError(f"association: variable {v.name!r}: level codes must be strictly increasing")
-    return _level_positions(codes, variables)[1], variables
+    return variables
 
 
 # Rows per block of ``_block``, ``_level_positions`` and ``report``'s code writer, read at

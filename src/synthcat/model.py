@@ -439,12 +439,6 @@ class Dataset:
 # canonical form loads to itself.
 
 
-def _object(obj: object, context: str) -> dict:
-    if not isinstance(obj, dict):
-        raise SpecError(f"{context}: expected an object, got {obj!r}")
-    return obj
-
-
 def _each(convert):
     """A parser for a list whose items ``convert`` parses, each under its index."""
 
@@ -496,20 +490,17 @@ _numbers = _each(_number)
 _integers = _each(_integer)
 
 
-def _require_keys(obj: object, allowed: set[str], context: str) -> dict:
-    """``obj`` itself, once it is an object with no key outside ``allowed``."""
-    unknown = set(_object(obj, context)) - allowed
-    if unknown:
-        raise SpecError(f"{context}: unknown keys {sorted(unknown)}")
-    return obj
-
-
 def _fields(obj: object, context: str, required: tuple[str, ...] = (), **fields) -> dict:
     """The keys ``obj`` gives, each read by its parser in ``fields``, in ``fields`` order.
 
-    A key outside ``fields``, or a missing ``required`` one, is a SpecError.
+    An ``obj`` that is not an object, a key outside ``fields``, or a missing
+    ``required`` one is a SpecError.
     """
-    obj = _require_keys(obj, set(fields), context)
+    if not isinstance(obj, dict):
+        raise SpecError(f"{context}: expected an object, got {obj!r}")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise SpecError(f"{context}: unknown keys {sorted(unknown)}")
     out = {}
     for key, convert in fields.items():
         if key in obj:
@@ -520,12 +511,10 @@ def _fields(obj: object, context: str, required: tuple[str, ...] = (), **fields)
 
 
 def _target(obj: object, context: str) -> dict:
-    if not isinstance(obj, dict) or len(obj) != 1:
+    target = _fields(obj, context, **dict.fromkeys(TARGET_KINDS, _number))
+    if len(target) != 1:
         raise SpecError(f"{context}: targets must be single-key objects like {{'correlation': 0.4}}")
-    kind, value = next(iter(obj.items()))
-    if kind not in TARGET_KINDS:
-        raise SpecError(f"{context}: unknown target kind {kind!r}")
-    return {kind: _number(value, f"{context}.{kind}")}
+    return target
 
 
 def _variable(obj: object, context: str) -> dict:
@@ -542,22 +531,17 @@ def _noise(obj: object, context: str) -> dict:
 
 
 def _groups(obj: object, context: str) -> dict:
-    def count(k: object, key: str) -> int:
-        # Read after the required sizes, so obj["sizes"] is a checked list here.
-        if _integer(k, key) != len(obj["sizes"]):
-            raise SpecError(f"{context}: k does not match the number of sizes")
-        return len(obj["sizes"])
-
     def family(name: object, key: str) -> str:
         if _text(name, key) not in FAMILIES:
             raise SpecError(f"{context}: unknown family {name!r}")
         return name
 
     groups = _fields(
-        obj, context, ("sizes", "family"), sizes=_integers, k=count, family=family,
+        obj, context, ("sizes", "family"), sizes=_integers, k=_integer, family=family,
         targets=_each(_target), pH=_number, H=_numbers, L=_numbers,
     )
-    groups["k"] = len(groups["sizes"])
+    if groups.setdefault("k", len(groups["sizes"])) != len(groups["sizes"]):
+        raise SpecError(f"{context}: k does not match the number of sizes")
     return groups
 
 
@@ -576,38 +560,26 @@ def load_config(source: str | Path | dict) -> dict:
             raise SpecError(f"config: {source} is not UTF-8 ({err})") from None
     else:
         raw = source
-    if not isinstance(raw, dict):
-        raise SpecError("config: top level must be an object")
-    _require_keys(raw, {"seed", "clusters", "variables", "profile", "groups", "noise"}, "config")
-    if "seed" not in raw:
-        raise SpecError("config: seed is required")
-    config = {
-        "seed": checked_seed(raw["seed"], "config.seed"),
-        "clusters": _fields(
-            raw.get("clusters", {}), "config.clusters",
-            C=_integer, n=_integer, weights=_numbers, counts=_integers,
+    config = _fields(
+        raw, "config", ("seed",), seed=checked_seed,
+        clusters=lambda obj, context: _fields(
+            obj, context, C=_integer, n=_integer, weights=_numbers, counts=_integers
         ),
-    }
-    if "variables" in raw:
-        config["variables"] = _each(_variable)(raw["variables"], "config.variables")
-
-    if ("profile" in raw) == ("groups" in raw):
+        variables=_each(_variable), profile=_each(_each(_numbers)), groups=_groups, noise=_each(_noise),
+    )
+    if ("profile" in config) == ("groups" in config):
         raise SpecError("config: exactly one of 'profile' or 'groups' is required")
-    if "profile" in raw and "variables" not in raw:
+    if "profile" in config and "variables" not in config:
         raise SpecError("config: 'profile' requires 'variables'")
-    if "profile" in raw and "noise" in raw:
+    if "profile" in config and "noise" in config:
         raise SpecError("config: 'noise' needs 'groups'; list a profile's columns in 'variables'")
-    if "groups" in raw and "variables" in raw:
+    if "groups" in config and "variables" in config:
         raise SpecError(
             "config: 'variables' needs 'profile'; a grouped config adds columns through 'noise'"
         )
-    if "profile" in raw:
-        config["profile"] = _each(_each(_numbers))(raw["profile"], "config.profile")
-    else:
-        config["groups"] = _groups(raw["groups"], "config.groups")
-        noise = _each(_noise)(raw.get("noise", ()), "config.noise")
-        if noise:
-            config["noise"] = noise
+    config.setdefault("clusters", {})
+    if config.get("noise") == ():
+        del config["noise"]
     return config
 
 

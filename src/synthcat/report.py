@@ -381,9 +381,10 @@ def write_association(out_dir, matrix: AssociationMatrix) -> None:
     _write_lines(out / f"{matrix.measure}_long.csv", *long)
 
 
-def write_comparison(path: str | Path, comparison: ComparisonReport) -> None:
+def _write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` as indented JSON with sorted keys and a final newline."""
     with _created(path) as f:
-        json.dump(asdict(comparison), f, indent=2, sort_keys=True)
+        json.dump(obj, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
@@ -402,7 +403,7 @@ ARTIFACTS = {
     "group_summary.csv": (
         "write_group_summary", lambda run: None if run.summaries is None else (run.summaries,)),
     "calibration_report.csv": ("write_calibration_report", lambda run: (run.calibration,)),
-    "comparison.json": ("write_comparison", lambda run: (run.comparison,)),
+    "comparison.json": ("_write_json", lambda run: (asdict(run.comparison),)),
 }
 
 
@@ -462,9 +463,7 @@ def run_pipeline(
         "artifacts": {name: _sha256(path) for name, path in sorted(paths.items())},
     }
     paths["manifest.json"] = Path(out_dir) / "manifest.json"
-    with _created(paths["manifest.json"]) as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    _write_json(paths["manifest.json"], manifest)
     return paths
 
 

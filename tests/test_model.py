@@ -1,5 +1,6 @@
 """Domain types: validation reports, cluster resolution, config round-trips."""
 
+import json
 import math
 
 import numpy as np
@@ -207,6 +208,11 @@ class TestDataset:
         assert any("tallies" in v for v in dataset_violations(data))
 
 
+def with_groups(**edits):
+    """An edit of a config that replaces the given keys of its groups."""
+    return lambda raw: {**raw, "groups": {**raw["groups"], **edits}}
+
+
 class TestConfigIO:
     def grouped(self):
         return {
@@ -245,12 +251,6 @@ class TestConfigIO:
         assert config["variables"][1]["kind"] == "interval"
         assert load_config(config) == config
 
-    def test_seed_required(self):
-        raw = self.grouped()
-        del raw["seed"]
-        with pytest.raises(SpecError, match="seed"):
-            load_config(raw)
-
     def test_exactly_one_of_profile_or_groups(self):
         raw = self.grouped()
         raw["profile"] = [[[0.5, 0.5]]]
@@ -267,11 +267,36 @@ class TestConfigIO:
         with pytest.raises(SpecError, match="unknown keys"):
             load_config(raw)
 
-    def test_mismatched_k_rejected(self):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda raw: [raw], r"config: expected an object, got \["),
+            (lambda raw: "seed", r"config: expected an object, got 'seed'"),
+            (lambda raw: {k: v for k, v in raw.items() if k != "seed"}, r"config\.seed is required"),
+            (
+                with_groups(targets=[{"variance": 0.4}] * 8),
+                r"config\.groups\.targets\[0\]: unknown keys \['variance'\]",
+            ),
+            (
+                with_groups(targets=[{"covariance": 0.4, "correlation": 0.4}] * 8),
+                r"config\.groups\.targets\[0\]: targets must be single-key objects",
+            ),
+            (with_groups(k=4), r"config\.groups: k does not match the number of sizes"),
+        ],
+        ids=["list", "string", "missing-seed", "unknown-target-kind", "two-key-target", "mismatched-k"],
+    )
+    def test_malformed_config_names_its_key(self, tmp_path, edit, message):
+        """Read from a file, so a top level that is not an object can be tried."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(edit(self.grouped())))
+        with pytest.raises(SpecError, match=f"^{message}"):
+            load_config(path)
+
+    def test_integral_float_k_reads_as_int(self):
         raw = self.grouped()
-        raw["groups"]["k"] = 4
-        with pytest.raises(SpecError, match="k does not match"):
-            load_config(raw)
+        raw["groups"].update(k=4.0, sizes=[2] * 4, targets=raw["groups"]["targets"][:4])
+        k = load_config(raw)["groups"]["k"]
+        assert k == 4 and type(k) is int
 
     def test_integral_floats_read_as_integers(self):
         raw = self.grouped()
@@ -283,8 +308,6 @@ class TestConfigIO:
         assert isinstance(config["seed"], int) and isinstance(config["clusters"]["n"], int)
 
     def test_file_round_trip(self, tmp_path):
-        import json
-
         path = tmp_path / "config.json"
         path.write_text(json.dumps(self.grouped()))
         assert load_config(path) == load_config(self.grouped())

@@ -20,7 +20,14 @@ from hypothesis import strategies as st
 from synthcat import association, report
 from synthcat.association import LevelPositions, association_matrix, sample_moments
 from synthcat.generator import GeneratorSpec, generate
-from synthcat.model import ClusterSpec, ProbabilityVector, ProfileMatrix, SpecError, VariableDomain
+from synthcat.model import (
+    ClusterSpec,
+    Dataset,
+    ProbabilityVector,
+    ProfileMatrix,
+    SpecError,
+    VariableDomain,
+)
 from synthcat.report import RunResult, write_artifacts, write_dataset_csv
 from test_writers import assert_writers_match_savetxt
 
@@ -310,6 +317,21 @@ def test_an_unobserved_lowest_level_is_cast(container, monkeypatch):
     data = dataset if container == "Dataset" else LevelPositions(dataset.positions, variables)
     monkeypatch.setattr(association, "_lookup_blocks", looked_up)
     assert_matches_oracle(dataset.values, variables, data)
+
+
+@pytest.mark.parametrize("container", ["LevelPositions", "Dataset"])
+def test_levels_that_do_not_increase_are_refused(container):
+    """Each container is refused as a (codes, variables) pair is.  Read as
+    ordered, levels 2, 1, 0 gave these codes, all in 0..2, a mean of 4194.3."""
+    variables = (VariableDomain("a", (2, 1, 0)),)
+    positions = np.random.default_rng(0).integers(0, 3, (1000, 1), dtype=np.uint8)
+    if container == "Dataset":
+        profile = ProfileMatrix(variables, ((ProbabilityVector((0.2, 0.3, 0.5)),),))
+        data = Dataset(positions, np.ones(1000, dtype=np.int64), profile, ClusterSpec.uniform(1, 1000), 0)
+    else:
+        data = LevelPositions(positions, variables)
+    with pytest.raises(SpecError, match="'a': level codes must be strictly increasing"):
+        sample_moments(data)
 
 
 def test_codes_0_to_255_take_float64_blocks(monkeypatch):

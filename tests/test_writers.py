@@ -3,6 +3,7 @@
 import errno
 import io
 import tempfile
+from dataclasses import asdict
 from pathlib import Path
 from unittest import mock
 
@@ -210,7 +211,7 @@ def test_failed_write_leaves_no_file(tmp_path, writer, top):
     [
         (report.write_matrix_csv, (np.eye(3), ("a", "b", "c"))),
         (report.write_group_summary, ([GroupSummary(g, 2, None, None, 0.5, 0.25) for g in (1, 2, 3)],)),
-        (report.write_comparison, (ComparisonReport(0.5, 0.25, 1.0),)),
+        (report._write_json, (asdict(ComparisonReport(0.5, 0.25, 1.0)),)),
     ],
     ids=["matrix", "group-summary", "comparison"],
 )
