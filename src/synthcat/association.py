@@ -7,8 +7,8 @@ for nominal data), Stuart-Kendall tau_c (rank concordance on rectangular
 tables), and the plain Pearson correlation of level codes for interval
 variables.
 
-Each measure has one implementation, a ``_*_tables`` kernel over a stack
-of tables; the per-pair functions run it on a stack of one.
+Each measure has one ``_*_tables`` kernel over stacked tables, and one path,
+``_matrix``, runs the kernels for the matrix and the per-pair functions alike.
 
 Measure/kind compatibility: V and the concentration coefficient accept any
 kind; tau_c needs an order (ordinal or interval); Pearson needs interval
@@ -197,7 +197,7 @@ def cramers_v(table, variant: str = "paper") -> float:
     if variant not in VARIANTS:
         raise SpecError(f"cramers_v: unknown variant {variant!r}")
     table, n = _checked(table, "v")
-    return float(_cramers_v_tables(table[None], n, variant)[0])
+    return float(_matrix(table[None], n, table.shape, "v", variant)[0, 1])
 
 
 def concentration_coefficient(table) -> float:
@@ -209,7 +209,7 @@ def concentration_coefficient(table) -> float:
     margin makes the denominator vanish; reported as NaN.
     """
     table, n = _checked(table, "vcc")
-    return float(_concentration_tables(table[None], n)[0])
+    return float(_matrix(table[None], n, table.shape, "vcc")[0, 1])
 
 
 def stuart_kendall_tau_c(table) -> float:
@@ -222,7 +222,7 @@ def stuart_kendall_tau_c(table) -> float:
     because the correction is for the table's rectangular shape.
     """
     table, n = _checked(table, "tauc")
-    return float(_tau_c_tables(table[None], n, min(table.shape))[0])
+    return float(_matrix(table[None], n, table.shape, "tauc")[0, 1])
 
 
 def tau_c_pair_scan(x, y, m_x: int, m_y: int) -> float:
@@ -433,15 +433,6 @@ def _chi_square_tables(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return chi2, np.minimum((rows > 0).sum(axis=1), (cols > 0).sum(axis=1))
 
 
-def _cramers_v_tables(tables: np.ndarray, n: int, variant: str) -> np.ndarray:
-    """``cramers_v`` of each table."""
-    chi2, smaller = _chi_square_tables(tables, n)
-    if variant == "paper":
-        return chi2 / (n * smaller)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(smaller == 1, np.nan, np.sqrt(chi2 / (n * (smaller - 1))))
-
-
 def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
     """``concentration_coefficient`` of each table.
 
@@ -450,8 +441,8 @@ def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
     sums, one rounded division per row, and the row terms added in row
     order keep small tables exact while n * sum_j c_ij^2 stays below 2**53.
     """
-    rows = tables.sum(axis=2)
-    baseline = (tables.sum(axis=1) ** 2).sum(axis=1)
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    baseline = (cols**2).sum(axis=1)
     denominator = n * n - baseline
     squares = (tables**2).sum(axis=2) * float(n)
     conditional = np.zeros(len(tables))
@@ -459,11 +450,12 @@ def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
         for i in range(tables.shape[1]):
             conditional += np.where(rows[:, i] > 0, squares[:, i] / rows[:, i], 0.0)
         values = (conditional - baseline) / denominator
-    return np.where(denominator > 0, values, np.nan)
+    # A single column level in use makes the denominator 0, or round-off in proportions.
+    return np.where((cols > 0).sum(axis=1) > 1, values, np.nan)
 
 
-def _tau_c_tables(tables: np.ndarray, n: int, m: int | np.ndarray) -> np.ndarray:
-    """tau_c of each table, with ``m`` its (scalar or per-table) min level count.
+def _tau_c_tables(tables: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
+    """tau_c of each table, ``m`` its min level count; n * n * (m - 1.0) is a float, so never overflows.
 
     Each cell pairs with the cells strictly south-east of it (concordant)
     and strictly south-west (discordant); ties in either coordinate count
@@ -478,7 +470,31 @@ def _tau_c_tables(tables: np.ndarray, n: int, m: int | np.ndarray) -> np.ndarray
     below_left = np.zeros_like(tables)
     below_left[:, :-1, 1:] = left[:, 1:, :-1]
     difference = (tables * (below_right - below_left)).sum(axis=(1, 2))
-    return 2.0 * difference / (n * n * (m - 1) / m)
+    return 2.0 * difference / (n * n * (m - 1.0) / m)
+
+
+def _matrix(tables: np.ndarray, n, sizes, measure: str, variant="paper", symmetrize=False) -> np.ndarray:
+    """K x K values, diagonal 1, of ``measure`` on pair tables stacked in ``np.triu_indices`` order.
+
+    ``n`` is their total (1 for proportions), ``sizes`` the K level counts.  tau_c's m is the pair's
+    smaller count; vcc's (p, q) is p-predicts-q, (q, p) the reverse, or both their mean if ``symmetrize``.
+    """
+    first, second = np.triu_indices(len(sizes), 1)
+    if measure == "v":
+        chi2, smaller = _chi_square_tables(tables, n)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            forward = backward = chi2 / (n * smaller) if variant == "paper" else np.where(
+                smaller == 1, np.nan, np.sqrt(chi2 / (n * (smaller - 1))))
+    elif measure == "tauc":
+        forward = backward = _tau_c_tables(tables, n, np.asarray(sizes)[[first, second]].min(axis=0))
+    else:
+        forward = _concentration_tables(tables, n)
+        backward = _concentration_tables(tables.transpose(0, 2, 1), n)
+        if symmetrize:
+            forward = backward = 0.5 * (forward + backward)
+    out = np.eye(len(sizes))
+    out[first, second], out[second, first] = forward, backward
+    return out
 
 
 def association_matrix(
@@ -494,10 +510,9 @@ def association_matrix(
     the two.  The other measures are symmetric as defined.
 
     Every pairwise table comes from one batched build (``_pair_tables``)
-    and goes through the same kernels that the per-pair functions
-    ``cramers_v``, ``concentration_coefficient`` and ``stuart_kendall_tau_c``
-    wrap; the reference arithmetic the kernels are tested against lives in
-    ``tests/``.  Pearson is the correlation of ``sample_moments``.
+    and goes through ``_matrix``, as the per-pair functions' one table does;
+    the reference arithmetic it is tested against lives in ``tests/``.
+    Pearson is the correlation of ``sample_moments``.
     """
     if measure not in MEASURES or variant not in VARIANTS:
         raise SpecError(f"association: unknown measure {measure!r} or variant {variant!r}")
@@ -505,9 +520,7 @@ def association_matrix(
     names = tuple(v.name for v in variables)
     if measure == "pearson":
         return AssociationMatrix(_sample_moments(positions, variables).correlation, names, measure)
-    p_count = len(variables)
-    out = np.full((p_count, p_count), np.nan)
-    np.fill_diagonal(out, 1.0)
+    out = np.where(np.eye(len(variables)), 1.0, np.nan)
     # A one-level column has no order for tau_c: its cells are NaN, as an incompatible kind's.
     keep = [p for p, v in enumerate(variables)
             if v.kind in _COMPATIBLE[measure] and (v.size > 1 or measure != "tauc")]
@@ -517,18 +530,5 @@ def association_matrix(
     tables = _pair_tables(positions, keep, sizes)
     # Each table holds every subject, so the first is refused where the per-pair functions refuse it.
     n = _checked(tables[0], measure)[1]
-    first, second = np.triu_indices(len(keep), 1)
-    p, q = np.asarray(keep)[first], np.asarray(keep)[second]
-    if measure == "v":
-        out[p, q] = out[q, p] = _cramers_v_tables(tables, n, variant)
-    elif measure == "tauc":
-        size = np.asarray(sizes)
-        out[p, q] = out[q, p] = _tau_c_tables(tables, n, np.minimum(size[first], size[second]))
-    else:
-        forward = _concentration_tables(tables, n)
-        backward = _concentration_tables(tables.transpose(0, 2, 1), n)
-        if symmetrize:
-            forward = backward = 0.5 * (forward + backward)
-        out[p, q] = forward
-        out[q, p] = backward
+    out[np.ix_(keep, keep)] = _matrix(tables, n, sizes, measure, variant, symmetrize)
     return AssociationMatrix(out, names, measure)

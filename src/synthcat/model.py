@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import reprlib
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -439,12 +440,18 @@ class Dataset:
 # canonical form loads to itself.
 
 
+# A bad value in a parse error, one level deep: nested containers show as [...] and
+# long strings and numbers are cut, so a message stays a few hundred characters long.
+_short = reprlib.Repr()
+_short.maxlevel = 1
+
+
 def _each(convert):
     """A parser for a list whose items ``convert`` parses, each under its index."""
 
     def parse(obj: object, context: str) -> tuple:
         if not isinstance(obj, (list, tuple)):
-            raise SpecError(f"{context}: expected a list, got {obj!r}")
+            raise SpecError(f"{context}: expected a list, got {_short.repr(obj)}")
         return tuple(convert(item, f"{context}[{i}]") for i, item in enumerate(obj))
 
     return parse
@@ -452,23 +459,23 @@ def _each(convert):
 
 def _number(obj: object, context: str) -> float:
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
-        raise SpecError(f"{context}: expected a number, got {obj!r}")
+        raise SpecError(f"{context}: expected a number, got {_short.repr(obj)}")
     try:
         value = float(obj)
     except OverflowError:
         raise SpecError(f"{context}: number too large for a float") from None
     # json reads NaN and Infinity; no config number may be either.
     if not np.isfinite(value):
-        raise SpecError(f"{context}: expected a finite number, got {obj!r}")
+        raise SpecError(f"{context}: expected a finite number, got {_short.repr(obj)}")
     return value
 
 
 def _integer(obj: object, context: str) -> int:
     """An integer, or a float with an integral value, as an int."""
     if isinstance(obj, bool) or not isinstance(obj, numbers.Real):
-        raise SpecError(f"{context}: expected an integer, got {obj!r}")
+        raise SpecError(f"{context}: expected an integer, got {_short.repr(obj)}")
     if not isinstance(obj, numbers.Integral) and not float(obj).is_integer():
-        raise SpecError(f"{context}: expected an integer, got {obj!r}")
+        raise SpecError(f"{context}: expected an integer, got {_short.repr(obj)}")
     return int(obj)
 
 
@@ -482,7 +489,7 @@ def checked_seed(obj: object, context: str) -> int:
 
 def _text(obj: object, context: str) -> str:
     if not isinstance(obj, str):
-        raise SpecError(f"{context}: expected a string, got {obj!r}")
+        raise SpecError(f"{context}: expected a string, got {_short.repr(obj)}")
     return obj
 
 
@@ -497,10 +504,10 @@ def _fields(obj: object, context: str, required: tuple[str, ...] = (), **fields)
     ``required`` one is a SpecError.
     """
     if not isinstance(obj, dict):
-        raise SpecError(f"{context}: expected an object, got {obj!r}")
+        raise SpecError(f"{context}: expected an object, got {_short.repr(obj)}")
     unknown = set(obj) - set(fields)
     if unknown:
-        raise SpecError(f"{context}: unknown keys {sorted(unknown)}")
+        raise SpecError(f"{context}: unknown keys {_short.repr(sorted(unknown))}")
     out = {}
     for key, convert in fields.items():
         if key in obj:
@@ -533,7 +540,7 @@ def _noise(obj: object, context: str) -> dict:
 def _groups(obj: object, context: str) -> dict:
     def family(name: object, key: str) -> str:
         if _text(name, key) not in FAMILIES:
-            raise SpecError(f"{context}: unknown family {name!r}")
+            raise SpecError(f"{context}: unknown family {_short.repr(name)}")
         return name
 
     groups = _fields(

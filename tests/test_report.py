@@ -518,6 +518,23 @@ class TestCli:
         for part in ("group 2", "snp", "correlation", "ceiling 0.95"):
             assert part in err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ([[i, i + 1] for i in range(50_000)], "config:"),
+            ({**explicit_config(), "groups": {**explicit_config()["groups"], "sizes": "2" * 500_000}},
+             "config.groups.sizes:"),
+        ],
+        ids=["top-level-list-of-lists", "sizes-string"],
+    )
+    def test_half_megabyte_bad_value_gives_a_short_error(self, tmp_path, capsys, config, key):
+        config = write_config(tmp_path, config)
+        assert Path(config).stat().st_size > 500_000
+        assert main(["pipeline", "--config", config, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert err.startswith(f"error: {key}")
+
     def test_parser_is_built_once_per_process(self, tmp_path):
         assert build_parser() is build_parser()
         config = write_config(tmp_path, explicit_config())
