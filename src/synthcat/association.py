@@ -84,6 +84,11 @@ def _increasing(variables: tuple[VariableDomain, ...]) -> tuple[VariableDomain, 
     return variables
 
 
+def _consecutive(variables: tuple[VariableDomain, ...]) -> bool:
+    """Whether every variable's levels are consecutive integers (SNP 0/1/2, binary 0/1)."""
+    return all(tuple(v.levels) == tuple(range(v.levels[0], v.levels[0] + v.size)) for v in variables)
+
+
 # Rows per block of ``_block``, ``_level_positions`` and ``report``'s code writer, read at
 # each call.  Only the bits of ``sample_moments``' centred pass depend on it.
 _BLOCK_ROWS = 1024
@@ -361,7 +366,7 @@ def _sample_moments(positions: np.ndarray, variables) -> MomentMatrices:
     ramp = np.arange(table.shape[1])
     shifted[(ramp < lowest[:, None]) | (ramp >= np.array([[v.size] for v in variables]))] = 0
     block = _block(n, len(table), shifted)
-    if all(tuple(v.levels) == tuple(range(v.levels[0], v.levels[0] + v.size)) for v in variables):
+    if _consecutive(variables):
         blocks = _cast_blocks(positions, slice(None), lowest, block, np.subtract)
     else:
         blocks = _lookup_blocks(positions, slice(None), shifted, block)

@@ -1,4 +1,4 @@
-"""Command line entry points.
+"""Command line entry points: argument parsing and exit codes only.
 
 Each config subcommand writes a set of artifact files of one staged run
 (``report.RunResult``); ``pipeline`` writes the full set and a manifest,
@@ -10,20 +10,13 @@ manifest or input file, 3 infeasible target or unreproduced manifest.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
-import io
 import json
 import sys
-import warnings
-from collections import Counter
-from pathlib import Path
 
-import numpy as np
-
-from .association import MEASURES, VARIANTS, LevelPositions, _level_positions, association_matrix
-from .model import InfeasibleTargetError, ReproductionError, SpecError, VariableDomain
-from .report import (RunResult, _digit_line, run_from_manifest, run_pipeline, write_artifacts,
+from .association import MEASURES, VARIANTS, association_matrix
+from .model import InfeasibleTargetError, ReproductionError, SpecError
+from .report import (RunResult, read_dataset_csv, run_from_manifest, run_pipeline, write_artifacts,
                      write_association)
 
 # The artifact files each subcommand writes; ``report.ARTIFACTS`` knows
@@ -52,93 +45,10 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarray] | None:
-    """``association._level_positions`` of a body of ``d,d,...,d\\n`` lines ``width`` wide, or None.
-
-    Each field and the byte after it, read as one little-endian uint16 less
-    its pair of ``report._digit_line`` (``0,``, or ``0\\n`` in the last
-    column), is the field's digit 0..9 exactly when the field is one digit
-    and the byte its separator; any other body gives None.  Bit d of a
-    column's presence mask is set where digit d occurs in it, so the masks
-    hold every column's levels, and a cell's position is its digit less its
-    column's lowest one; only a column with a gap among its digits (0 and 2,
-    say) looks its cells up.
-    """
-    if not body or len(body) % (2 * width):
-        return None
-    zeros = np.frombuffer(_digit_line(width), "<u2")
-    codes = np.subtract(np.frombuffer(body, "<u2").reshape(-1, width), zeros)
-    if codes.max() > 9:
-        return None
-    masks = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=0).tolist()
-    levels = [[d for d in range(10) if mask >> d & 1] for mask in masks]
-    lowest = np.array([column[0] for column in levels], np.uint16)
-    positions = np.subtract(codes, lowest, dtype=np.uint8, casting="unsafe")
-    for p, column in enumerate(levels):
-        if len(column) <= column[-1] - column[0]:
-            rank = np.zeros(10, np.uint8)
-            rank[column] = range(len(column))
-            positions[:, p] = rank[codes[:, p]]
-    return levels, positions
-
-
-def _read_csv(path: str) -> LevelPositions:
-    """Headered integer CSV to level positions over interval domains of the observed levels.
-
-    The file is read once, as bytes.  Column names must be unique, as in a
-    config.  A leading byte-order mark is not part of the first name.  When
-    every line after the header is one digit per field, ``d,d,...,d\\n``
-    as ``write_dataset_csv`` writes SNP and binary codes, the positions come
-    from the bytes (``_digit_positions``) and only the header is decoded.
-    Any other file (CRLF or blank lines, no final newline, codes of more
-    than one digit or negative, spaces) is decoded whole and parsed by
-    ``np.loadtxt``, and its codes go through ``association._level_positions``
-    over their observed levels, the map that looks a ``(codes, variables)``
-    pair up over declared ones.  Both give the same positions and levels.
-    """
-    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
-    head, _, body = data.partition(b"\n")
-    # A carriage return in the first line would end the header early.
-    digits = None if b"\r" in head else _digit_positions(body, head.count(b",") + 1)
-    # A digit body is ASCII, so decoding only the header and its newline
-    # fails where decoding the whole file would, with the same message.
-    text = data if digits is None else data[: len(head) + 1]
-    try:
-        # Universal newlines, as a text-mode file reads them.
-        lines = io.StringIO(text.decode("utf-8"), newline=None)
-    except UnicodeDecodeError as err:
-        raise SpecError(f"associate: {path} is not UTF-8 ({err})") from None
-    header = lines.readline().strip()
-    if not header:
-        raise SpecError(f"associate: {path} is empty")
-    names = header.split(",")
-    for name, count in Counter(names).items():
-        if count > 1:
-            raise SpecError(f"associate: {path}: column name {name!r} is used {count} times")
-    if digits is None:
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is reported below, not as a numpy warning.
-                warnings.simplefilter("ignore", UserWarning)
-                values = np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
-        except ValueError as err:
-            raise SpecError(f"associate: {path} is not an integer CSV ({err})")
-        if len(values) == 0:
-            raise SpecError(f"associate: {path} has no data rows")
-        if values.shape[1] != len(names):
-            raise SpecError(f"associate: {path} rows do not match the header")
-        digits = _level_positions(values)
-    levels, positions = digits
-    variables = tuple(
-        VariableDomain(name, tuple(column), "interval") for name, column in zip(names, levels)
-    )
-    return LevelPositions(positions, variables)
-
-
 def _cmd_associate(args) -> int:
     if (args.data is None) == (args.config is None):
         raise SpecError("associate: need exactly one of --data or --config")
-    source = _read_csv(args.data) if args.data is not None else _run(args).dataset
+    source = read_dataset_csv(args.data) if args.data is not None else _run(args).dataset
     matrix = association_matrix(
         source, args.measure, variant=args.variant, symmetrize=args.symmetrize
     )

@@ -6,15 +6,20 @@ per-group summaries of target vs theoretical vs sample dependence, and the
 theory-vs-sample comparison.  ``ARTIFACTS`` says which stages feed which
 file.  ``run_pipeline`` writes them plus a manifest that embeds the config
 and enough version and hash information that the whole run can be
-reproduced and verified bit for bit from the manifest alone.
+reproduced and verified bit for bit from the manifest alone.  What
+``write_dataset_csv`` writes, ``read_dataset_csv`` reads back.
 """
 
 from __future__ import annotations
 
+import codecs
 import hashlib
+import io
 import json
 import math
 import sys
+import warnings
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from functools import cached_property
@@ -23,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, association
-from .association import AssociationMatrix, _cast_blocks, _lookup_blocks, sample_moments
+from .association import (AssociationMatrix, LevelPositions, _cast_blocks, _consecutive,
+                          _level_positions, _lookup_blocks, sample_moments)
 from .calibration import CalibrationResult
 from .generator import BuiltSpec, build_spec, generate
 from .model import (
@@ -269,9 +275,9 @@ def write_matrix_csv(path: str | Path, values: np.ndarray, names: tuple[str, ...
     _write_lines(path, *_matrix_files(values, names)[0])
 
 
-def _digit_line(width: int) -> bytes:
-    """The line of ``width`` zero digits: ``0,`` in each column, ``0\\n`` in the last."""
-    return b"0," * (width - 1) + b"0\n"
+def _digit_tokens(width: int) -> np.ndarray:
+    """A line of ``width`` zeros, ``0,`` per column and ``0\\n`` last, as little-endian uint16 cells."""
+    return np.frombuffer(b"0," * (width - 1) + b"0\n", "<u2")
 
 
 def _write_codes(
@@ -281,9 +287,9 @@ def _write_codes(
 
     Blocks of ``association._BLOCK_ROWS`` rows (at least one) are read by
     the Gram's two readers.  When every column's levels are consecutive
-    integers inside 0..9, ``_cast_blocks`` writes each digit, ``ord("0")``
-    plus the column's lowest level plus the position, into a reused rows x
-    P x 2 buffer of ``_digit_line``s.  Any other file goes through
+    integers inside 0..9, ``_cast_blocks`` adds each position to its
+    column's ``_digit_tokens`` cell plus lowest level, in a reused rows x P
+    uint16 block.  Any other file goes through
     ``_lookup_blocks`` with a P x M table of byte tokens, ``str(level)`` and
     a comma, or a newline in the last column, NUL-padded to the widest; no
     token holds a NUL byte, so a block's nonzero bytes are its tokens'.  The
@@ -295,18 +301,10 @@ def _write_codes(
     ``positions``, which must lie in [0, size) of their column (a Dataset
     guarantees it).
     """
-    digits = all(
-        tuple(c.levels) == tuple(range(c.levels[0], c.levels[0] + c.size))
-        and 0 <= c.levels[0] <= 10 - c.size
-        for c in columns
-    )
     rows = max(1, min(association._BLOCK_ROWS, len(positions)))
-    if digits:
-        line = np.frombuffer(_digit_line(len(columns)), np.uint8).reshape(-1, 2)
-        lines = np.tile(line, (rows, 1, 1))
-        zero = np.array([ord("0") + c.levels[0] for c in columns], np.uint8)
-        cells = _cast_blocks(positions, slice(None), zero, lines[:, :, 0])
-        blocks = (lines[: len(block)] for block in cells)
+    if _consecutive(columns) and all(0 <= c.levels[0] <= 10 - c.size for c in columns):
+        tokens = _digit_tokens(len(columns)) + np.array([c.levels[0] for c in columns], "<u2")
+        blocks = _cast_blocks(positions, slice(None), tokens, np.empty((rows, len(columns)), "<u2"))
     else:
         width = max(c.size for c in columns)
         ends = [b","] * (len(columns) - 1) + [b"\n"]
@@ -343,6 +341,87 @@ def write_allocation(path: str | Path, dataset: Dataset) -> None:
     """
     clusters = VariableDomain("cluster", tuple(range(1, dataset.clusters.cluster_count + 1)))
     _write_codes(path, dataset.assignments[:, None] - 1, (clusters,), header=False)
+
+
+def _digit_positions(body: bytes, width: int) -> tuple[list[list[int]], np.ndarray] | None:
+    """``association._level_positions`` of a body of ``d,d,...,d\\n`` lines ``width`` wide, or None.
+
+    Each field and the byte after it, read as one little-endian uint16 less
+    its column's ``_digit_tokens``, is the field's digit 0..9 exactly when
+    the field is one digit and the byte its separator; any other body gives
+    None.  Bit d of a column's presence mask is set where digit d occurs in
+    it, so the masks hold every column's levels, and a cell's position is
+    its digit less its column's lowest one; only a column with a gap among
+    its digits (0 and 2, say) looks its cells up.
+    """
+    if not body or len(body) % (2 * width):
+        return None
+    codes = np.subtract(np.frombuffer(body, "<u2").reshape(-1, width), _digit_tokens(width))
+    if codes.max() > 9:
+        return None
+    masks = np.bitwise_or.reduce(np.left_shift(np.uint16(1), codes), axis=0).tolist()
+    levels = [[d for d in range(10) if mask >> d & 1] for mask in masks]
+    lowest = np.array([column[0] for column in levels], np.uint16)
+    positions = np.subtract(codes, lowest, dtype=np.uint8, casting="unsafe")
+    for p, column in enumerate(levels):
+        if len(column) <= column[-1] - column[0]:
+            rank = np.zeros(10, np.uint8)
+            rank[column] = range(len(column))
+            positions[:, p] = rank[codes[:, p]]
+    return levels, positions
+
+
+def read_dataset_csv(path: str | Path) -> LevelPositions:
+    """Headered integer CSV to level positions over interval domains of the observed levels.
+
+    The file is read once, as bytes.  Column names must be unique, as in a
+    config.  A leading byte-order mark is not part of the first name.  When
+    every line after the header is one digit per field, ``d,d,...,d\\n``
+    as ``write_dataset_csv`` writes SNP and binary codes, the positions come
+    from the bytes (``_digit_positions``) and only the header is decoded.
+    Any other file (CRLF or blank lines, no final newline, codes of more
+    than one digit or negative, spaces) is decoded whole and parsed by
+    ``np.loadtxt``, and its codes go through ``association._level_positions``
+    over their observed levels, the map that looks a ``(codes, variables)``
+    pair up over declared ones.  Both give the same positions and levels.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    head, _, body = data.partition(b"\n")
+    # A carriage return in the first line would end the header early.
+    digits = None if b"\r" in head else _digit_positions(body, head.count(b",") + 1)
+    # A digit body is ASCII, so decoding only the header and its newline
+    # fails where decoding the whole file would, with the same message.
+    text = data if digits is None else data[: len(head) + 1]
+    try:
+        # Universal newlines, as a text-mode file reads them.
+        lines = io.StringIO(text.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as err:
+        raise SpecError(f"associate: {path} is not UTF-8 ({err})") from None
+    header = lines.readline().strip()
+    if not header:
+        raise SpecError(f"associate: {path} is empty")
+    names = header.split(",")
+    for name, count in Counter(names).items():
+        if count > 1:
+            raise SpecError(f"associate: {path}: column name {name!r} is used {count} times")
+    if digits is None:
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is reported below, not as a numpy warning.
+                warnings.simplefilter("ignore", UserWarning)
+                values = np.loadtxt(lines, dtype=np.int64, delimiter=",", ndmin=2, comments=None)
+        except ValueError as err:
+            raise SpecError(f"associate: {path} is not an integer CSV ({err})")
+        if len(values) == 0:
+            raise SpecError(f"associate: {path} has no data rows")
+        if values.shape[1] != len(names):
+            raise SpecError(f"associate: {path} rows do not match the header")
+        digits = _level_positions(values)
+    levels, positions = digits
+    variables = tuple(
+        VariableDomain(name, tuple(column), "interval") for name, column in zip(names, levels)
+    )
+    return LevelPositions(positions, variables)
 
 
 def write_group_summary(path: str | Path, summaries: list[GroupSummary]) -> None:

@@ -28,9 +28,9 @@ from hypothesis import strategies as st
 from association_oracles import pair_positions
 from synthcat import association
 from synthcat.association import MEASURES, LevelPositions, _level_positions, association_matrix
-from synthcat.cli import _read_csv, main
+from synthcat.cli import main
 from synthcat.model import SpecError, VariableDomain
-from synthcat.report import write_association
+from synthcat.report import read_dataset_csv as _read_csv, write_association
 
 INT64 = (-(2**63), 2**63 - 1)
 
