@@ -168,10 +168,11 @@ def crosstab(x, y, levels_x: tuple[int, ...], levels_y: tuple[int, ...]) -> np.n
     return _pair_tables(positions, [0, 1], [rows, cols])[0, :rows, :cols]
 
 
-def _checked(table, measure: str) -> tuple[np.ndarray, int | float]:
-    """``table`` as an array and its total n; SpecError unless it is a 2-D table of
-    finite, non-negative counts that ``measure`` takes."""
-    table = np.asarray(table)
+def _checked(table, measure: str) -> tuple[np.ndarray, float]:
+    """``table`` as float64 and its total n; SpecError unless it is a 2-D table of
+    finite, non-negative counts that ``measure`` takes.  The kernels take float
+    tables: int64 margins' products wrap once a total passes about 3e9."""
+    table = np.asarray(table, float)
     n = table.sum().item()
     if table.ndim != 2:
         raise SpecError(f"association: a contingency table is 2-D, not of shape {table.shape}")
@@ -426,7 +427,7 @@ def _pair_tables(positions: np.ndarray, columns: list[int], sizes: list[int]) ->
     return tables
 
 
-def _chi_square_tables(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _chi_square_tables(tables: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray]:
     """Chi-square and min(R, S) of each table; zero-margin rows and columns drop out."""
     rows = tables.sum(axis=2)
     cols = tables.sum(axis=1)
@@ -438,13 +439,14 @@ def _chi_square_tables(tables: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return chi2, np.minimum((rows > 0).sum(axis=1), (cols > 0).sum(axis=1))
 
 
-def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
-    """``concentration_coefficient`` of each table.
+def _concentration_tables(tables: np.ndarray, n: float) -> np.ndarray:
+    """``concentration_coefficient`` of each float table.
 
     Multiplying through by n^2 clears the probabilities:
-    [n sum_ij c_ij^2 / r_i - sum_j s_j^2] / [n^2 - sum_j s_j^2].  Integer
-    sums, one rounded division per row, and the row terms added in row
-    order keep small tables exact while n * sum_j c_ij^2 stays below 2**53.
+    [n sum_ij c_ij^2 / r_i - sum_j s_j^2] / [n^2 - sum_j s_j^2].  Float
+    sums of counts, exact integers below 2**53, one rounded division per
+    row, and the row terms added in row order keep small tables exact while
+    n * sum_j c_ij^2 stays below 2**53.
     """
     rows, cols = tables.sum(axis=2), tables.sum(axis=1)
     baseline = (cols**2).sum(axis=1)
@@ -459,12 +461,13 @@ def _concentration_tables(tables: np.ndarray, n: int) -> np.ndarray:
     return np.where((cols > 0).sum(axis=1) > 1, values, np.nan)
 
 
-def _tau_c_tables(tables: np.ndarray, n: int, m: np.ndarray) -> np.ndarray:
-    """tau_c of each table, ``m`` its min level count; n * n * (m - 1.0) is a float, so never overflows.
+def _tau_c_tables(tables: np.ndarray, n: float, m: np.ndarray) -> np.ndarray:
+    """tau_c of each float table, ``m`` its min level count.
 
     Each cell pairs with the cells strictly south-east of it (concordant)
     and strictly south-west (discordant); ties in either coordinate count
-    for neither side.  n_c - n_d comes from 2-D suffix sums.
+    for neither side.  n_c - n_d comes from 2-D suffix sums, each an exact
+    integer in float64 while n^2 stays below 2**53.
     """
     # below_right[i, j] = counts in rows > i and columns > j.
     tail = np.cumsum(np.cumsum(tables[:, ::-1, ::-1], axis=1), axis=2)[:, ::-1, ::-1]
@@ -532,7 +535,7 @@ def association_matrix(
     if len(keep) < 2:
         return AssociationMatrix(out, names, measure)
     sizes = [variables[p].size for p in keep]
-    tables = _pair_tables(positions, keep, sizes)
+    tables = _pair_tables(positions, keep, sizes).astype(float)
     # Each table holds every subject, so the first is refused where the per-pair functions refuse it.
     n = _checked(tables[0], measure)[1]
     out[np.ix_(keep, keep)] = _matrix(tables, n, sizes, measure, variant, symmetrize)

@@ -120,6 +120,18 @@ class TestTables:
             assert measure(rows) == measure(table(rows))
 
 
+    @pytest.mark.parametrize("count", [4e9, 2e9])
+    def test_int64_tables_past_3e9_read_as_their_float_copies(self, count):
+        """Products and sums of int64 counts wrapped: cramers_v read -7.6158 on the 4e9
+        table and concentration_coefficient raised OverflowError on the 2e9 one."""
+        counts = table([[count, 10], [10, count]])
+        floats = counts.astype(float)
+        assert chi_square(counts) == chi_square(floats) > 0
+        for variant in ("paper", "standard"):
+            assert cramers_v(counts, variant) == cramers_v(floats, variant) > 0
+        assert concentration_coefficient(counts) == concentration_coefficient(floats) > 0
+        assert stuart_kendall_tau_c(counts) == stuart_kendall_tau_c(floats) > 0.99
+
 class TestChiSquare:
     def test_hand_values(self):
         assert chi_square(table([[10, 10], [10, 10]])) == 0.0
