@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Dataset, SpecError, VariableDomain, level_table
+from .model import Dataset, SpecError, VariableDomain, _short, level_table
 from .moments import MomentMatrices
 
 MEASURES = ("v", "vcc", "tauc", "pearson")
@@ -80,7 +80,8 @@ def _increasing(variables: tuple[VariableDomain, ...]) -> tuple[VariableDomain, 
     """``variables``, once each one's declared levels strictly increase."""
     for v in variables:
         if any(a >= b for a, b in zip(v.levels, v.levels[1:])):
-            raise SpecError(f"association: variable {v.name!r}: level codes must be strictly increasing")
+            name = _short.repr(v.name)
+            raise SpecError(f"association: variable {name}: level codes must be strictly increasing")
     return variables
 
 
@@ -136,8 +137,8 @@ def _level_positions(codes: np.ndarray, variables=None) -> tuple[list[list[int]]
     ranks = [np.searchsorted(declared, seen) for declared, seen in zip(levels, observed)]
     for p, (declared, seen, index) in enumerate(zip(levels, observed, ranks)):
         if not (declared[np.minimum(index, len(declared) - 1)] == seen).all():
-            name = variables[p].name if variables else p
-            raise SpecError(f"association: column {name!r} has values outside its declared levels")
+            name = _short.repr(variables[p].name if variables else p)
+            raise SpecError(f"association: column {name} has values outside its declared levels")
     positions = np.empty(codes.shape, np.min_scalar_type(max(map(len, levels)) - 1))
     if masked:
         lookup = np.zeros(len(present), positions.dtype)

@@ -37,6 +37,11 @@ SUM_TOLERANCE = 1e-9
 # table the generator can hold, and small enough to expand without overflow.
 MAX_COLUMNS = 2**24
 
+# A bad value or a name in an error message, one level deep: nested containers show as
+# [...] and long strings and numbers are cut, so a message stays a few hundred characters long.
+_short = reprlib.Repr()
+_short.maxlevel = 1
+
 
 class SpecError(ValueError):
     """A specification cannot be generated as declared."""
@@ -71,17 +76,18 @@ class VariableDomain:
 
     def violations(self) -> list[str]:
         out = []
+        name = _short.repr(self.name)
         if len(self.levels) < 2:
-            out.append(f"variable {self.name!r}: needs at least 2 levels")
+            out.append(f"variable {name}: needs at least 2 levels")
         if any(a >= b for a, b in zip(self.levels, self.levels[1:])):
-            out.append(f"variable {self.name!r}: level codes must be strictly increasing")
+            out.append(f"variable {name}: level codes must be strictly increasing")
         # Level tables, and so Dataset.values, hold the codes as int64.
         if not all(-(2**63) <= code < 2**63 for code in self.levels):
-            out.append(f"variable {self.name!r}: level codes must lie in [-2**63, 2**63)")
+            out.append(f"variable {name}: level codes must lie in [-2**63, 2**63)")
         if self.kind not in KINDS:
-            out.append(f"variable {self.name!r}: unknown kind {self.kind!r}")
+            out.append(f"variable {name}: unknown kind {_short.repr(self.kind)}")
         if any(c in self.name for c in ",\n\r"):
-            out.append(f"variable {self.name!r}: name must not contain a comma or a line break")
+            out.append(f"variable {name}: name must not contain a comma or a line break")
         return out
 
 
@@ -276,7 +282,7 @@ class ProfileMatrix:
             out.append("profile: at least one variable required")
         names = Counter(domain.name for domain in self.variables)
         out.extend(
-            f"profile: variable name {name!r} is used {count} times"
+            f"profile: variable name {_short.repr(name)} is used {count} times"
             for name, count in names.items()
             if count > 1
         )
@@ -395,7 +401,7 @@ class Dataset:
         lows, highs = self.positions.min(axis=0), self.positions.max(axis=0)
         for domain, low, high in zip(variables, lows, highs):
             if low < 0 or high >= domain.size:
-                raise SpecError(f"dataset: column {domain.name!r} has values outside its levels")
+                raise SpecError(f"dataset: column {_short.repr(domain.name)} has values outside its levels")
         c_count = self.clusters.cluster_count
         if not 1 <= self.assignments.min() <= self.assignments.max() <= c_count:
             raise SpecError(f"dataset: assignments outside the clusters 1..{c_count}")
@@ -438,12 +444,6 @@ class Dataset:
 # float, lists as tuples.  "clusters" (possibly empty), groups.k and each
 # variable's kind are filled in, and an empty noise list is dropped.  The
 # canonical form loads to itself.
-
-
-# A bad value in a parse error, one level deep: nested containers show as [...] and
-# long strings and numbers are cut, so a message stays a few hundred characters long.
-_short = reprlib.Repr()
-_short.maxlevel = 1
 
 
 def _each(convert):

@@ -38,6 +38,7 @@ from .model import (
     ReproductionError,
     SpecError,
     VariableDomain,
+    _short,
     checked_seed,
     load_config,
 )
@@ -403,7 +404,7 @@ def read_dataset_csv(path: str | Path) -> LevelPositions:
     names = header.split(",")
     for name, count in Counter(names).items():
         if count > 1:
-            raise SpecError(f"associate: {path}: column name {name!r} is used {count} times")
+            raise SpecError(f"associate: {path}: column name {_short.repr(name)} is used {count} times")
     if digits is None:
         try:
             with warnings.catch_warnings():

@@ -535,6 +535,29 @@ class TestCli:
         assert len(err.encode()) < 1024
         assert err.startswith(f"error: {key}")
 
+    def test_half_megabyte_variable_name_gives_a_short_error(self, tmp_path, capsys):
+        """A spec message quotes a variable's name, bounded as a parse error's value is."""
+        config = {
+            "seed": 1,
+            "clusters": {"C": 2, "n": 4},
+            "variables": [{"name": "v" * 500_000, "levels": [0, 1], "kind": "cardinal"}],
+            "profile": [[[0.2, 0.8]], [[0.8, 0.2]]],
+        }
+        argv = ["pipeline", "--config", write_config(tmp_path, config), "--out", str(tmp_path / "o")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert "unknown kind 'cardinal'" in err
+
+    def test_associate_csv_half_megabyte_repeated_name_gives_a_short_error(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        name = "a" * 500_000
+        data.write_text(f"{name},{name}\n0,1\n1,0\n")
+        assert main(["associate", "--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert "is used 2 times" in err
+
     def test_parser_is_built_once_per_process(self, tmp_path):
         assert build_parser() is build_parser()
         config = write_config(tmp_path, explicit_config())
