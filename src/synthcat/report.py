@@ -290,11 +290,11 @@ def _write_codes(
     the Gram's two readers.  When every column's levels are consecutive
     integers inside 0..9, ``_cast_blocks`` adds each position to its
     column's ``_digit_tokens`` cell plus lowest level, in a reused rows x P
-    uint16 block.  Any other file goes through
-    ``_lookup_blocks`` with a P x M table of byte tokens, ``str(level)`` and
-    a comma, or a newline in the last column, NUL-padded to the widest; no
-    token holds a NUL byte, so a block's nonzero bytes are its tokens'.  The
-    choice is read from ``columns`` alone.
+    uint16 block.  Any other file goes through ``_lookup_blocks`` with a
+    P x M table of byte tokens, ``str(level)`` and a comma, or a newline in
+    the last column, NUL-padded to the widest; no token holds a NUL byte, so
+    a block's nonzero bytes are its tokens'.  The choice is read from
+    ``columns`` alone.
 
     The bytes equal numpy's ``savetxt(path, codes, fmt="%d", delimiter=",",
     header=<column names> if header else "", comments="")`` (except that
